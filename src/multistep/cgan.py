@@ -15,16 +15,7 @@ import numpy as np
 
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (
-    Mlp,
-    backward,
-    forward,
-    init_adam,
-    init_mlp,
-    adam_step,
-    net_params,
-    set_net_params,
-)
+from .nn import Mlp, adam_step, backward, forward, init_adam, init_mlp
 
 PROB_EPS = 1e-7  # clamp for log arguments
 
@@ -106,10 +97,8 @@ def train_cgan(
         rng=rng,
         final_activation="sigmoid",
     )
-    g_params = net_params(gen)
-    d_params = net_params(disc)
-    g_state = init_adam(g_params, learning_rate=cfg.lr_generator)
-    d_state = init_adam(d_params, learning_rate=cfg.lr_discriminator)
+    g_state = init_adam(gen.params, learning_rate=cfg.lr_generator)
+    d_state = init_adam(disc.params, learning_rate=cfg.lr_discriminator)
 
     n = len(data)
     log: list[dict] = []
@@ -135,14 +124,9 @@ def train_cgan(
             d_loss = float(-np.mean(np.log(pr)) - np.mean(np.log(1.0 - pf)))
             grad_r = -1.0 / (pr * b)
             grad_f = 1.0 / ((1.0 - pf) * b)
-            grads_r, _ = backward(disc, cache_r, grad_r)
-            grads_f, _ = backward(disc, cache_f, grad_f)
-            flat = [gr + gf for gr, gf in zip(
-                (g for pair in grads_r for g in pair),
-                (g for pair in grads_f for g in pair),
-            )]
-            d_params, d_state = adam_step(d_params, flat, d_state)
-            set_net_params(disc, d_params)
+            d_grad, _ = backward(disc, cache_r, grad_r)
+            d_grad += backward(disc, cache_f, grad_f)[0]
+            adam_step(disc.params, d_grad, d_state)
 
             # --- generator update ---
             z = rng.standard_normal((b, cfg.noise_dim))
@@ -160,10 +144,8 @@ def train_cgan(
                 g_loss = float(-np.mean(np.log(pg)))
                 grad_out = -1.0 / (pg * b)
             _, d_input_grad = backward(disc, cache_d, grad_out)
-            g_grads, _ = backward(gen, cache_g, d_input_grad[:, :p])
-            flat = [g for pair in g_grads for g in pair]
-            g_params, g_state = adam_step(g_params, flat, g_state)
-            set_net_params(gen, g_params)
+            g_grad, _ = backward(gen, cache_g, d_input_grad[:, :p])
+            adam_step(gen.params, g_grad, g_state)
 
             d_losses.append(d_loss)
             g_losses.append(g_loss)

@@ -128,8 +128,8 @@ def _synthetic_rows(
     """
     xs, ys, tags = [], [], []
     for n in range(1, n_steps):
-        gt_part = np.stack([values[s + n : s + p] for s in start_indices]) if n < p else None
         if n < p:
+            gt_part = np.lib.stride_tricks.sliding_window_view(values, p - n)[start_indices + n]
             window = np.concatenate([gt_part, preds[:, :n]], axis=1)
         else:
             window = preds[:, n - p : n]
@@ -179,7 +179,7 @@ def build_augmented_dataset(
     targets = np.concatenate([y0, ys])
     tags = np.concatenate([t0, ts])
     if conditional:
-        encoded = np.array([tag_encoder(int(t), n_steps) for t in tags])
+        encoded = np.array([tag_encoder(t, n_steps) for t in range(n_steps)])[tags]
         inputs = np.concatenate([inputs, encoded[:, None]], axis=1)
     return AugmentedDataset(inputs, targets, tags, conditional)
 

@@ -211,14 +211,8 @@ def make_windows(series, p: int, q: int, stride: int = 1) -> WindowedDataset:
     n = len(values)
     if n < p + q:
         raise ConfigError(f"series length {n} < p + q = {p + q}")
-    num = (n - p - q) // stride + 1
-    histories = np.empty((num, p))
-    futures = np.empty((num, q))
-    for i in range(num):
-        s = i * stride
-        histories[i] = values[s : s + p]
-        futures[i] = values[s + p : s + p + q]
-    return WindowedDataset(histories, futures, p, q)
+    windows = np.lib.stride_tricks.sliding_window_view(values, p + q)[::stride]
+    return WindowedDataset(windows[:, :p].copy(), windows[:, p:].copy(), p, q)
 
 
 def split_by_date(

@@ -7,7 +7,8 @@ against finite differences in the test suite instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -17,8 +18,11 @@ from .errors import ConfigError, NumericError, ShapeError
 ACTIVATIONS = ("relu", "linear", "sigmoid", "tanh")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layer:
+    """One dense layer. Inside an Mlp, weights and bias are views into
+    Mlp.params: write them in place, never rebind them."""
+
     weights: np.ndarray  # [out_dim, in_dim]
     bias: np.ndarray  # [out_dim]
     activation: str = "relu"
@@ -34,9 +38,14 @@ class Layer:
 
 @dataclass
 class Mlp:
+    """A dense network whose parameters live in one flat float64 vector,
+    `params`, laid out W0 (row-major), b0, W1, b1, ... Construction copies
+    the given layers into that vector and rebuilds them as views of it."""
+
     layers: list[Layer]
     dropout_rate: float = 0.0
     metadata: dict = field(default_factory=dict)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -55,6 +64,17 @@ class Mlp:
                 )
             if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
                 raise NumericError(f"layer {i} has non-finite parameters")
+        self.params = np.concatenate(
+            [a.ravel() for l in self.layers for a in (l.weights, l.bias)], dtype=float
+        )
+        views, off = [], 0
+        for layer in self.layers:
+            w_end = off + layer.weights.size
+            b_end = w_end + layer.out_dim
+            w = self.params[off:w_end].reshape(layer.weights.shape)
+            views.append(Layer(w, self.params[w_end:b_end], layer.activation))
+            off = b_end
+        self.layers = views
 
     @property
     def input_dim(self) -> int:
@@ -65,11 +85,7 @@ class Mlp:
         return self.layers[-1].out_dim
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layers=[Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers],
-            dropout_rate=self.dropout_rate,
-            metadata=dict(self.metadata),
-        )
+        return Mlp(list(self.layers), self.dropout_rate, dict(self.metadata))
 
 
 @dataclass
@@ -93,8 +109,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray  # flat, like Mlp.params
+    second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -206,13 +222,13 @@ def forward(
 
 def backward(
     net: Mlp, cache: ForwardCache, loss_grad: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate loss_grad (d loss / d output) through the cached pass.
 
-    Returns per-layer (dW, db) pairs plus the gradient w.r.t. the network
-    input (needed when chaining networks, e.g. generator through
-    discriminator). Batch inputs are summed, so scale loss_grad by 1/batch
-    for a mean loss.
+    Returns the parameter gradient as one flat vector in the layout of
+    net.params, plus the gradient w.r.t. the network input (needed when
+    chaining networks, e.g. generator through discriminator). Batch inputs
+    are summed, so scale loss_grad by 1/batch for a mean loss.
     """
     if len(cache.layer_caches) != len(net.layers):
         raise ShapeError("cache does not match network depth")
@@ -223,18 +239,22 @@ def backward(
     if g.shape != (batch, net.output_dim):
         raise ShapeError(f"loss_grad shape {loss_grad.shape} incompatible with output")
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    grad = np.empty_like(net.params)
+    end = grad.size
     for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
         if lc.inputs.shape[1] != layer.in_dim or lc.preact.shape[1] != layer.out_dim:
             raise ShapeError("cache does not match layer shapes")
         if lc.mask is not None:
             g = g * lc.mask
         g = g * _activation_grad(layer.activation, lc.preact, lc.act_out)
-        grads.append((g.T @ lc.inputs, g.sum(axis=0)))
+        b_start = end - layer.out_dim
+        w_start = b_start - layer.weights.size
+        np.matmul(g.T, lc.inputs, out=grad[w_start:b_start].reshape(layer.weights.shape))
+        g.sum(axis=0, out=grad[b_start:end])
+        end = w_start
         g = g @ layer.weights
-    grads.reverse()
     input_grad = g[0] if cache.single else g
-    return grads, input_grad
+    return grad, input_grad
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -249,31 +269,16 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def net_params(net: Mlp) -> list[np.ndarray]:
-    """Flatten to [W0, b0, W1, b1, ...] for the optimizer."""
-    out = []
-    for layer in net.layers:
-        out.append(layer.weights)
-        out.append(layer.bias)
-    return out
-
-
-def set_net_params(net: Mlp, params: list[np.ndarray]) -> None:
-    for i, layer in enumerate(net.layers):
-        layer.weights = params[2 * i]
-        layer.bias = params[2 * i + 1]
-
-
 def init_adam(
-    params: list[np.ndarray],
+    params: np.ndarray,
     learning_rate: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
     return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
+        first_moment=np.zeros_like(params),
+        second_moment=np.zeros_like(params),
         step_count=0,
         learning_rate=learning_rate,
         beta1=beta1,
@@ -282,27 +287,32 @@ def init_adam(
     )
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Pure: returns fresh arrays and state."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("params/grads/state lengths differ")
-    for p, g, m in zip(params, grads, state.first_moment):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"shape mismatch: param {p.shape}, grad {g.shape}, moment {m.shape}")
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of params, m and v, all in place.
+
+    Each in-place operation reproduces one operation of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g and p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t))
+    + eps), in that order, so the result is bit-identical to that formula.
+    """
+    m, v = state.first_moment, state.second_moment
+    if params.shape != grad.shape or params.shape != m.shape:
+        raise ShapeError(
+            f"shape mismatch: param {params.shape}, grad {grad.shape}, moment {m.shape}"
+        )
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-    return new_p, replace(state, first_moment=new_m, second_moment=new_v, step_count=t)
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    step = m / (1.0 - b1**t)
+    denom = v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    step *= state.learning_rate
+    step /= denom
+    params -= step
+    state.step_count = t
 
 
 def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
@@ -310,7 +320,8 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
 
     `dataset` is anything exposing float matrices `histories` [n, input_dim]
     and `futures` [n, output_dim]. Deterministic given cfg.seed; the input
-    net is left untouched and a trained copy is returned.
+    net is left untouched and a trained copy is returned. Raises
+    NumericError at the first batch whose loss is not finite.
     """
     x = np.asarray(dataset.histories, dtype=float)
     y = np.asarray(dataset.futures, dtype=float)
@@ -328,11 +339,10 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
     if cfg.epochs == 0:
         return trained, []
     rng = np.random.default_rng(cfg.seed)
-    params = net_params(trained)
-    state = init_adam(params, learning_rate=cfg.learning_rate)
+    state = init_adam(trained.params, learning_rate=cfg.learning_rate)
     n = x.shape[0]
     history = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -340,11 +350,15 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
             xb, yb = x[idx], y[idx]
             pred, cache = forward(trained, xb, mode="train", rng=rng)
             diff = pred - yb
-            epoch_loss += float(np.sum(diff * diff)) / yb.shape[1]
+            batch_loss = float((diff * diff).sum()) / yb.shape[1]
+            if not math.isfinite(batch_loss):
+                raise NumericError(
+                    f"training diverged: non-finite loss at epoch {epoch}, "
+                    f"batch {start // cfg.batch_size} (both 0-based)"
+                )
+            epoch_loss += batch_loss
             loss_grad = 2.0 * diff / (yb.shape[1] * yb.shape[0])
-            grads, _ = backward(trained, cache, loss_grad)
-            flat = [g for pair in grads for g in pair]
-            params, state = adam_step(params, flat, state)
-            set_net_params(trained, params)
+            grad, _ = backward(trained, cache, loss_grad)
+            adam_step(trained.params, grad, state)
         history.append(epoch_loss / n)
     return trained, history

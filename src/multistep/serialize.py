@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .nn import Layer, Mlp
 
 FORMAT_VERSION = 1
@@ -55,9 +55,13 @@ def mlp_from_dict(doc: dict) -> Mlp:
 
 
 def dump_json(doc: dict, path) -> None:
+    """Write doc as JSON; a NaN or infinity raises NumericError and writes nothing."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write {path}: {exc}") from exc
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_json(path) -> dict:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multistep import dad, nn
 from multistep import strategies as stg
@@ -43,7 +45,51 @@ class TestConfig:
             dad.train_cdad(series, val, small_cfg(conditional=False))
 
 
+def loop_augmented(values, p, starts, preds, n_steps, conditional, tag_encoder):
+    """build_augmented_dataset as per-row loops, the reference the
+    vectorised builder must equal bitwise."""
+    xs = [values[i : i + p] for i in range(len(values) - p)]
+    ys = [values[i + p] for i in range(len(values) - p)]
+    tags = [0] * len(xs)
+    for n in range(1, n_steps):
+        for j, s in enumerate(starts):
+            truth = list(values[s + n : s + p]) if n < p else []
+            xs.append(np.array(truth + list(preds[j, max(0, n - p) : n])))
+            ys.append(values[s + p + n])
+            tags.append(n)
+    inputs = np.array(xs)
+    if conditional:
+        encoded = np.array([tag_encoder(int(t), n_steps) for t in tags])
+        inputs = np.concatenate([inputs, encoded[:, None]], axis=1)
+    return inputs, np.array(ys), np.array(tags)
+
+
 class TestAugmentedDataset:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        n_steps=st.integers(1, 8),
+        extra=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        encoder=st.sampled_from([None, lambda t, n: np.sin(t + 0.5) / n]),
+    )
+    def test_vectorised_builder_equals_loop_oracle(self, p, n_steps, extra, seed, encoder):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0, 1, p + n_steps + extra)
+        positions = np.arange(extra + 1)
+        starts = np.sort(rng.choice(positions, size=rng.integers(1, extra + 2), replace=False))
+        preds = rng.uniform(0, 1, (len(starts), n_steps))
+        trajs = [stg.PredictionTrajectory(int(s), preds[j]) for j, s in enumerate(starts)]
+        for conditional in (False, True):
+            aug = dad.build_augmented_dataset(values, p, trajs, conditional, n_steps, encoder)
+            inputs, targets, tags = loop_augmented(
+                values, p, starts, preds, n_steps, conditional,
+                encoder or dad._default_tag_encoder,
+            )
+            assert np.array_equal(aug.inputs, inputs)
+            assert np.array_equal(aug.targets, targets)
+            assert np.array_equal(aug.tags, tags)
+
     def test_three_point_enumeration(self):
         # Series [1, 2, 3], p=1, rollout depth 2, one trajectory starting
         # at index 0 whose first prediction was 0.9. Exactly three rows:

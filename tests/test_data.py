@@ -2,7 +2,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multistep import data as dt
@@ -158,7 +158,37 @@ class TestNormalizer:
         assert (n.min, n.max) == (0.0, 10.0)
 
 
+def loop_windows(values, p, q, stride):
+    """The per-sample loop make_windows replaced; it must equal this bitwise."""
+    num = (len(values) - p - q) // stride + 1
+    histories = np.empty((num, p))
+    futures = np.empty((num, q))
+    for i in range(num):
+        s = i * stride
+        histories[i] = values[s : s + p]
+        futures[i] = values[s + p : s + p + q]
+    return histories, futures
+
+
 class TestWindows:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 7),
+        st.lists(st.floats(0, 1e6), min_size=2, max_size=60),
+    )
+    def test_equals_loop_oracle(self, p, q, stride, values):
+        assume(len(values) >= p + q)
+        values = np.array(values)
+        ds = dt.make_windows(values, p, q, stride)
+        histories, futures = loop_windows(values, p, q, stride)
+        assert np.array_equal(ds.histories, histories)
+        assert np.array_equal(ds.futures, futures)
+        assert ds.histories.flags.c_contiguous and ds.futures.flags.c_contiguous
+        assert not np.shares_memory(ds.histories, values)
+        assert not np.shares_memory(ds.futures, values)
+
     def test_enumeration(self):
         ds = dt.make_windows(np.array([1.0, 2, 3, 4, 5]), p=2, q=2)
         assert ds.histories.tolist() == [[1, 2], [2, 3]]

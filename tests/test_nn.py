@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,23 +26,61 @@ def matrix_chain_oracle(net, x):
 
 
 def finite_difference_grads(net, x, y, h=1e-5):
-    """Central-difference gradient of the MSE loss w.r.t. every parameter."""
-    params = nn.net_params(net)
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up, _ = nn.mse_loss(nn.forward(net, x)[0], y)
-            p[idx] = orig - h
-            down, _ = nn.mse_loss(nn.forward(net, x)[0], y)
-            p[idx] = orig
-            g[idx] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+    """Central-difference gradient of the MSE loss w.r.t. every entry of
+    net.params, in the same flat layout."""
+    params = net.params
+    grad = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        up, _ = nn.mse_loss(nn.forward(net, x)[0], y)
+        params[i] = orig - h
+        down, _ = nn.mse_loss(nn.forward(net, x)[0], y)
+        params[i] = orig
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
+
+
+def reference_backward_pairs(net, cache, loss_grad):
+    """Per-layer (g.T @ inputs, g.sum(0)) pairs, computed layer by layer
+    into fresh arrays: the reference for backward's flat gradient."""
+    g = np.atleast_2d(loss_grad)
+    pairs = []
+    for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
+        if lc.mask is not None:
+            g = g * lc.mask
+        g = g * nn._activation_grad(layer.activation, lc.preact, lc.act_out)
+        pairs.append((g.T @ lc.inputs, g.sum(axis=0)))
+        g = g @ layer.weights
+    pairs.reverse()
+    return pairs
+
+
+def reference_adam_step(params, grads, state):
+    """Pure bias-corrected Adam over lists of arrays: the reference for the
+    in-place flat step. `state` is (m list, v list, t, lr, b1, b2, eps)."""
+    m_list, v_list, t, lr, b1, b2, eps = state
+    t += 1
+    new_m, new_v, new_p = [], [], []
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        new_m.append(m)
+        new_v.append(v)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return new_p, (new_m, new_v, t, lr, b1, b2, eps)
+
+
+def split_like_layers(flat, net):
+    """Cut a flat vector into [W0, b0, W1, b1, ...] copies shaped like net's layers."""
+    out, off = [], 0
+    for layer in net.layers:
+        for a in (layer.weights, layer.bias):
+            out.append(flat[off : off + a.size].reshape(a.shape).copy())
+            off += a.size
+    return out
 
 
 class TestForward:
@@ -105,8 +145,9 @@ class TestBackward:
     def test_zero_loss_grad_gives_zero_grads(self):
         net = nn.init_mlp([3, 4, 2], rng=0)
         out, cache = nn.forward(net, np.array([0.1, 0.2, 0.3]))
-        grads, dx = nn.backward(net, cache, np.zeros(2))
-        assert all(np.all(g == 0) for pair in grads for g in pair)
+        grad, dx = nn.backward(net, cache, np.zeros(2))
+        assert grad.shape == net.params.shape
+        assert np.all(grad == 0)
         assert np.all(dx == 0)
 
     def test_one_layer_linear_hand_arithmetic(self):
@@ -116,8 +157,8 @@ class TestBackward:
         y = np.array([1.0])
         pred, cache = nn.forward(net, x)
         loss, lg = nn.mse_loss(pred, y)
-        grads, _ = nn.backward(net, cache, lg)
-        dw, db = grads[0]
+        grad, _ = nn.backward(net, cache, lg)
+        dw, db = split_like_layers(grad, net)
         expected = 2.0 * (pred[0] - y[0]) * x
         assert np.allclose(dw[0], expected)
         assert np.allclose(db[0], 2.0 * (pred[0] - y[0]))
@@ -130,11 +171,10 @@ class TestBackward:
         y = rng.standard_normal(2)
         pred, cache = nn.forward(net, x)
         _, lg = nn.mse_loss(pred, y)
-        analytic = [g for pair in nn.backward(net, cache, lg)[0] for g in pair]
+        analytic, _ = nn.backward(net, cache, lg)
         numeric = finite_difference_grads(net, x, y)
-        for a, n in zip(analytic, numeric):
-            scale = np.maximum(np.abs(n), 1e-8)
-            assert np.max(np.abs(a - n) / scale) < 1e-4
+        scale = np.maximum(np.abs(numeric), 1e-8)
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
     def test_stale_cache_rejected(self):
         small = nn.init_mlp([3, 4, 2], rng=0)
@@ -142,6 +182,19 @@ class TestBackward:
         _, cache = nn.forward(small, np.zeros(3))
         with pytest.raises(ShapeError):
             nn.backward(other, cache, np.zeros(2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_gradient_equals_per_layer_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        act = ["relu", "sigmoid", "tanh", "linear"][seed]
+        net = nn.init_mlp([5, 7, 6, 3], dropout_rate=0.3, rng=rng, hidden_activation=act)
+        x = rng.standard_normal((11, 5))
+        _, cache = nn.forward(net, x, mode="train", rng=rng)
+        loss_grad = rng.standard_normal((11, 3))
+        grad, dx = nn.backward(net, cache, loss_grad)
+        pairs = reference_backward_pairs(net, cache, loss_grad)
+        expected = np.concatenate([a.ravel() for pair in pairs for a in pair])
+        assert np.array_equal(grad, expected)
 
 
 class TestMseLoss:
@@ -174,35 +227,93 @@ class TestMseLoss:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, -2.0])]
+        params = np.array([1.0, -2.0])
+        before = params.copy()
         state = nn.init_adam(params)
-        new_params, new_state = nn.adam_step(params, [np.zeros(2)], state)
-        assert np.array_equal(new_params[0], params[0])
-        assert new_state.step_count == 1
+        nn.adam_step(params, np.zeros(2), state)
+        assert np.array_equal(params, before)
+        assert state.step_count == 1
 
     def test_first_step_hand_computation(self):
         # Bias correction makes the first step ~ lr * sign(grad).
-        params = [np.array([1.0])]
+        params = np.array([1.0])
         state = nn.init_adam(params, learning_rate=1e-3)
-        new_params, _ = nn.adam_step(params, [np.array([0.5])], state)
+        nn.adam_step(params, np.array([0.5]), state)
         expected = 1.0 - 1e-3 * 0.5 / (0.5 + 1e-8)
-        assert np.allclose(new_params[0], expected)
-        assert new_params[0][0] == pytest.approx(0.999, abs=1e-6)
+        assert np.allclose(params[0], expected)
+        assert params[0] == pytest.approx(0.999, abs=1e-6)
 
     def test_constant_gradient_monotone_decrease(self):
-        params = [np.array([1.0])]
+        params = np.array([1.0])
         state = nn.init_adam(params, learning_rate=1e-2)
-        grad = [np.array([0.3])]
-        values = [params[0][0]]
+        grad = np.array([0.3])
+        values = [params[0]]
         for _ in range(2):
-            params, state = nn.adam_step(params, grad, state)
-            values.append(params[0][0])
+            nn.adam_step(params, grad, state)
+            values.append(params[0])
         assert values[0] > values[1] > values[2]
 
     def test_shape_mismatch(self):
-        state = nn.init_adam([np.zeros(2)])
+        state = nn.init_adam(np.zeros(2))
         with pytest.raises(ShapeError):
-            nn.adam_step([np.zeros(2)], [np.zeros(3)], state)
+            nn.adam_step(np.zeros(2), np.zeros(3), state)
+
+    def test_in_place_step_equals_list_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        net = nn.init_mlp([4, 9, 7, 2], rng=rng)
+        ref_params = split_like_layers(net.params, net)
+        state = nn.init_adam(net.params, learning_rate=3e-3)
+        ref_state = ([np.zeros_like(p) for p in ref_params],
+                     [np.zeros_like(p) for p in ref_params], 0, 3e-3, 0.9, 0.999, 1e-8)
+        for _ in range(50):
+            grad = rng.standard_normal(net.params.size) * rng.uniform(1e-3, 1e2)
+            nn.adam_step(net.params, grad, state)
+            ref_params, ref_state = reference_adam_step(
+                ref_params, split_like_layers(grad, net), ref_state
+            )
+        ref_p, ref_m, ref_v = (np.concatenate([a.ravel() for a in arrays])
+                               for arrays in (ref_params, ref_state[0], ref_state[1]))
+        assert np.array_equal(net.params, ref_p)
+        assert np.array_equal(state.first_moment, ref_m)
+        assert np.array_equal(state.second_moment, ref_v)
+        assert state.step_count == ref_state[2] == 50
+
+
+class TestFlatParameters:
+    def test_layer_arrays_are_views_of_params(self):
+        net = nn.init_mlp([3, 5, 4, 2], rng=0)
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+        assert net.params.size == sum(l.weights.size + l.bias.size for l in net.layers)
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net.params)
+            assert np.shares_memory(layer.bias, net.params)
+        net.params[:] = np.arange(net.params.size)
+        w0 = net.layers[0].weights
+        assert w0[0, 0] == 0.0 and w0[1, 0] == 3.0  # row-major W0 first
+        assert net.layers[0].bias[0] == w0.size  # then b0
+
+    def test_copy_shares_no_memory(self):
+        net = nn.init_mlp([3, 5, 2], rng=1)
+        twin = net.copy()
+        assert np.array_equal(twin.params, net.params)
+        arrays = [twin.params] + [a for l in twin.layers for a in (l.weights, l.bias)]
+        assert not any(np.shares_memory(a, net.params) for a in arrays)
+
+    def test_construction_leaves_caller_layers_alone(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([0.5])
+        layer = nn.Layer(w, b, "linear")
+        net = nn.Mlp([layer])
+        assert layer.weights is w and layer.bias is b
+        assert net.layers[0] is not layer
+        assert not np.shares_memory(w, net.params)
+        assert not np.shares_memory(b, net.params)
+        net.params[:] = 0.0
+        assert w.tolist() == [[1.0, 2.0]] and b.tolist() == [0.5]
+
+    def test_layer_arrays_cannot_be_rebound(self):
+        net = nn.init_mlp([2, 1], rng=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.layers[0].weights = np.zeros((1, 2))
 
 
 class _Pairs:
@@ -247,6 +358,24 @@ class TestFit:
         with pytest.raises(ConfigError):
             nn.fit(net, _Pairs(np.zeros((0, 2)), np.zeros((0, 1))), nn.TrainConfig())
 
+    def test_divergence_raises_naming_epoch_and_batch(self):
+        net = nn.init_mlp([2, 4, 1], rng=0)
+        data = _Pairs(np.full((8, 2), 1e155), np.zeros((8, 1)))
+        cfg = nn.TrainConfig(epochs=3, batch_size=4, seed=0)
+        with pytest.raises(NumericError, match=r"epoch 0, batch 0"):
+            nn.fit(net, data, cfg)
+
+    def test_divergence_reports_later_batch(self):
+        # One finite batch, then rows large enough to overflow the loss.
+        x = np.concatenate([np.zeros((4, 1)), np.full((4, 1), 1e200)])
+        data = _Pairs(x, np.zeros((8, 1)))
+        net = nn.Mlp([nn.Layer(np.ones((1, 1)), np.zeros(1), "linear")])
+        cfg = nn.TrainConfig(epochs=2, batch_size=4, seed=0)
+        order = np.random.default_rng(0).permutation(8)
+        first_bad = min(i for i, row in enumerate(order) if row >= 4) // 4
+        with pytest.raises(NumericError, match=rf"epoch 0, batch {first_bad}"):
+            nn.fit(net, data, cfg)
+
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -259,8 +388,7 @@ def test_gradcheck_random_nets(seed):
     y = rng.standard_normal(dims[-1])
     pred, cache = nn.forward(net, x)
     _, lg = nn.mse_loss(pred, y)
-    analytic = [g for pair in nn.backward(net, cache, lg)[0] for g in pair]
+    analytic, _ = nn.backward(net, cache, lg)
     numeric = finite_difference_grads(net, x, y)
-    for a, n in zip(analytic, numeric):
-        scale = np.maximum(np.abs(n), 1e-6)
-        assert np.max(np.abs(a - n) / scale) < 1e-4
+    scale = np.maximum(np.abs(numeric), 1e-6)
+    assert np.max(np.abs(analytic - numeric) / scale) < 1e-4

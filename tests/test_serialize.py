@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multistep import nn, serialize
-from multistep.errors import ConfigError
+from multistep.errors import ConfigError, NumericError
 
 
 class TestRoundTrip:
@@ -36,6 +36,15 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected_and_nothing_written(self, tmp_path, bad):
+        doc = serialize.mlp_to_dict(nn.init_mlp([2, 1], rng=0))
+        doc["layers"][0]["bias"][0] = bad
+        path = tmp_path / "model.json"
+        with pytest.raises(NumericError):
+            serialize.dump_json(doc, path)
+        assert not path.exists()
+
     def test_unknown_version_rejected(self):
         doc = serialize.mlp_to_dict(nn.init_mlp([2, 1], rng=0))
         doc["format_version"] = 99
