@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import Mlp, adam_step, backward, forward, init_adam, init_mlp
+from .nn import Mlp, adam_step, backward, forward, init_adam, init_mlp, input_grad
 
 PROB_EPS = 1e-7  # clamp for log arguments
 
@@ -124,8 +124,8 @@ def train_cgan(
             d_loss = float(-np.mean(np.log(pr)) - np.mean(np.log(1.0 - pf)))
             grad_r = -1.0 / (pr * b)
             grad_f = 1.0 / ((1.0 - pf) * b)
-            d_grad, _ = backward(disc, cache_r, grad_r)
-            d_grad += backward(disc, cache_f, grad_f)[0]
+            d_grad = backward(disc, cache_r, grad_r)
+            d_grad += backward(disc, cache_f, grad_f)
             adam_step(disc.params, d_grad, d_state)
 
             # --- generator update ---
@@ -143,9 +143,8 @@ def train_cgan(
             else:
                 g_loss = float(-np.mean(np.log(pg)))
                 grad_out = -1.0 / (pg * b)
-            _, d_input_grad = backward(disc, cache_d, grad_out)
-            g_grad, _ = backward(gen, cache_g, d_input_grad[:, :p])
-            adam_step(gen.params, g_grad, g_state)
+            d_input_grad = input_grad(disc, cache_d, grad_out)
+            adam_step(gen.params, backward(gen, cache_g, d_input_grad[:, :p]), g_state)
 
             d_losses.append(d_loss)
             g_losses.append(g_loss)

@@ -18,7 +18,7 @@ import numpy as np
 from .data import TimeSeries, WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
 from .nn import Mlp, TrainConfig, fit, forward, init_mlp
-from .strategies import PredictionTrajectory, RecursiveModel, rollout
+from .strategies import RecursiveModel, rollout
 
 
 @dataclass
@@ -144,15 +144,16 @@ def _synthetic_rows(
 def build_augmented_dataset(
     series,
     p: int,
-    trajectories: Sequence[PredictionTrajectory],
+    starts: np.ndarray,
+    preds: np.ndarray,
     conditional: bool,
     n_steps: int,
     tag_encoder: Callable[[int, int], float] | None = None,
 ) -> AugmentedDataset:
     """Original one-step pairs (tag 0) plus rollout-derived synthetic pairs.
 
-    Trajectory i must start at a window position with n_steps true
-    successors; every trajectory must be exactly n_steps long.
+    preds[i] is the n_steps-long rollout from the window at position
+    starts[i], which must have n_steps true successors in the series.
     """
     values = _series_values(series)
     if tag_encoder is None:
@@ -162,13 +163,17 @@ def build_augmented_dataset(
     y0 = one_step.futures[:, 0]
     t0 = np.zeros(len(one_step), dtype=int)
 
-    starts = np.array([t.start_index for t in trajectories], dtype=int)
+    starts = np.asarray(starts)
+    preds = np.asarray(preds, dtype=float)
+    if starts.ndim != 1 or preds.ndim != 2 or preds.shape[0] != len(starts):
+        raise AlignmentError(
+            f"starts {starts.shape} and preds {preds.shape} are not one rollout per start"
+        )
+    if preds.shape[1] != n_steps:
+        raise AlignmentError(f"trajectory length {preds.shape[1]} != n_steps {n_steps}")
     if len(starts):
-        preds = np.stack([t.values for t in trajectories])
-        if preds.shape[1] != n_steps:
-            raise AlignmentError(
-                f"trajectory length {preds.shape[1]} != n_steps {n_steps}"
-            )
+        if starts.dtype.kind not in "iu":
+            raise AlignmentError(f"start indices must be integers, got {starts.dtype}")
         if starts.min() < 0 or starts.max() + p + n_steps > len(values):
             raise AlignmentError("trajectory start index out of range for the series")
         xs, ys, ts = _synthetic_rows(values, p, starts, preds, n_steps)
@@ -239,11 +244,8 @@ def _meta_train(
     starts = np.arange(len(roll_windows))
 
     def build(preds: np.ndarray, synthetic_bank: list | None) -> WindowedDataset:
-        trajectories = [
-            PredictionTrajectory(int(s), preds[i]) for i, s in enumerate(starts)
-        ]
         aug = build_augmented_dataset(
-            train_values, p, trajectories, cfg.conditional, n_steps, tag_encoder
+            train_values, p, starts, preds, cfg.conditional, n_steps, tag_encoder
         )
         if synthetic_bank is None:
             return aug.to_windowed()

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import Normalizer, WindowedDataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
+from .serialize import dump_json
 
 
 @dataclass
@@ -59,6 +60,9 @@ def evaluate(
     truth = test.futures
     if preds.shape != truth.shape:
         raise ShapeError(f"predictions shape {preds.shape} != futures shape {truth.shape}")
+    if not np.isfinite(preds).all():
+        bad = int(np.count_nonzero(~np.isfinite(preds)))
+        raise NumericError(f"{model_tag}: {bad} of {preds.size} predictions are not finite")
     if denormalize:
         if normalizer is None:
             raise ConfigError("denormalize requested without a normalizer")
@@ -142,9 +146,8 @@ def export_step_curves(reports: list[MetricsReport], path) -> None:
 
 
 def save_report(report: MetricsReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Write report as JSON; a NaN or infinity raises NumericError and writes nothing."""
+    dump_json(report.to_dict(), path)
 
 
 def load_report(path) -> MetricsReport:

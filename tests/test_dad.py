@@ -80,8 +80,12 @@ class TestAugmentedDataset:
         starts = np.sort(rng.choice(positions, size=rng.integers(1, extra + 2), replace=False))
         preds = rng.uniform(0, 1, (len(starts), n_steps))
         trajs = [stg.PredictionTrajectory(int(s), preds[j]) for j, s in enumerate(starts)]
+        starts_in = np.array([t.start_index for t in trajs])
+        preds_in = np.stack([t.values for t in trajs])
         for conditional in (False, True):
-            aug = dad.build_augmented_dataset(values, p, trajs, conditional, n_steps, encoder)
+            aug = dad.build_augmented_dataset(
+                values, p, starts_in, preds_in, conditional, n_steps, encoder
+            )
             inputs, targets, tags = loop_augmented(
                 values, p, starts, preds, n_steps, conditional,
                 encoder or dad._default_tag_encoder,
@@ -95,10 +99,9 @@ class TestAugmentedDataset:
         # at index 0 whose first prediction was 0.9. Exactly three rows:
         # the two ground-truth pairs plus one synthetic pair targeting the
         # true value two steps out.
-        traj = stg.PredictionTrajectory(0, np.array([0.9, 0.7]))
         aug = dad.build_augmented_dataset(
-            np.array([1.0, 2.0, 3.0]), p=1, trajectories=[traj],
-            conditional=False, n_steps=2,
+            np.array([1.0, 2.0, 3.0]), p=1, starts=np.array([0]),
+            preds=np.array([[0.9, 0.7]]), conditional=False, n_steps=2,
         )
         assert aug.inputs.tolist() == [[1.0], [2.0], [0.9]]
         assert aug.targets.tolist() == [2.0, 3.0, 3.0]
@@ -116,7 +119,10 @@ class TestAugmentedDataset:
             stg.PredictionTrajectory(i, stg.rollout(net, roll.histories[i : i + 1], n_steps)[0])
             for i in range(len(roll))
         ]
-        aug = dad.build_augmented_dataset(values, p, trajs, False, n_steps)
+        aug = dad.build_augmented_dataset(
+            values, p, np.array([t.start_index for t in trajs]),
+            np.stack([t.values for t in trajs]), False, n_steps,
+        )
         n = len(values)
         expected = (n - p) + (n_steps - 1) * (n - p - n_steps + 1)
         assert len(aug) == expected
@@ -124,7 +130,9 @@ class TestAugmentedDataset:
     def test_ground_truth_rows_preserved_bit_exact(self):
         values = wave(12)
         one_step = make_windows(values, 3, 1)
-        aug = dad.build_augmented_dataset(values, 3, [], False, n_steps=2)
+        aug = dad.build_augmented_dataset(
+            values, 3, np.empty(0, dtype=int), np.empty((0, 2)), False, n_steps=2
+        )
         assert np.array_equal(aug.inputs, one_step.histories)
         assert np.array_equal(aug.targets, one_step.futures[:, 0])
 
@@ -139,7 +147,10 @@ class TestAugmentedDataset:
             stg.PredictionTrajectory(i, stg.rollout(net, roll.histories[i : i + 1], n_steps)[0])
             for i in range(len(roll))
         ]
-        aug = dad.build_augmented_dataset(values, p, trajs, False, n_steps)
+        aug = dad.build_augmented_dataset(
+            values, p, np.array([t.start_index for t in trajs]),
+            np.stack([t.values for t in trajs]), False, n_steps,
+        )
         for x, y, tag in zip(aug.inputs, aug.targets, aug.tags):
             # every row, synthetic or not, is a true (value, next value) pair
             i = int(np.argmin(np.abs(values - x[0])))
@@ -147,9 +158,9 @@ class TestAugmentedDataset:
             assert np.isclose(y, values[i + 1])
 
     def test_conditional_appends_scaled_tag_column(self):
-        traj = stg.PredictionTrajectory(0, np.array([0.9, 0.7]))
         aug = dad.build_augmented_dataset(
-            np.array([1.0, 2.0, 3.0]), 1, [traj], conditional=True, n_steps=2
+            np.array([1.0, 2.0, 3.0]), 1, np.array([0]), np.array([[0.9, 0.7]]),
+            conditional=True, n_steps=2,
         )
         assert aug.inputs.shape == (3, 2)
         assert aug.inputs[:, 1].tolist() == [0.0, 0.0, 0.5]  # tag / n_steps
@@ -163,25 +174,37 @@ class TestAugmentedDataset:
             stg.PredictionTrajectory(i, stg.rollout(net, roll.histories[i : i + 1], n_steps)[0])
             for i in range(len(roll))
         ]
-        aug = dad.build_augmented_dataset(values, p, trajs, False, n_steps)
+        aug = dad.build_augmented_dataset(
+            values, p, np.array([t.start_index for t in trajs]),
+            np.stack([t.values for t in trajs]), False, n_steps,
+        )
         assert aug.tags.min() == 0
         assert aug.tags.max() == n_steps - 1
 
     def test_depth_one_gives_no_synthetic_rows(self):
-        traj = stg.PredictionTrajectory(0, np.array([0.4]))
-        aug = dad.build_augmented_dataset(np.array([1.0, 2.0]), 1, [traj], False, 1)
+        aug = dad.build_augmented_dataset(
+            np.array([1.0, 2.0]), 1, np.array([0]), np.array([[0.4]]), False, 1
+        )
         assert len(aug) == 1
         assert aug.tags.tolist() == [0]
 
     def test_misaligned_trajectory_rejected(self):
-        short = stg.PredictionTrajectory(0, np.array([0.9]))
+        values = np.array([1.0, 2.0, 3.0])
+        short = np.array([[0.9]])
         with pytest.raises(AlignmentError):
-            dad.build_augmented_dataset(np.array([1.0, 2.0, 3.0]), 1, [short], False, 2)
-        out_of_range = stg.PredictionTrajectory(5, np.array([0.9, 0.7]))
-        with pytest.raises(AlignmentError):
+            dad.build_augmented_dataset(values, 1, np.array([0]), short, False, 2)
+        with pytest.raises(AlignmentError):  # start 5 has no two true successors
             dad.build_augmented_dataset(
-                np.array([1.0, 2.0, 3.0]), 1, [out_of_range], False, 2
+                values, 1, np.array([5]), np.array([[0.9, 0.7]]), False, 2
             )
+
+    def test_starts_and_preds_must_pair_up(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        preds = np.array([[0.9, 0.7]])
+        with pytest.raises(AlignmentError):  # two starts, one rollout
+            dad.build_augmented_dataset(values, 1, np.array([0, 1]), preds, False, 2)
+        with pytest.raises(AlignmentError):  # fractional start index
+            dad.build_augmented_dataset(values, 1, np.array([0.5]), preds, False, 2)
 
 
 class TestSelectBest:

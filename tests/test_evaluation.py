@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multistep import evaluation as ev
+from multistep import nn, strategies
 from multistep.data import Normalizer, WindowedDataset
-from multistep.errors import ConfigError, ShapeError
+from multistep.errors import ConfigError, NumericError, ShapeError
 
 
 def dataset_from(futures):
@@ -73,6 +74,19 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             ev.evaluate(constant_predictor([0.0]), empty)
 
+    def test_non_finite_predictions_rejected(self):
+        # Finite histories through a net with huge parameters overflow to inf.
+        net = nn.init_mlp([3, 4, 2], rng=0)
+        net.params[:] = 1e200
+        model = strategies.MultiOutputModel(net, p=3, q=2)
+        data = WindowedDataset(np.full((5, 3), 0.5), np.zeros((5, 2)), 3, 2)
+        predict = strategies.batch_predictor(model, 2)
+        assert not np.isfinite(predict(data.histories)).all()
+        with pytest.raises(NumericError, match="10 of 10 predictions are not finite"):
+            ev.evaluate(predict, data)
+        with pytest.raises(NumericError):
+            ev.evaluate(constant_predictor([0.0, np.nan]), data)
+
 
 class TestPercentImprovement:
     def test_published_style_values(self):
@@ -138,6 +152,13 @@ class TestExports:
         ev.save_report(report, path)
         back = ev.load_report(path)
         assert back == report  # bit-exact floats via plain JSON round trip
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_report_rejected_and_nothing_written(self, tmp_path, bad):
+        path = tmp_path / "r.json"
+        with pytest.raises(NumericError):
+            ev.save_report(mk_report("m", bad, 0.5), path)
+        assert not path.exists()
 
     def test_step_curve_rows(self, tmp_path):
         r1 = ev.MetricsReport("a", 0.2, 0.1, [0.1, 0.3], [0.05, 0.15], 4)

@@ -41,6 +41,17 @@ def finite_difference_grads(net, x, y, h=1e-5):
     return grad
 
 
+def activation_grad(name, z, out):
+    """Elementwise d activation / d pre-activation, as full arrays."""
+    if name == "relu":
+        return (z > 0.0).astype(float)
+    if name == "linear":
+        return np.ones_like(z)
+    if name == "sigmoid":
+        return out * (1.0 - out)
+    return 1.0 - out * out
+
+
 def reference_backward_pairs(net, cache, loss_grad):
     """Per-layer (g.T @ inputs, g.sum(0)) pairs, computed layer by layer
     into fresh arrays: the reference for backward's flat gradient."""
@@ -49,11 +60,37 @@ def reference_backward_pairs(net, cache, loss_grad):
     for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
         if lc.mask is not None:
             g = g * lc.mask
-        g = g * nn._activation_grad(layer.activation, lc.preact, lc.act_out)
+        g = g * activation_grad(layer.activation, lc.preact, lc.act_out)
         pairs.append((g.T @ lc.inputs, g.sum(axis=0)))
         g = g @ layer.weights
     pairs.reverse()
     return pairs
+
+
+def reference_input_grad(net, cache, loss_grad):
+    """The chain g = (g * mask * act_grad) @ W over every layer, with full
+    mask and activation-gradient arrays: the reference for input_grad."""
+    g = np.atleast_2d(loss_grad)
+    for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
+        mask = lc.mask if lc.mask is not None else np.ones_like(g)
+        g = (g * mask * activation_grad(layer.activation, lc.preact, lc.act_out)) @ layer.weights
+    return g[0] if cache.single else g
+
+
+def finite_difference_input_grad(net, x, y, mode="eval", seed=None, h=1e-6):
+    """Central-difference gradient of the MSE loss w.r.t. the input x. In
+    train mode every pass draws its dropout masks from a fresh rng seeded
+    with `seed`, so all passes share the masks of one cached pass."""
+    def loss(xv):
+        rng = None if seed is None else np.random.default_rng(seed)
+        return nn.mse_loss(nn.forward(net, xv, mode=mode, rng=rng)[0], y)[0]
+
+    grad = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (loss(x + step) - loss(x - step)) / (2.0 * h)
+    return grad
 
 
 def reference_adam_step(params, grads, state):
@@ -145,7 +182,8 @@ class TestBackward:
     def test_zero_loss_grad_gives_zero_grads(self):
         net = nn.init_mlp([3, 4, 2], rng=0)
         out, cache = nn.forward(net, np.array([0.1, 0.2, 0.3]))
-        grad, dx = nn.backward(net, cache, np.zeros(2))
+        grad = nn.backward(net, cache, np.zeros(2))
+        dx = nn.input_grad(net, cache, np.zeros(2))
         assert grad.shape == net.params.shape
         assert np.all(grad == 0)
         assert np.all(dx == 0)
@@ -157,7 +195,7 @@ class TestBackward:
         y = np.array([1.0])
         pred, cache = nn.forward(net, x)
         loss, lg = nn.mse_loss(pred, y)
-        grad, _ = nn.backward(net, cache, lg)
+        grad = nn.backward(net, cache, lg)
         dw, db = split_like_layers(grad, net)
         expected = 2.0 * (pred[0] - y[0]) * x
         assert np.allclose(dw[0], expected)
@@ -171,7 +209,7 @@ class TestBackward:
         y = rng.standard_normal(2)
         pred, cache = nn.forward(net, x)
         _, lg = nn.mse_loss(pred, y)
-        analytic, _ = nn.backward(net, cache, lg)
+        analytic = nn.backward(net, cache, lg)
         numeric = finite_difference_grads(net, x, y)
         scale = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
@@ -191,10 +229,65 @@ class TestBackward:
         x = rng.standard_normal((11, 5))
         _, cache = nn.forward(net, x, mode="train", rng=rng)
         loss_grad = rng.standard_normal((11, 3))
-        grad, dx = nn.backward(net, cache, loss_grad)
+        grad = nn.backward(net, cache, loss_grad)
         pairs = reference_backward_pairs(net, cache, loss_grad)
         expected = np.concatenate([a.ravel() for pair in pairs for a in pair])
         assert np.array_equal(grad, expected)
+
+
+
+class TestInputGrad:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("hidden_act", ["relu", "sigmoid", "tanh", "linear"])
+    def test_matches_finite_differences(self, hidden_act, dropout):
+        rng = np.random.default_rng(5)
+        net = nn.init_mlp([4, 6, 5, 2], dropout_rate=dropout, rng=rng,
+                          hidden_activation=hidden_act)
+        x = rng.standard_normal((3, 4))
+        y = rng.standard_normal((3, 2))
+        mode, seed = ("train", 9) if dropout else ("eval", None)
+        rng_pass = None if seed is None else np.random.default_rng(seed)
+        pred, cache = nn.forward(net, x, mode=mode, rng=rng_pass)
+        if dropout:
+            assert any(lc.mask is not None for lc in cache.layer_caches)
+        _, lg = nn.mse_loss(pred, y)
+        analytic = nn.input_grad(net, cache, lg)
+        numeric = finite_difference_input_grad(net, x, y, mode=mode, seed=seed)
+        assert analytic.shape == x.shape
+        scale = np.maximum(np.abs(numeric), 1e-6)
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+
+    def test_single_vector_input(self):
+        net = nn.init_mlp([3, 5, 2], rng=2, hidden_activation="tanh")
+        x = np.array([0.3, -0.8, 0.5])
+        y = np.array([0.1, 0.2])
+        pred, cache = nn.forward(net, x)
+        _, lg = nn.mse_loss(pred, y)
+        analytic = nn.input_grad(net, cache, lg)
+        assert analytic.shape == (3,)
+        numeric = finite_difference_input_grad(net, x, y)
+        assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_layer_chain_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        act = ["relu", "sigmoid", "tanh", "linear"][seed]
+        net = nn.init_mlp([5, 7, 6, 3], dropout_rate=0.3, rng=rng, hidden_activation=act,
+                          final_activation=["linear", "sigmoid"][seed % 2])
+        x = rng.standard_normal((11, 5))
+        _, cache = nn.forward(net, x, mode="train", rng=rng)
+        loss_grad = rng.standard_normal((11, 3))
+        assert np.array_equal(nn.input_grad(net, cache, loss_grad),
+                              reference_input_grad(net, cache, loss_grad))
+
+    def test_stale_cache_rejected(self):
+        small = nn.init_mlp([3, 4, 2], rng=0)
+        other = nn.init_mlp([3, 6, 2], rng=0)
+        _, cache = nn.forward(small, np.zeros(3))
+        with pytest.raises(ShapeError):
+            nn.input_grad(other, cache, np.zeros(2))
+        with pytest.raises(ShapeError):
+            nn.input_grad(small, cache, np.zeros(3))
 
 
 class TestMseLoss:
@@ -388,7 +481,7 @@ def test_gradcheck_random_nets(seed):
     y = rng.standard_normal(dims[-1])
     pred, cache = nn.forward(net, x)
     _, lg = nn.mse_loss(pred, y)
-    analytic, _ = nn.backward(net, cache, lg)
+    analytic = nn.backward(net, cache, lg)
     numeric = finite_difference_grads(net, x, y)
     scale = np.maximum(np.abs(numeric), 1e-6)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
