@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -19,7 +20,9 @@ from . import cgan as cgan_mod
 from . import dad as dad_mod
 from . import evaluation, serialize, strategies, synth
 from .data import (
+    Normalizer,
     SplitSpec,
+    WindowedDataset,
     aggregate,
     fit_normalizer,
     ingest_csv,
@@ -30,16 +33,7 @@ from .data import (
 from .errors import ConfigError, MultistepError
 from .nn import TrainConfig
 
-STRATEGIES = (
-    "recursive",
-    "dad",
-    "cdad",
-    "direct",
-    "hybrid",
-    "multi",
-    "multi-noise",
-    "multi-cgan",
-)
+STRATEGIES = tuple(serialize.MODEL_KINDS)
 
 
 def _section(doc: dict, key: str, defaults: dict, required: tuple = ()) -> dict:
@@ -230,29 +224,19 @@ def cmd_train(args) -> int:
     meta = {
         "strategy_tag": strategy,
         "normalization": {"min": normalizer.min, "max": normalizer.max},
-        "p": p,
         "q": q,
-        "time_step_augmented": strategy == "cdad",
     }
     training_log: dict = {}
 
     if strategy == "recursive":
         model = strategies.train_recursive(make_windows(train_values, p, 1), tc, **arch)
-        doc = serialize.mlp_to_dict(model.net, meta)
     elif strategy in ("dad", "cdad"):
         d = cfg["dad"]
-        inner = TrainConfig(
-            epochs=d["inner_epochs"],
-            batch_size=tc.batch_size,
-            seed=seed,
-            dropout_rate=tc.dropout_rate,
-            learning_rate=tc.learning_rate,
-        )
         dcfg = dad_mod.DadConfig(
             p=p,
             n_steps=d["n_steps"],
             meta_iterations=d["meta_iterations"],
-            inner_train=inner,
+            inner_train=replace(tc, epochs=d["inner_epochs"]),
             conditional=(strategy == "cdad"),
             selection_metric=d["selection_metric"],
             accumulate=d["accumulate"],
@@ -261,22 +245,13 @@ def cmd_train(args) -> int:
         )
         trainer = dad_mod.train_cdad if strategy == "cdad" else dad_mod.train_dad
         result = trainer(train_values, val_values, dcfg)
-        meta["max_step"] = d["n_steps"] if strategy == "cdad" else None
-        doc = serialize.mlp_to_dict(result.best_model.net, meta)
+        meta["max_step"] = None  # DaD documents carry it too; model_to_doc sets CDaD's
+        model = result.best_model
         training_log = result.to_log_dict()
     elif strategy in ("direct", "hybrid"):
-        model_set = strategies.train_direct(
+        model = strategies.train_direct(
             make_windows(train_values, p, q), tc, hybrid=(strategy == "hybrid"), **arch
         )
-        meta["hybrid"] = strategy == "hybrid"
-        doc = {
-            "format_version": serialize.FORMAT_VERSION,
-            "metadata": meta,
-            "models": [
-                dict(serialize.mlp_to_dict(net), h=h)
-                for h, net in enumerate(model_set.models, start=1)
-            ],
-        }
     elif strategy in ("multi", "multi-noise", "multi-cgan"):
         windows = make_windows(train_values, p, q)
         if strategy == "multi-noise":
@@ -310,52 +285,25 @@ def cmd_train(args) -> int:
             combined_f = np.concatenate([windows.futures, synthetic.futures])
             training_log["cgan_log"] = pair.training_log
             training_log["synthetic_rows"] = len(synthetic)
-            from .data import WindowedDataset
-
             windows = WindowedDataset(combined_h, combined_f, p, q)
             training_log["combined_rows"] = len(windows)
         model = strategies.train_multi_output(windows, tc, **arch)
-        doc = serialize.mlp_to_dict(model.net, meta)
     else:  # pragma: no cover - resolve_config rejects unknown strategies
         raise ConfigError(f"unknown strategy {strategy!r}")
 
-    serialize.dump_json(doc, args.out)
+    serialize.dump_json(serialize.model_to_doc(model, meta), args.out)
     serialize.dump_json(cfg, str(args.out) + ".config.json")
     serialize.dump_json(training_log, str(args.out) + ".log.json")
     print(f"trained {strategy} model -> {args.out}")
     return 0
 
 
-def _model_from_doc(doc: dict):
-    if "models" in doc:
-        meta = doc["metadata"]
-        nets = [serialize.mlp_from_dict({k: v for k, v in m.items() if k != "h"}) for m in doc["models"]]
-        model = strategies.DirectModelSet(
-            nets, horizon=len(nets), p=meta["p"], hybrid=meta["hybrid"]
-        )
-        return model, meta
-    net = serialize.mlp_from_dict(doc)
-    meta = net.metadata
-    tag = meta["strategy_tag"]
-    if tag in ("recursive", "dad", "cdad"):
-        model = strategies.RecursiveModel(
-            net,
-            p=meta["p"],
-            time_step_augmented=bool(meta.get("time_step_augmented")),
-            max_step=meta.get("max_step"),
-        )
-    else:
-        model = strategies.MultiOutputModel(net, p=meta["p"], q=meta["q"])
-    return model, meta
-
-
 def cmd_evaluate(args) -> int:
     doc = serialize.load_json(args.model)
-    model, meta = _model_from_doc(doc)
+    model = serialize.model_from_doc(doc)
+    meta = doc["metadata"]
     p, q = meta["p"], meta["q"]
     norm = meta["normalization"]
-    from .data import Normalizer
-
     normalizer = Normalizer(norm["min"], norm["max"])
     series = ingest_csv(
         args.data, timedelta(minutes=args.resolution_minutes), gap_policy="reject"

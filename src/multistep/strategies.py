@@ -12,7 +12,7 @@ Four families over the same dense-network core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,21 +71,6 @@ class MultiOutputModel:
             )
 
 
-@dataclass
-class PredictionTrajectory:
-    start_index: int
-    values: np.ndarray  # [N]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ShapeError("trajectory values must be 1-D")
-
-    @property
-    def step_indices(self) -> np.ndarray:
-        return np.arange(1, len(self.values) + 1)
-
-
 def _hidden_dims(hidden_layers: int, hidden_units: int) -> list[int]:
     return [hidden_units] * hidden_layers
 
@@ -121,31 +106,6 @@ def rollout(
         preds[:, n - 1] = out[:, 0]
         window = np.concatenate([window[:, 1:], out], axis=1)
     return preds
-
-
-def predict_recursively(
-    model: RecursiveModel, history: np.ndarray, n_steps: int
-) -> PredictionTrajectory:
-    if model.time_step_augmented:
-        raise ConfigError("augmented model: use predict_recursively_aug")
-    history = np.asarray(history, dtype=float)
-    if history.shape != (model.p,):
-        raise ShapeError(f"history shape {history.shape} != ({model.p},)")
-    preds = rollout(model.net, history[None, :], n_steps)
-    return PredictionTrajectory(start_index=0, values=preds[0])
-
-
-def predict_recursively_aug(
-    model: RecursiveModel, history: np.ndarray, n_steps: int
-) -> PredictionTrajectory:
-    if not model.time_step_augmented:
-        raise ConfigError("non-augmented model: use predict_recursively")
-    history = np.asarray(history, dtype=float)
-    if history.shape != (model.p,):
-        raise ShapeError(f"history shape {history.shape} != ({model.p},)")
-    scale = model.max_step if model.max_step else n_steps
-    preds = rollout(model.net, history[None, :], n_steps, step_scale=scale)
-    return PredictionTrajectory(start_index=0, values=preds[0])
 
 
 def train_recursive(
@@ -193,14 +153,7 @@ def train_direct(
             dropout_rate=cfg.dropout_rate,
             rng=np.random.default_rng((cfg.seed, h)),
         )
-        step_cfg = TrainConfig(
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed + h,
-            dropout_rate=cfg.dropout_rate,
-            learning_rate=cfg.learning_rate,
-        )
-        trained, _ = fit(net, step_data, step_cfg)
+        trained, _ = fit(net, step_data, replace(cfg, seed=cfg.seed + h))
         models.append(trained)
         if hybrid:
             preds, _ = forward(trained, inputs, mode="eval")
@@ -252,7 +205,16 @@ def batch_predictor(model, n_steps: int | None = None):
     if isinstance(model, RecursiveModel):
         if n_steps is None:
             raise ConfigError("recursive predictor needs n_steps")
-        scale = (model.max_step or n_steps) if model.time_step_augmented else None
+        scale = None
+        if model.time_step_augmented:
+            # The step feature was trained on (n-1)/max_step for n <= max_step;
+            # deeper rollouts would feed it values it never saw.
+            if model.max_step is None or n_steps > model.max_step:
+                raise ConfigError(
+                    f"step-augmented model trained to depth {model.max_step} "
+                    f"cannot be served {n_steps} steps"
+                )
+            scale = model.max_step
         return lambda h: rollout(model.net, h, n_steps, step_scale=scale)
     if isinstance(model, DirectModelSet):
         return lambda h: predict_direct(model, h)

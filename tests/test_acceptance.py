@@ -187,7 +187,7 @@ def test_criterion_02_recursive_oracle_equivalence(announce):
         net = nn.init_mlp([p, int(rng.integers(2, 8)), 1], rng=rng)
         history = rng.uniform(0, 1, p)
         model = strategies.RecursiveModel(net, p=p)
-        got = strategies.predict_recursively(model, history, n_steps).values
+        got = strategies.batch_predictor(model, n_steps)(history[None, :])[0]
         window = list(history)
         for n in range(n_steps):
             out, _ = nn.forward(net, np.array(window))

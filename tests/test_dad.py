@@ -45,7 +45,7 @@ class TestConfig:
             dad.train_cdad(series, val, small_cfg(conditional=False))
 
 
-def loop_augmented(values, p, starts, preds, n_steps, conditional, tag_encoder):
+def loop_augmented(values, p, starts, preds, n_steps, conditional):
     """build_augmented_dataset as per-row loops, the reference the
     vectorised builder must equal bitwise."""
     xs = [values[i : i + p] for i in range(len(values) - p)]
@@ -59,7 +59,7 @@ def loop_augmented(values, p, starts, preds, n_steps, conditional, tag_encoder):
             tags.append(n)
     inputs = np.array(xs)
     if conditional:
-        encoded = np.array([tag_encoder(int(t), n_steps) for t in tags])
+        encoded = np.array([t / n_steps for t in tags])
         inputs = np.concatenate([inputs, encoded[:, None]], axis=1)
     return inputs, np.array(ys), np.array(tags)
 
@@ -71,24 +71,17 @@ class TestAugmentedDataset:
         n_steps=st.integers(1, 8),
         extra=st.integers(0, 12),
         seed=st.integers(0, 2**32 - 1),
-        encoder=st.sampled_from([None, lambda t, n: np.sin(t + 0.5) / n]),
     )
-    def test_vectorised_builder_equals_loop_oracle(self, p, n_steps, extra, seed, encoder):
+    def test_vectorised_builder_equals_loop_oracle(self, p, n_steps, extra, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0, 1, p + n_steps + extra)
         positions = np.arange(extra + 1)
         starts = np.sort(rng.choice(positions, size=rng.integers(1, extra + 2), replace=False))
         preds = rng.uniform(0, 1, (len(starts), n_steps))
-        trajs = [stg.PredictionTrajectory(int(s), preds[j]) for j, s in enumerate(starts)]
-        starts_in = np.array([t.start_index for t in trajs])
-        preds_in = np.stack([t.values for t in trajs])
         for conditional in (False, True):
-            aug = dad.build_augmented_dataset(
-                values, p, starts_in, preds_in, conditional, n_steps, encoder
-            )
+            aug = dad.build_augmented_dataset(values, p, starts, preds, conditional, n_steps)
             inputs, targets, tags = loop_augmented(
-                values, p, starts, preds, n_steps, conditional,
-                encoder or dad._default_tag_encoder,
+                values, p, starts, preds, n_steps, conditional
             )
             assert np.array_equal(aug.inputs, inputs)
             assert np.array_equal(aug.targets, targets)
@@ -115,14 +108,9 @@ class TestAugmentedDataset:
         p, n_steps = 2, 3
         roll = make_windows(values, p, n_steps)
         net = nn.init_mlp([p, 3, 1], rng=0)
-        trajs = [
-            stg.PredictionTrajectory(i, stg.rollout(net, roll.histories[i : i + 1], n_steps)[0])
-            for i in range(len(roll))
-        ]
-        aug = dad.build_augmented_dataset(
-            values, p, np.array([t.start_index for t in trajs]),
-            np.stack([t.values for t in trajs]), False, n_steps,
-        )
+        starts = np.arange(len(roll))
+        preds = stg.rollout(net, roll.histories, n_steps)
+        aug = dad.build_augmented_dataset(values, p, starts, preds, False, n_steps)
         n = len(values)
         expected = (n - p) + (n_steps - 1) * (n - p - n_steps + 1)
         assert len(aug) == expected
@@ -143,14 +131,9 @@ class TestAugmentedDataset:
         net = nn.Mlp([nn.Layer(np.array([[0.5]]), np.zeros(1), "linear")])
         p, n_steps = 1, 3
         roll = make_windows(values, p, n_steps)
-        trajs = [
-            stg.PredictionTrajectory(i, stg.rollout(net, roll.histories[i : i + 1], n_steps)[0])
-            for i in range(len(roll))
-        ]
-        aug = dad.build_augmented_dataset(
-            values, p, np.array([t.start_index for t in trajs]),
-            np.stack([t.values for t in trajs]), False, n_steps,
-        )
+        starts = np.arange(len(roll))
+        preds = stg.rollout(net, roll.histories, n_steps)
+        aug = dad.build_augmented_dataset(values, p, starts, preds, False, n_steps)
         for x, y, tag in zip(aug.inputs, aug.targets, aug.tags):
             # every row, synthetic or not, is a true (value, next value) pair
             i = int(np.argmin(np.abs(values - x[0])))
@@ -170,14 +153,9 @@ class TestAugmentedDataset:
         p, n_steps = 2, 4
         roll = make_windows(values, p, n_steps)
         net = nn.init_mlp([p, 3, 1], rng=1)
-        trajs = [
-            stg.PredictionTrajectory(i, stg.rollout(net, roll.histories[i : i + 1], n_steps)[0])
-            for i in range(len(roll))
-        ]
-        aug = dad.build_augmented_dataset(
-            values, p, np.array([t.start_index for t in trajs]),
-            np.stack([t.values for t in trajs]), False, n_steps,
-        )
+        starts = np.arange(len(roll))
+        preds = stg.rollout(net, roll.histories, n_steps)
+        aug = dad.build_augmented_dataset(values, p, starts, preds, False, n_steps)
         assert aug.tags.min() == 0
         assert aug.tags.max() == n_steps - 1
 
@@ -251,18 +229,64 @@ class TestMetaTrain:
 
     def test_zero_tag_encoding_never_touches_step_weights(self):
         # With the step feature forced to zero its incoming weights get no
-        # gradient, so the conditioned run degenerates to an unconditioned
-        # one and the step column survives training bit-exact.
-        train, val = wave(50), wave(30, seed=1)
-        cfg = small_cfg(conditional=True)
-        m0 = nn.init_mlp([4, 4, 1], rng=np.random.default_rng(7))
+        # gradient, so fitting a conditioned set degenerates to an
+        # unconditioned fit and the step column survives training bit-exact.
+        values, p, n_steps = wave(50), 3, 3
+        roll = make_windows(values, p, n_steps)
+        preds = stg.rollout(nn.init_mlp([p, 4, 1], rng=3), roll.histories, n_steps)
+        aug = dad.build_augmented_dataset(
+            values, p, np.arange(len(roll)), preds, True, n_steps
+        )
+        assert aug.inputs[:, -1].max() > 0
+        aug.inputs[:, -1] = 0.0
+        m0 = nn.init_mlp([p + 1, 4, 1], rng=np.random.default_rng(7))
         column_before = m0.layers[0].weights[:, -1].copy()
-        res = dad.train_cdad(train, val, cfg, m0_net=m0, tag_encoder=lambda t, n: 0.0)
-        column_after = res.best_model.net.layers[0].weights[:, -1]
-        assert np.array_equal(column_before, column_after)
+        trained, _ = nn.fit(m0, aug.to_windowed(), small_cfg().inner_train)
+        assert not np.array_equal(trained.layers[0].weights[:, :-1], m0.layers[0].weights[:, :-1])
+        assert np.array_equal(trained.layers[0].weights[:, -1], column_before)
 
     def test_log_dict_shape(self):
         res = dad.train_dad(wave(50), wave(30, seed=1), small_cfg())
         doc = res.to_log_dict()
         assert doc["best_iteration"] == res.best_iteration
         assert [e["k"] for e in doc["iterations"]] == [0, 1, 2]
+
+
+class TestAccumulate:
+    @staticmethod
+    def rows_per_fit(monkeypatch, train, val, cfg):
+        """Run the meta-training loop, recording the row count of every fit."""
+        rows = []
+
+        def counting_fit(net, data, train_cfg):
+            rows.append(len(data.histories))
+            return nn.fit(net, data, train_cfg)
+
+        monkeypatch.setattr(dad, "fit", counting_fit)
+        fn = dad.train_cdad if cfg.conditional else dad.train_dad
+        return fn(train, val, cfg), rows
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_each_fit_sees_one_more_synthetic_block(self, monkeypatch, conditional):
+        train, val = wave(50), wave(30, seed=1)
+        p, n_steps, big_k = 3, 3, 3
+        cfg = small_cfg(conditional=conditional, meta_iterations=big_k)
+        plain, plain_rows = self.rows_per_fit(monkeypatch, train, val, cfg)
+        acc, acc_rows = self.rows_per_fit(
+            monkeypatch, train, val, small_cfg(
+                conditional=conditional, meta_iterations=big_k, accumulate=True
+            ),
+        )
+        ground_truth = len(train) - p
+        block = (n_steps - 1) * (len(train) - p - n_steps + 1)
+        # the base fit, CDaD's M_0 fit, then one fit per meta-iteration
+        rebuilds = big_k + int(conditional)
+        assert plain_rows == [ground_truth] + [ground_truth + block] * rebuilds
+        assert acc_rows == [ground_truth] + [
+            ground_truth + j * block for j in range(1, rebuilds + 1)
+        ]
+        # the first fit on a rebuilt set sees the same rows in the same order:
+        # DaD's iterate 1 (after the base model) and CDaD's M_0
+        same = 1 if conditional else 2
+        assert acc.per_iteration_val_errors[:same] == plain.per_iteration_val_errors[:same]
+        assert acc.per_iteration_val_errors[same:] != plain.per_iteration_val_errors[same:]

@@ -4,11 +4,16 @@ Span tracers (perfbench/tracing.py) count training steps by rebinding
 these module-level functions in every loaded multistep module. These
 tests rebind counting wrappers the same way, so fusing the calls of a
 step into one would fail here instead of silently blinding the tracer.
+The tracer looks its targets up by name, so a last test checks that
+every one of them still exists.
 """
 
+import importlib
+import importlib.util
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -67,3 +72,15 @@ def test_train_cgan_makes_two_adam_steps_per_minibatch(monkeypatch):
     cgan.train_cgan(data, cfg)
     minibatches = cfg.epochs * math.ceil(len(data) / cfg.batch_size)
     assert counts["adam_step"] == 2 * minibatches
+
+
+def test_tracer_targets_resolve():
+    """Every function perfbench's tracer rebinds still exists by that name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for module, attr, _, _ in tracing.TARGETS]
+    names.append(tracing.PREDICTOR[:2])
+    for module, attr in names:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

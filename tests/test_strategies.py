@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multistep import nn, strategies as stg
+from multistep import dad, nn, strategies as stg
 from multistep.data import WindowedDataset, make_windows
 from multistep.errors import ConfigError, ShapeError
 
@@ -19,17 +19,19 @@ def select_last_net(p):
     return linear_net(w)
 
 
+def serve(model, history, n_steps):
+    """One history [p] through the uniform batch predictor."""
+    return stg.batch_predictor(model, n_steps)(np.asarray(history, dtype=float)[None, :])[0]
+
+
 class TestRecursive:
     def test_identity_on_last_is_fixed_point(self):
         model = stg.RecursiveModel(select_last_net(4), p=4)
-        traj = stg.predict_recursively(model, np.array([1.0, 2, 3, 7]), 5)
-        assert np.array_equal(traj.values, [7, 7, 7, 7, 7])
+        assert np.array_equal(serve(model, [1.0, 2, 3, 7], 5), [7, 7, 7, 7, 7])
 
     def test_scalar_halving_unrolls(self):
         model = stg.RecursiveModel(linear_net([[0.5]]), p=1)
-        traj = stg.predict_recursively(model, np.array([1.0]), 3)
-        assert np.allclose(traj.values, [0.5, 0.25, 0.125])
-        assert np.array_equal(traj.step_indices, [1, 2, 3])
+        assert np.allclose(serve(model, [1.0], 3), [0.5, 0.25, 0.125])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_composition_oracle_bit_exact(self, seed):
@@ -38,7 +40,7 @@ class TestRecursive:
         net = nn.init_mlp([p, 6, 1], rng=rng)
         history = rng.uniform(0, 1, p)
         model = stg.RecursiveModel(net, p=p)
-        traj = stg.predict_recursively(model, history, n_steps)
+        got = serve(model, history, n_steps)
         # independent hand-managed window
         window = list(history)
         expected = []
@@ -46,13 +48,7 @@ class TestRecursive:
             out, _ = nn.forward(net, np.array(window))
             expected.append(out[0])
             window = window[1:] + [out[0]]
-        assert np.array_equal(traj.values, expected)
-
-    def test_augmented_model_rejected(self):
-        net = nn.init_mlp([3, 1], rng=0)
-        model = stg.RecursiveModel(net, p=2, time_step_augmented=True, max_step=4)
-        with pytest.raises(ConfigError):
-            stg.predict_recursively(model, np.zeros(2), 2)
+        assert np.array_equal(got, expected)
 
 
 class TestRecursiveAug:
@@ -78,22 +74,30 @@ class TestRecursiveAug:
         )
         base = stg.RecursiveModel(plain, p=p)
         h = rng.uniform(0, 1, p)
-        ta = stg.predict_recursively_aug(aug, h, 6)
-        tb = stg.predict_recursively(base, h, 6)
-        assert np.array_equal(ta.values, tb.values)
+        assert np.array_equal(serve(aug, h, 6), serve(base, h, 6))
 
     def test_manual_unrolling_with_step_term(self):
-        # f([x, v]) = 0.5 x + 0.1 v with raw step values 0, 1 (scale=1 keeps
-        # the encoding v = n - 1 unscaled for n_steps steps when max_step=1).
+        # f([x, v]) = 0.5 x + 0.1 v with step feature v = (n-1)/max_step = 0, 0.5
         net = linear_net([[0.5, 0.1]])
-        model = stg.RecursiveModel(net, p=1, time_step_augmented=True, max_step=1)
-        traj = stg.predict_recursively_aug(model, np.array([1.0]), 2)
-        assert np.allclose(traj.values, [0.5, 0.35])
+        model = stg.RecursiveModel(net, p=1, time_step_augmented=True, max_step=2)
+        assert np.allclose(serve(model, [1.0], 2), [0.5, 0.3])
 
-    def test_plain_model_rejected(self):
-        model = stg.RecursiveModel(linear_net([[0.5]]), p=1)
-        with pytest.raises(ConfigError):
-            stg.predict_recursively_aug(model, np.array([1.0]), 2)
+    def test_serves_up_to_its_trained_depth(self):
+        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1,
+                                   time_step_augmented=True, max_step=4)
+        assert serve(model, [1.0], 4).shape == (4,)
+        assert serve(model, [1.0], 1).shape == (1,)
+
+    def test_past_trained_depth_rejected(self):
+        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1,
+                                   time_step_augmented=True, max_step=4)
+        with pytest.raises(ConfigError, match="depth 4"):
+            stg.batch_predictor(model, 5)
+
+    def test_unknown_trained_depth_rejected(self):
+        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1, time_step_augmented=True)
+        with pytest.raises(ConfigError, match="depth None"):
+            stg.batch_predictor(model, 1)
 
 
 def tiny_windows(n=40, p=3, q=4, seed=0):
@@ -188,9 +192,17 @@ class TestShapeLaw:
         data = tiny_windows(n=60, p=p, q=q)
         cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
         one_step = tiny_windows(n=60, p=p, q=1)
+        rng = np.random.default_rng(1)
+        cdad_cfg = dad.DadConfig(
+            p=p, n_steps=q, meta_iterations=1, inner_train=cfg, conditional=True,
+            hidden_layers=1, hidden_units=4,
+        )
+        cdad_model = dad.train_cdad(rng.uniform(0, 1, 40), rng.uniform(0, 1, 20), cdad_cfg)
         models = [
             (stg.train_recursive(one_step, cfg, hidden_layers=1, hidden_units=4), q),
+            (cdad_model.best_model, q),
             (stg.train_direct(data, cfg, hidden_layers=1, hidden_units=4), None),
+            (stg.train_direct(data, cfg, hybrid=True, hidden_layers=1, hidden_units=4), None),
             (stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=4), None),
         ]
         h = data.histories[:5]
