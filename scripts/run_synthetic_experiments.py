@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from multistep import cgan, dad, evaluation, nn, strategies, synth
-from multistep.data import WindowedDataset, fit_normalizer, make_windows
+from multistep import cgan, evaluation, nn, pipeline, strategies, synth
+from multistep.data import fit_normalizer, make_windows
 
 P = 8
 HORIZON = 8
@@ -32,54 +32,6 @@ def splits(seed: int, n_train: int, n_val: int = 300, n_test: int = 300):
 
 def run_seed(seed: int, args) -> dict[str, evaluation.MetricsReport]:
     train, val, test = splits(seed, args.train_points)
-    arch = dict(hidden_layers=args.hidden_layers, hidden_units=args.hidden_units)
-    base_cfg = nn.TrainConfig(epochs=args.epochs, batch_size=64, seed=seed)
-    inner_cfg = nn.TrainConfig(epochs=max(1, args.epochs // 2), batch_size=64, seed=seed)
-    test_windows = make_windows(test, P, HORIZON)
-    train_windows = make_windows(train, P, HORIZON)
-
-    def score(model, tag):
-        return evaluation.evaluate(
-            strategies.batch_predictor(model, HORIZON), test_windows, model_tag=tag
-        )
-
-    reports: dict[str, evaluation.MetricsReport] = {}
-    reports["recursive"] = score(
-        strategies.train_recursive(make_windows(train, P, 1), base_cfg, **arch),
-        "recursive",
-    )
-
-    common = dict(
-        p=P,
-        n_steps=HORIZON,
-        meta_iterations=args.meta_iterations,
-        inner_train=inner_cfg,
-        base_train=base_cfg,
-        **arch,
-    )
-    reports["dad"] = score(
-        dad.train_dad(train, val, dad.DadConfig(**common)).best_model, "dad"
-    )
-    reports["cdad"] = score(
-        dad.train_cdad(train, val, dad.DadConfig(conditional=True, **common)).best_model,
-        "cdad",
-    )
-
-    for tag, hybrid in (("direct", False), ("hybrid", True)):
-        reports[tag] = score(
-            strategies.train_direct(train_windows, base_cfg, hybrid=hybrid, **arch), tag
-        )
-
-    reports["multi"] = score(
-        strategies.train_multi_output(train_windows, base_cfg, **arch), "multi"
-    )
-    noisy = cgan.noise_augment(
-        train_windows, args.noise_sigma, np.random.default_rng((seed, 1))
-    )
-    reports["multi-noise"] = score(
-        strategies.train_multi_output(noisy, base_cfg, **arch), "multi-noise"
-    )
-
     # The slow-discriminator warning is expected: on this small benchmark a
     # faster discriminator wins outright and the generator never catches up.
     with warnings.catch_warnings():
@@ -94,20 +46,27 @@ def run_seed(seed: int, args) -> dict[str, evaluation.MetricsReport]:
             lr_generator=2e-3,
             lr_discriminator=2e-4,
         )
-    pair = cgan.train_cgan(train_windows, gan_cfg)
-    rng = np.random.default_rng((seed, 2))
-    synthetic = cgan.generate_pairs(
-        pair, cgan.resample_futures(train_windows, len(train_windows), rng), rng
+    spec = pipeline.TrainSpec(
+        p=P,
+        q=HORIZON,
+        train=nn.TrainConfig(epochs=args.epochs, batch_size=64, seed=seed),
+        hidden_layers=args.hidden_layers,
+        hidden_units=args.hidden_units,
+        dad=dict(
+            n_steps=HORIZON,
+            meta_iterations=args.meta_iterations,
+            inner_epochs=max(1, args.epochs // 2),
+        ),
+        noise=dict(sigma=args.noise_sigma),
+        cgan=gan_cfg,
     )
-    combined = WindowedDataset(
-        np.concatenate([train_windows.histories, synthetic.histories]),
-        np.concatenate([train_windows.futures, synthetic.futures]),
-        P,
-        HORIZON,
-    )
-    reports["multi-cgan"] = score(
-        strategies.train_multi_output(combined, base_cfg, **arch), "multi-cgan"
-    )
+    test_windows = make_windows(test, P, HORIZON)
+    reports = {}
+    for tag in pipeline.STRATEGIES:
+        model, _ = pipeline.train(tag, train, val, spec)
+        reports[tag] = evaluation.evaluate(
+            strategies.batch_predictor(model, HORIZON), test_windows, model_tag=tag
+        )
     return reports
 
 

@@ -11,18 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timedelta
 
-import numpy as np
-
-from . import cgan as cgan_mod
-from . import dad as dad_mod
-from . import evaluation, serialize, strategies, synth
+from . import cgan, evaluation, pipeline, serialize, strategies, synth
 from .data import (
     Normalizer,
     SplitSpec,
-    WindowedDataset,
     aggregate,
     fit_normalizer,
     ingest_csv,
@@ -33,7 +27,7 @@ from .data import (
 from .errors import ConfigError, MultistepError
 from .nn import TrainConfig
 
-STRATEGIES = tuple(serialize.MODEL_KINDS)
+STRATEGIES = tuple(pipeline.STRATEGIES)
 
 
 def _section(doc: dict, key: str, defaults: dict, required: tuple = ()) -> dict:
@@ -51,9 +45,31 @@ def _section(doc: dict, key: str, defaults: dict, required: tuple = ()) -> dict:
     return out
 
 
+# The optional config sections with their defaults; a strategy takes the
+# one its pipeline row names and rejects the others.
+_SECTION_DEFAULTS = {
+    "dad": {
+        "n_steps": 8,
+        "meta_iterations": 30,
+        "inner_epochs": 50,
+        "selection_metric": "mse",
+        "accumulate": False,
+    },
+    "cgan": {
+        "noise_dim": 16,
+        "lr_discriminator": 2e-4,
+        "lr_generator": 1e-4,
+        "epochs": 200,
+        "batch_size": 64,
+        "synthetic_count": None,
+    },
+    "noise": {"sigma": 0.1, "interpret_as_stddev": True},
+}
+
+
 def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
     """Validate a run config and materialize every default."""
-    known_top = {"seed", "data", "model", "dad", "cgan", "noise", "eval"}
+    known_top = {"seed", "data", "model", *_SECTION_DEFAULTS}
     unknown = set(doc) - known_top
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
@@ -102,60 +118,21 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
         "learning_rate": train.get("learning_rate", 1e-3),
     }
 
-    resolved = {
-        "seed": seed,
-        "data": data,
-        "model": model,
-        "eval": _section(doc, "eval", defaults={"denormalize": False}),
-    }
+    resolved = {"seed": seed, "data": data, "model": model}
     strategy = model["strategy"]
-    if strategy in ("dad", "cdad"):
-        resolved["dad"] = _section(
-            doc,
-            "dad",
-            defaults={
-                "n_steps": 8,
-                "meta_iterations": 30,
-                "inner_epochs": 50,
-                "selection_metric": "mse",
-                "accumulate": False,
-            },
+    row = pipeline.STRATEGIES[strategy]
+    for name, defaults in _SECTION_DEFAULTS.items():
+        if name == row.section:
+            resolved[name] = _section(doc, name, defaults)
+        elif name in doc:
+            raise ConfigError(f"{name!r} section given but strategy is {strategy!r}")
+    if row.options.get("conditional") and data["q"] > resolved["dad"]["n_steps"]:
+        # its step input is trained to depth n_steps, and serving refuses deeper
+        raise ConfigError(
+            f"{strategy} trained to depth dad.n_steps={resolved['dad']['n_steps']} "
+            f"cannot be evaluated at data.q={data['q']}"
         )
-    elif "dad" in doc:
-        raise ConfigError(f"'dad' section given but strategy is {strategy!r}")
-    if strategy == "multi-cgan":
-        resolved["cgan"] = _section(
-            doc,
-            "cgan",
-            defaults={
-                "noise_dim": 16,
-                "lr_discriminator": 2e-4,
-                "lr_generator": 1e-4,
-                "epochs": 200,
-                "batch_size": 64,
-                "synthetic_count": None,
-            },
-        )
-    elif "cgan" in doc:
-        raise ConfigError(f"'cgan' section given but strategy is {strategy!r}")
-    if strategy == "multi-noise":
-        resolved["noise"] = _section(
-            doc, "noise", defaults={"sigma": 0.1, "interpret_as_stddev": True}
-        )
-    elif "noise" in doc:
-        raise ConfigError(f"'noise' section given but strategy is {strategy!r}")
     return resolved
-
-
-def _train_config(cfg: dict, seed: int, dropout: float) -> TrainConfig:
-    t = cfg["model"]["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        seed=seed,
-        dropout_rate=dropout,
-        learning_rate=t["learning_rate"],
-    )
 
 
 def _load_series(path, cfg_data: dict):
@@ -203,94 +180,38 @@ def cmd_train(args) -> int:
         cfg = resolve_config(json.load(f), seed_override=args.seed)
     data_cfg = cfg["data"]
     series = _load_series(args.data, data_cfg)
-    spec = SplitSpec(
+    split = SplitSpec(
         datetime.fromisoformat(data_cfg["split"]["train_end"]),
         datetime.fromisoformat(data_cfg["split"]["val_end"]),
     )
-    train_series, val_series, _ = split_by_date(series, spec)
+    train_series, val_series, _ = split_by_date(series, split)
     normalizer = fit_normalizer(train_series)
     train_values = normalizer.apply(train_series.values)
     val_values = normalizer.apply(val_series.values)
 
-    p, q = data_cfg["p"], data_cfg["q"]
     model_cfg = cfg["model"]
     strategy = model_cfg["strategy"]
-    seed = cfg["seed"]
-    tc = _train_config(cfg, seed, model_cfg["dropout"])
-    arch = {
-        "hidden_layers": model_cfg["hidden_layers"],
-        "hidden_units": model_cfg["hidden_units"],
-    }
+    arch = {k: model_cfg[k] for k in ("hidden_layers", "hidden_units")}
+    gan = dict(cfg.get("cgan", {}))
+    synthetic_count = gan.pop("synthetic_count", None)
+    spec = pipeline.TrainSpec(
+        p=data_cfg["p"],
+        q=data_cfg["q"],
+        train=TrainConfig(
+            seed=cfg["seed"], dropout_rate=model_cfg["dropout"], **model_cfg["train"]
+        ),
+        **arch,
+        dad=cfg.get("dad"),
+        noise=cfg.get("noise"),
+        cgan=cgan.CganConfig(seed=cfg["seed"], **arch, **gan) if gan else None,
+        synthetic_count=synthetic_count,
+    )
+    model, training_log = pipeline.train(strategy, train_values, val_values, spec)
     meta = {
         "strategy_tag": strategy,
         "normalization": {"min": normalizer.min, "max": normalizer.max},
-        "q": q,
+        "q": spec.q,
     }
-    training_log: dict = {}
-
-    if strategy == "recursive":
-        model = strategies.train_recursive(make_windows(train_values, p, 1), tc, **arch)
-    elif strategy in ("dad", "cdad"):
-        d = cfg["dad"]
-        dcfg = dad_mod.DadConfig(
-            p=p,
-            n_steps=d["n_steps"],
-            meta_iterations=d["meta_iterations"],
-            inner_train=replace(tc, epochs=d["inner_epochs"]),
-            conditional=(strategy == "cdad"),
-            selection_metric=d["selection_metric"],
-            accumulate=d["accumulate"],
-            base_train=tc,
-            **arch,
-        )
-        trainer = dad_mod.train_cdad if strategy == "cdad" else dad_mod.train_dad
-        result = trainer(train_values, val_values, dcfg)
-        meta["max_step"] = None  # DaD documents carry it too; model_to_doc sets CDaD's
-        model = result.best_model
-        training_log = result.to_log_dict()
-    elif strategy in ("direct", "hybrid"):
-        model = strategies.train_direct(
-            make_windows(train_values, p, q), tc, hybrid=(strategy == "hybrid"), **arch
-        )
-    elif strategy in ("multi", "multi-noise", "multi-cgan"):
-        windows = make_windows(train_values, p, q)
-        if strategy == "multi-noise":
-            n = cfg["noise"]
-            windows = cgan_mod.noise_augment(
-                windows,
-                n["sigma"],
-                np.random.default_rng((seed, 1)),
-                interpret_as_stddev=n["interpret_as_stddev"],
-            )
-            training_log["augmented_rows"] = len(windows)
-        elif strategy == "multi-cgan":
-            c = cfg["cgan"]
-            ccfg = cgan_mod.CganConfig(
-                noise_dim=c["noise_dim"],
-                lr_discriminator=c["lr_discriminator"],
-                lr_generator=c["lr_generator"],
-                epochs=c["epochs"],
-                batch_size=c["batch_size"],
-                seed=seed,
-                hidden_layers=model_cfg["hidden_layers"],
-                hidden_units=model_cfg["hidden_units"],
-            )
-            pair = cgan_mod.train_cgan(windows, ccfg)
-            count = c["synthetic_count"] if c["synthetic_count"] is not None else len(windows)
-            rng = np.random.default_rng((seed, 2))
-            synthetic = cgan_mod.generate_pairs(
-                pair, cgan_mod.resample_futures(windows, count, rng), rng
-            )
-            combined_h = np.concatenate([windows.histories, synthetic.histories])
-            combined_f = np.concatenate([windows.futures, synthetic.futures])
-            training_log["cgan_log"] = pair.training_log
-            training_log["synthetic_rows"] = len(synthetic)
-            windows = WindowedDataset(combined_h, combined_f, p, q)
-            training_log["combined_rows"] = len(windows)
-        model = strategies.train_multi_output(windows, tc, **arch)
-    else:  # pragma: no cover - resolve_config rejects unknown strategies
-        raise ConfigError(f"unknown strategy {strategy!r}")
-
     serialize.dump_json(serialize.model_to_doc(model, meta), args.out)
     serialize.dump_json(cfg, str(args.out) + ".config.json")
     serialize.dump_json(training_log, str(args.out) + ".log.json")

@@ -14,21 +14,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .nn import Layer, Mlp
+from .pipeline import STRATEGIES
 from .strategies import DirectModelSet, MultiOutputModel, RecursiveModel
 
 FORMAT_VERSION = 1
 
 # strategy_tag -> the model kind trained under it
-MODEL_KINDS = {
-    "recursive": RecursiveModel,
-    "dad": RecursiveModel,
-    "cdad": RecursiveModel,
-    "direct": DirectModelSet,
-    "hybrid": DirectModelSet,
-    "multi": MultiOutputModel,
-    "multi-noise": MultiOutputModel,
-    "multi-cgan": MultiOutputModel,
-}
+MODEL_KINDS = {tag: row.kind for tag, row in STRATEGIES.items()}
 
 
 def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
@@ -74,14 +66,12 @@ def model_to_doc(model, metadata: dict) -> dict:
 
     `metadata` is stored as given, plus the fields `model_from_doc` needs,
     read from the model itself: p, and by kind q, hybrid, or the step
-    input's max_step. Its `strategy_tag` must name a strategy that trains
-    this kind of model.
+    input's max_step (None for plain DaD, whose documents carry it too).
+    Its `strategy_tag` must name a strategy that trains this kind of model.
     """
-    if MODEL_KINDS.get(metadata.get("strategy_tag")) is not type(model):
-        raise ConfigError(
-            f"strategy_tag {metadata.get('strategy_tag')!r} does not store a "
-            f"{type(model).__name__}"
-        )
+    tag = metadata.get("strategy_tag")
+    if MODEL_KINDS.get(tag) is not type(model):
+        raise ConfigError(f"strategy_tag {tag!r} does not store a {type(model).__name__}")
     meta = dict(metadata, p=model.p, time_step_augmented=False)
     if isinstance(model, DirectModelSet):
         meta.update(q=model.horizon, hybrid=model.hybrid)
@@ -94,8 +84,8 @@ def model_to_doc(model, metadata: dict) -> dict:
         }
     if isinstance(model, MultiOutputModel):
         meta["q"] = model.q
-    elif model.time_step_augmented:
-        meta.update(time_step_augmented=True, max_step=model.max_step)
+    elif model.time_step_augmented or STRATEGIES[tag].section == "dad":
+        meta.update(time_step_augmented=model.time_step_augmented, max_step=model.max_step)
     return mlp_to_dict(model.net, meta)
 
 

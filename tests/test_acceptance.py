@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from multistep import cgan, cli, dad, evaluation, nn, serialize, strategies, synth
+from multistep import cgan, cli, evaluation, nn, pipeline, serialize, strategies, synth
 from multistep.data import WindowedDataset, fit_normalizer, make_windows
 
 SEEDS = range(5)
@@ -48,51 +48,53 @@ def held_out_report(model, test_values):
     return report
 
 
+def family_reports(tags, spec_for, n_train=2000):
+    """Held-out reports of each tag over SEEDS, trained through the pipeline."""
+    out = {tag: [] for tag in tags}
+    for seed in SEEDS:
+        train, val, test = benchmark_splits(seed, n_train=n_train)
+        spec = spec_for(seed)
+        for tag in tags:
+            model, _ = pipeline.train(tag, train, val, spec)
+            out[tag].append(held_out_report(model, test))
+    return out
+
+
+def predictor_spec(seed, epochs, **sections):
+    return pipeline.TrainSpec(
+        p=P,
+        q=HORIZON,
+        train=nn.TrainConfig(epochs=epochs, batch_size=64, seed=seed),
+        **HIDDEN,
+        **sections,
+    )
+
+
+def median_mse(reports, step=None):
+    return float(
+        np.median([r.overall_mse if step is None else r.per_step_mse[step] for r in reports])
+    )
+
+
 @pytest.fixture(scope="session")
 def recursive_family():
     """Vanilla recursive vs corrective retraining vs its conditioned variant."""
-    out = {k: [] for k in ("recursive", "dad", "cdad", "recursive_s8", "cdad_s8")}
-    for seed in SEEDS:
-        train, val, test = benchmark_splits(seed)
-        base_cfg = nn.TrainConfig(epochs=20, batch_size=64, seed=seed)
-        inner_cfg = nn.TrainConfig(epochs=10, batch_size=64, seed=seed)
-        vanilla = strategies.train_recursive(
-            make_windows(train, P, 1), base_cfg, **HIDDEN
-        )
-        common = dict(
-            p=P,
-            n_steps=HORIZON,
-            meta_iterations=15,
-            inner_train=inner_cfg,
-            base_train=base_cfg,
-            **HIDDEN,
-        )
-        dad_model = dad.train_dad(train, val, dad.DadConfig(**common)).best_model
-        cdad_model = dad.train_cdad(
-            train, val, dad.DadConfig(conditional=True, **common)
-        ).best_model
-
-        r_rep = held_out_report(vanilla, test)
-        out["recursive"].append(r_rep.overall_mse)
-        out["recursive_s8"].append(r_rep.per_step_mse[-1])
-        out["dad"].append(held_out_report(dad_model, test).overall_mse)
-        c_rep = held_out_report(cdad_model, test)
-        out["cdad"].append(c_rep.overall_mse)
-        out["cdad_s8"].append(c_rep.per_step_mse[-1])
-    return {k: float(np.median(v)) for k, v in out.items()}
+    reports = family_reports(
+        ("recursive", "dad", "cdad"),
+        lambda seed: predictor_spec(
+            seed, 20, dad=dict(n_steps=HORIZON, meta_iterations=15, inner_epochs=10)
+        ),
+    )
+    medians = {tag: median_mse(rs) for tag, rs in reports.items()}
+    for tag in ("recursive", "cdad"):
+        medians[f"{tag}_s8"] = median_mse(reports[tag], step=-1)
+    return medians
 
 
 @pytest.fixture(scope="session")
 def direct_family(recursive_family):
-    out = {"direct": [], "hybrid": []}
-    for seed in SEEDS:
-        train, _, test = benchmark_splits(seed)
-        cfg = nn.TrainConfig(epochs=30, batch_size=64, seed=seed)
-        windows = make_windows(train, P, HORIZON)
-        for tag, hybrid in (("direct", False), ("hybrid", True)):
-            model = strategies.train_direct(windows, cfg, hybrid=hybrid, **HIDDEN)
-            out[tag].append(held_out_report(model, test).overall_mse)
-    medians = {k: float(np.median(v)) for k, v in out.items()}
+    reports = family_reports(("direct", "hybrid"), lambda seed: predictor_spec(seed, 30))
+    medians = {tag: median_mse(rs) for tag, rs in reports.items()}
     medians["recursive"] = recursive_family["recursive"]
     return medians
 
@@ -119,35 +121,14 @@ def gan_config(seed, epochs):
 def multi_family():
     """Multi-output vs its noise- and generator-augmented variants on a
     deliberately small training split (500 points)."""
-    out = {"multi": [], "multi-noise": [], "multi-cgan": []}
-    for seed in SEEDS:
-        train, _, test = benchmark_splits(seed, n_train=500)
-        cfg = nn.TrainConfig(epochs=100, batch_size=64, seed=seed)
-        windows = make_windows(train, P, HORIZON)
-
-        plain = strategies.train_multi_output(windows, cfg, **HIDDEN)
-        out["multi"].append(held_out_report(plain, test).overall_mse)
-
-        noisy = cgan.noise_augment(windows, 0.05, np.random.default_rng((seed, 1)))
-        out["multi-noise"].append(
-            held_out_report(strategies.train_multi_output(noisy, cfg, **HIDDEN), test).overall_mse
-        )
-
-        pair = cgan.train_cgan(windows, gan_config(seed, epochs=500))
-        rng = np.random.default_rng((seed, 2))
-        synthetic = cgan.generate_pairs(
-            pair, cgan.resample_futures(windows, len(windows), rng), rng
-        )
-        combined = WindowedDataset(
-            np.concatenate([windows.histories, synthetic.histories]),
-            np.concatenate([windows.futures, synthetic.futures]),
-            P,
-            HORIZON,
-        )
-        out["multi-cgan"].append(
-            held_out_report(strategies.train_multi_output(combined, cfg, **HIDDEN), test).overall_mse
-        )
-    return {k: float(np.median(v)) for k, v in out.items()}
+    reports = family_reports(
+        ("multi", "multi-noise", "multi-cgan"),
+        lambda seed: predictor_spec(
+            seed, 100, noise=dict(sigma=0.05), cgan=gan_config(seed, epochs=500)
+        ),
+        n_train=500,
+    )
+    return {tag: median_mse(rs) for tag, rs in reports.items()}
 
 
 def test_criterion_01_gradient_correctness(announce):
@@ -346,49 +327,26 @@ def test_criterion_10_end_to_end_reproducibility(announce, tmp_path):
 def test_criterion_11_serialization_round_trip(announce, tmp_path):
     rng = np.random.default_rng(0)
     p = q = 4
-    windows = make_windows(rng.uniform(0, 1, 60), p, q)
-    one_step = make_windows(rng.uniform(0, 1, 60), p, 1)
-    cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
-    arch = dict(hidden_layers=1, hidden_units=5)
-    train = rng.uniform(0, 1, 60)
-    val = rng.uniform(0, 1, 40)
-    dcfg = dict(
-        p=p, n_steps=q, meta_iterations=1,
-        inner_train=nn.TrainConfig(epochs=1, batch_size=16, seed=0),
-        hidden_layers=1, hidden_units=5,
+    train, val = rng.uniform(0, 1, 60), rng.uniform(0, 1, 40)
+    spec = pipeline.TrainSpec(
+        p=p,
+        q=q,
+        train=nn.TrainConfig(epochs=2, batch_size=16, seed=0),
+        hidden_layers=1,
+        hidden_units=5,
+        dad=dict(n_steps=q, meta_iterations=1, inner_epochs=1),
+        noise=dict(sigma=0.05),
+        cgan=cgan.CganConfig(noise_dim=3, epochs=1, batch_size=16, seed=0,
+                             hidden_layers=1, hidden_units=5),
     )
-    models = {
-        "recursive": strategies.train_recursive(one_step, cfg, **arch),
-        "dad": dad.train_dad(train, val, dad.DadConfig(**dcfg)).best_model,
-        "cdad": dad.train_cdad(train, val, dad.DadConfig(conditional=True, **dcfg)).best_model,
-        "direct": strategies.train_direct(windows, cfg, **arch),
-        "hybrid": strategies.train_direct(windows, cfg, hybrid=True, **arch),
-        "multi": strategies.train_multi_output(windows, cfg, **arch),
-    }
-
-    def round_trip_net(net, name):
-        path = tmp_path / f"{name}.json"
-        serialize.dump_json(serialize.mlp_to_dict(net), path)
-        return serialize.mlp_from_dict(serialize.load_json(path))
-
+    histories = make_windows(train, p, q).histories[:6]
     ok = True
-    histories = windows.histories[:6]
-    for name, model in models.items():
+    for tag in pipeline.STRATEGIES:
+        model, _ = pipeline.train(tag, train, val, spec)
+        path = tmp_path / f"{tag}.json"
+        serialize.dump_json(serialize.model_to_doc(model, {"strategy_tag": tag}), path)
+        loaded = serialize.model_from_doc(serialize.load_json(path))
         before = strategies.batch_predictor(model, q)(histories)
-        if isinstance(model, strategies.DirectModelSet):
-            nets = [round_trip_net(n, f"{name}{h}") for h, n in enumerate(model.models)]
-            loaded = strategies.DirectModelSet(nets, model.horizon, model.p, model.hybrid)
-        elif isinstance(model, strategies.RecursiveModel):
-            loaded = strategies.RecursiveModel(
-                round_trip_net(model.net, name),
-                p=model.p,
-                time_step_augmented=model.time_step_augmented,
-                max_step=model.max_step,
-            )
-        else:
-            loaded = strategies.MultiOutputModel(
-                round_trip_net(model.net, name), model.p, model.q
-            )
         after = strategies.batch_predictor(loaded, q)(histories)
-        ok = ok and np.array_equal(before, after)
+        ok = ok and type(loaded) is type(model) and np.array_equal(before, after)
     announce(11, "serialization-round-trip", ok)

@@ -104,6 +104,21 @@ class TestConfigValidation:
         )
         assert code == 2
 
+    def test_eval_section_is_unknown(self, tmp_path, series_csv):
+        # `evaluate --denormalize` is the switch; a config section for it was ignored
+        code, out = run_train(tmp_path, series_csv, base_config(eval={"denormalize": True}))
+        assert code == 2
+        assert not out.exists()
+
+    def test_cdad_shallower_than_horizon_exits_two(self, tmp_path, series_csv):
+        # a depth-3 step input could not be evaluated at q=4
+        doc = base_config(
+            strategy="cdad", dad={"n_steps": 3, "meta_iterations": 1, "inner_epochs": 1}
+        )
+        code, out = run_train(tmp_path, series_csv, doc)
+        assert code == 2
+        assert not out.exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train"])  # missing required arguments
@@ -123,14 +138,14 @@ class TestTrain:
 
     def test_cdad_gets_step_input(self, tmp_path, series_csv):
         doc = base_config(
-            strategy="cdad", dad={"n_steps": 3, "meta_iterations": 1, "inner_epochs": 1}
+            strategy="cdad", dad={"n_steps": 4, "meta_iterations": 1, "inner_epochs": 1}
         )
         code, out = run_train(tmp_path, series_csv, doc)
         assert code == 0
         model_doc = serialize.load_json(out)
         assert model_doc["input_dim"] == 5  # p + 1
         assert model_doc["metadata"]["time_step_augmented"]
-        assert model_doc["metadata"]["max_step"] == 3
+        assert model_doc["metadata"]["max_step"] == 4
         log = serialize.load_json(str(out) + ".log.json")
         assert len(log["iterations"]) == 2  # start plus one refinement
 

@@ -127,6 +127,15 @@ class TestModelDocument:
         )
         assert back.time_step_augmented and back.max_step == 4
 
+    def test_corrective_documents_record_depth(self, trained):
+        _, _, models = trained
+        meta = {
+            tag: serialize.model_to_doc(models[tag], {"strategy_tag": tag})["metadata"]
+            for tag in ("recursive", "dad", "cdad")
+        }
+        assert "max_step" not in meta["recursive"]
+        assert meta["dad"]["max_step"] is None and meta["cdad"]["max_step"] == 4
+
     def test_unknown_strategy_tag_rejected(self):
         net = nn.init_mlp([2, 3], rng=0)
         model = strategies.MultiOutputModel(net, p=2, q=3)
