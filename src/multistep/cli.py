@@ -161,9 +161,7 @@ def cmd_ingest(args) -> int:
         "resolution_minutes": series.resolution.total_seconds() / 60.0,
         "aggregate_factor": args.factor,
     }
-    with open(str(args.output) + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    serialize.dump_json(sidecar, str(args.output) + ".json")
     print(f"read {raw_rows} rows, wrote {len(series)} rows to {args.output}")
     return 0
 

@@ -8,7 +8,6 @@ immutable once built.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -239,12 +238,3 @@ def split_by_date(
         segment(n_train, n_train + n_val),
         segment(n_train + n_val, len(ts)),
     )
-
-
-def write_sidecar(path, p: int, q: int, stride: int, normalizer: Normalizer | None) -> None:
-    doc = {"p": p, "q": q, "stride": stride}
-    if normalizer is not None:
-        doc["normalization"] = {"min": normalizer.min, "max": normalizer.max}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -153,8 +153,7 @@ def init_mlp(
 @dataclass(slots=True)
 class LayerCache:
     inputs: np.ndarray  # [batch, in_dim]
-    preact: np.ndarray  # [batch, out_dim]
-    act_out: np.ndarray  # activation output before dropout
+    act_out: np.ndarray  # [batch, out_dim] activation output before dropout
     mask: np.ndarray | None  # inverted-dropout mask, or None
 
 
@@ -169,11 +168,19 @@ def forward(
     x: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    buffers: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network. Accepts a single vector or a [batch, in_dim] matrix.
 
     Dropout (train mode only) uses inverted scaling and is applied to
-    hidden-layer outputs, never to the input or the final layer.
+    hidden-layer outputs, never to the input or the final layer. Each
+    layer applies its activation in place on its pre-activation, so it
+    keeps one array.
+
+    `buffers`, if given, holds one float64 [batch, out_dim] array per
+    layer, and layer i writes into buffers[i] instead of a fresh array.
+    The output and the cache then alias the buffers: the next call with
+    the same buffers overwrites them.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -182,6 +189,13 @@ def forward(
     a = x[None, :] if single else x
     if a.ndim != 2 or a.shape[1] != net.input_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
+    if buffers is not None:
+        shapes = [(a.shape[0], layer.out_dim) for layer in net.layers]
+        got = [np.shape(buf) for buf in buffers]
+        if got != shapes or not all(
+            isinstance(buf, np.ndarray) and buf.dtype == np.float64 for buf in buffers
+        ):
+            raise ShapeError(f"buffers must be float64 arrays of shapes {shapes}, got {got}")
     if not np.isfinite(a).all():
         raise NumericError("non-finite input")
     use_dropout = mode == "train" and net.dropout_rate > 0.0
@@ -191,17 +205,23 @@ def forward(
     caches = []
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        z = a @ layer.weights.T
-        z += layer.bias
+        if buffers is None:
+            h = a @ layer.weights.T
+        else:
+            h = np.matmul(a, layer.weights.T, out=buffers[i])
+        h += layer.bias
+        # each in-place step is one operation of the textbook formula, so
+        # the bits equal max(z, 0), 1 / (1 + exp(-z)) and tanh(z)
         act = layer.activation
         if act == "relu":
-            h = np.maximum(z, 0.0)
-        elif act == "linear":
-            h = z
+            np.maximum(h, 0.0, out=h)
         elif act == "sigmoid":
-            h = 1.0 / (1.0 + np.exp(-z))
-        else:  # tanh, the last name Mlp admits
-            h = np.tanh(z)
+            np.negative(h, out=h)
+            np.exp(h, out=h)
+            h += 1.0
+            np.divide(1.0, h, out=h)
+        elif act == "tanh":
+            np.tanh(h, out=h)
         mask = None
         out = h
         if use_dropout and i < last:
@@ -209,7 +229,7 @@ def forward(
             mask = (rng.random(h.shape) < keep).astype(float)
             mask /= keep
             out = h * mask
-        caches.append(LayerCache(inputs=a, preact=z, act_out=h, mask=mask))
+        caches.append(LayerCache(inputs=a, act_out=h, mask=mask))
         a = out
     y = a[0] if single else a
     return y, ForwardCache(caches, single)
@@ -230,7 +250,7 @@ def _output_grad(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.nda
 
 def _preact_grad(layer: Layer, lc: LayerCache, g: np.ndarray) -> np.ndarray:
     """d loss / d layer output -> d loss / d pre-activation."""
-    if lc.inputs.shape[1] != layer.in_dim or lc.preact.shape[1] != layer.out_dim:
+    if lc.inputs.shape[1] != layer.in_dim or lc.act_out.shape[1] != layer.out_dim:
         raise ShapeError("cache does not match layer shapes")
     if lc.mask is not None:
         g = g * lc.mask
@@ -238,10 +258,11 @@ def _preact_grad(layer: Layer, lc: LayerCache, g: np.ndarray) -> np.ndarray:
     if act == "linear":
         return g
     # f'(z) into a fresh array, then times g in place: the bits of g * f'(z)
-    # with one temporary fewer (a bool-times-float g * (z > 0) measured slower)
+    # with one temporary fewer (a bool-times-float g * (z > 0) measured slower).
+    # relu(z) > 0 is the same boolean as z > 0, NaN included.
     out = lc.act_out
     if act == "relu":
-        d = (lc.preact > 0.0).astype(float)
+        d = (out > 0.0).astype(float)
     elif act == "sigmoid":
         d = 1.0 - out
         d *= out
@@ -354,7 +375,8 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
     `dataset` is anything exposing float matrices `histories` [n, input_dim]
     and `futures` [n, output_dim]. Deterministic given cfg.seed; the input
     net is left untouched and a trained copy is returned. Raises
-    NumericError at the first batch whose loss is not finite.
+    NumericError before training when a dataset value is not finite,
+    and at the first batch whose loss is not finite.
     """
     x = np.asarray(dataset.histories, dtype=float)
     y = np.asarray(dataset.futures, dtype=float)
@@ -367,6 +389,10 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
             f"dataset dims ({x.shape[1]}, {y.shape[1]}) != net dims "
             f"({net.input_dim}, {net.output_dim})"
         )
+    for name, values in (("histories", x), ("futures", y)):
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise NumericError(f"dataset {name} row {int(bad.argmax())} is not finite")
 
     trained = net.copy()
     if cfg.epochs == 0:

@@ -86,25 +86,32 @@ def rollout(
     Each step shifts the window left by one and appends the previous
     prediction. With step_scale set, the input is extended by a step
     feature v = (already-recycled count)/step_scale, i.e. v=0 for the
-    first prediction.
+    first prediction. The input window and every layer's output live in
+    buffers made once per call; `histories` is never written.
     """
     histories = np.asarray(histories, dtype=float)
-    if histories.ndim != 2:
-        raise ShapeError("histories must be [m, p]")
+    if histories.ndim != 2 or histories.shape[1] < 1:
+        raise ShapeError(f"histories must be [m, p] with p >= 1, got {histories.shape}")
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
-    m = histories.shape[0]
-    window = histories.copy()
+    m, p = histories.shape
+    width = p if step_scale is None else p + 1
+    if width != net.input_dim or net.output_dim != 1:
+        raise ShapeError(
+            f"a rollout of [m, {p}] histories{'' if step_scale is None else ' + step'} "
+            f"needs a net of dims ({width}, 1), got ({net.input_dim}, {net.output_dim})"
+        )
+    inp = np.empty((m, width))
+    inp[:, :p] = histories
+    buffers = [np.empty((m, layer.out_dim)) for layer in net.layers]
     preds = np.empty((m, n_steps))
     for n in range(1, n_steps + 1):
-        if step_scale is None:
-            inp = window
-        else:
-            v = np.full((m, 1), (n - 1) / step_scale)
-            inp = np.concatenate([window, v], axis=1)
-        out, _ = forward(net, inp, mode="eval")
+        if step_scale is not None:
+            inp[:, p] = (n - 1) / step_scale
+        out, _ = forward(net, inp, mode="eval", buffers=buffers)
         preds[:, n - 1] = out[:, 0]
-        window = np.concatenate([window[:, 1:], out], axis=1)
+        inp[:, : p - 1] = inp[:, 1:p]
+        inp[:, p - 1] = out[:, 0]
     return preds
 
 

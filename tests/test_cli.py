@@ -1,3 +1,4 @@
+import io
 import json
 from datetime import datetime, timedelta
 
@@ -79,6 +80,19 @@ class TestIngest:
         sidecar = json.loads((tmp_path / "agg.csv.json").read_text())
         assert sidecar["rows"] == 2
         assert sidecar["resolution_minutes"] == 15.0
+
+    def test_sidecar_bytes_match_plain_json_writer(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        start = datetime(2011, 1, 1)
+        rows = [f"{(start + i * timedelta(minutes=5)).isoformat()},{i}" for i in range(9)]
+        raw.write_text("timestamp,flow\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "agg.csv"
+        assert cli.main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
+        expected = io.StringIO()
+        json.dump({"rows": 3, "resolution_minutes": 15.0, "aggregate_factor": 3},
+                  expected, indent=2, sort_keys=True)
+        expected.write("\n")
+        assert (tmp_path / "agg.csv.json").read_bytes() == expected.getvalue().encode()
 
     def test_missing_input_exits_one(self, tmp_path):
         code = cli.main(

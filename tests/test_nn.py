@@ -52,6 +52,12 @@ def activation_grad(name, z, out):
     return 1.0 - out * out
 
 
+def reference_preact(layer, lc):
+    """The layer's pre-activation, recomputed from its cached input; the
+    cache keeps only the activated output."""
+    return lc.inputs @ layer.weights.T + layer.bias
+
+
 def reference_backward_pairs(net, cache, loss_grad):
     """Per-layer (g.T @ inputs, g.sum(0)) pairs, computed layer by layer
     into fresh arrays: the reference for backward's flat gradient."""
@@ -60,7 +66,7 @@ def reference_backward_pairs(net, cache, loss_grad):
     for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
         if lc.mask is not None:
             g = g * lc.mask
-        g = g * activation_grad(layer.activation, lc.preact, lc.act_out)
+        g = g * activation_grad(layer.activation, reference_preact(layer, lc), lc.act_out)
         pairs.append((g.T @ lc.inputs, g.sum(axis=0)))
         g = g @ layer.weights
     pairs.reverse()
@@ -73,7 +79,8 @@ def reference_input_grad(net, cache, loss_grad):
     g = np.atleast_2d(loss_grad)
     for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
         mask = lc.mask if lc.mask is not None else np.ones_like(g)
-        g = (g * mask * activation_grad(layer.activation, lc.preact, lc.act_out)) @ layer.weights
+        z = reference_preact(layer, lc)
+        g = (g * mask * activation_grad(layer.activation, z, lc.act_out)) @ layer.weights
     return g[0] if cache.single else g
 
 
@@ -290,6 +297,124 @@ class TestInputGrad:
             nn.input_grad(small, cache, np.zeros(3))
 
 
+def textbook_layers(net, x):
+    """Each layer's activated output from z = x @ W.T + b and the textbook
+    activation formulas, into fresh arrays: the reference for the in-place
+    activations of an eval-mode forward."""
+    a, outs = np.atleast_2d(np.asarray(x, dtype=float)), []
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.bias
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.activation == "linear":
+            a = z
+        elif layer.activation == "sigmoid":
+            a = 1.0 / (1.0 + np.exp(-z))
+        else:
+            a = np.tanh(z)
+        outs.append(a)
+    return outs
+
+
+def random_net(rng, dims, dropout_rate=0.0):
+    """A net of the given dims whose every layer draws its activation."""
+    layers = [nn.Layer(rng.uniform(-2, 2, (o, i)), rng.uniform(-1, 1, o),
+                       str(rng.choice(nn.ACTIVATIONS)))
+              for i, o in zip(dims[:-1], dims[1:])]
+    return nn.Mlp(layers, dropout_rate=dropout_rate)
+
+
+def layer_buffers(net, rows, fill=np.nan):
+    return [np.full((rows, layer.out_dim), fill) for layer in net.layers]
+
+
+class TestInPlaceForward:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9))
+    def test_activations_equal_textbook_formulas(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 8, size=rng.integers(2, 5))]
+        net = random_net(rng, dims)
+        x = rng.standard_normal((rows, dims[0])) * 3.0
+        out, cache = nn.forward(net, x)
+        expected = textbook_layers(net, x)
+        assert np.array_equal(out, expected[-1])
+        for lc, act_out in zip(cache.layer_caches, expected):
+            assert np.array_equal(lc.act_out, act_out)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_buffers_equal_fresh_arrays(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, [5, 7, 6, 3], dropout_rate=0.3)
+        x = rng.standard_normal((11, 5))
+        fresh, fresh_cache = nn.forward(net, x, mode=mode, rng=np.random.default_rng(9))
+        buffers = layer_buffers(net, 11)
+        out, cache = nn.forward(net, x, mode=mode, rng=np.random.default_rng(9),
+                                buffers=buffers)
+        assert np.array_equal(out, fresh)
+        for lc, ref in zip(cache.layer_caches, fresh_cache.layer_caches):
+            assert np.array_equal(lc.inputs, ref.inputs)
+            assert np.array_equal(lc.act_out, ref.act_out)
+            assert (lc.mask is None) == (ref.mask is None)
+            if lc.mask is not None:
+                assert np.array_equal(lc.mask, ref.mask)
+        assert any(lc.mask is not None for lc in cache.layer_caches) == (mode == "train")
+        for lc, buf in zip(cache.layer_caches, buffers):
+            assert lc.act_out is buf
+        # the outputs alias the buffers: the next call overwrites them
+        again, _ = nn.forward(net, -x, mode=mode, rng=np.random.default_rng(9),
+                              buffers=buffers)
+        if mode == "eval":
+            assert out is again is buffers[-1]
+        assert np.array_equal(again, nn.forward(net, -x, mode=mode,
+                                                rng=np.random.default_rng(9))[0])
+
+    def test_single_vector_with_buffers(self):
+        net = nn.init_mlp([3, 5, 2], rng=2, hidden_activation="tanh")
+        x = np.array([0.3, -0.8, 0.5])
+        out, _ = nn.forward(net, x, buffers=layer_buffers(net, 1))
+        assert out.shape == (2,)
+        assert np.array_equal(out, nn.forward(net, x)[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradients_from_buffered_cache_equal_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, [5, 7, 6, 3], dropout_rate=0.3)
+        x = rng.standard_normal((11, 5))
+        _, cache = nn.forward(net, x, mode="train", rng=rng, buffers=layer_buffers(net, 11))
+        loss_grad = rng.standard_normal((11, 3))
+        pairs = reference_backward_pairs(net, cache, loss_grad)
+        expected = np.concatenate([a.ravel() for pair in pairs for a in pair])
+        assert np.array_equal(nn.backward(net, cache, loss_grad), expected)
+        assert np.array_equal(nn.input_grad(net, cache, loss_grad),
+                              reference_input_grad(net, cache, loss_grad))
+
+    def test_relu_gradient_of_zero_preactivation_is_zero(self):
+        # z == 0 exactly: relu'(0) is taken as 0, as from z > 0
+        net = nn.Mlp([nn.Layer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu"),
+                      nn.Layer(np.ones((1, 2)), np.zeros(1), "linear")])
+        _, cache = nn.forward(net, np.array([[0.0], [2.0]]))
+        assert np.array_equal(nn.input_grad(net, cache, np.ones((2, 1))), [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("bad", [
+        lambda bufs: bufs[:-1],
+        lambda bufs: bufs + [np.zeros((4, 1))],
+        lambda bufs: [bufs[0], np.zeros((5, 2))],
+        lambda bufs: [bufs[0], np.zeros((4, 3))],
+        lambda bufs: [bufs[0], np.zeros((4, 2), dtype=np.float32)],
+        lambda bufs: [bufs[0], [[0.0, 0.0]] * 4],
+    ], ids=["too-few", "too-many", "rows", "columns", "float32", "list"])
+    def test_bad_buffers_rejected_before_any_write(self, bad):
+        net = nn.init_mlp([3, 6, 2], rng=0)
+        buffers = bad(layer_buffers(net, 4, fill=7.0))
+        before = [np.array(b, copy=True) for b in buffers]
+        with pytest.raises(ShapeError, match="buffers"):
+            nn.forward(net, np.ones((4, 3)), buffers=buffers)
+        for b, b0 in zip(buffers, before):
+            assert np.array_equal(np.asarray(b), b0)
+
+
 class TestMseLoss:
     def test_identity_case(self):
         loss, grad = nn.mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
@@ -450,6 +575,15 @@ class TestFit:
         net = nn.init_mlp([2, 1], rng=0)
         with pytest.raises(ConfigError):
             nn.fit(net, _Pairs(np.zeros((0, 2)), np.zeros((0, 1))), nn.TrainConfig())
+
+    @pytest.mark.parametrize("name, value", [("histories", np.inf), ("futures", np.nan)])
+    def test_non_finite_dataset_named_before_training(self, name, value):
+        arrays = {"histories": np.zeros((6, 2)), "futures": np.zeros((6, 1))}
+        arrays[name][4, 0] = value
+        net = nn.init_mlp([2, 4, 1], rng=0)
+        cfg = nn.TrainConfig(epochs=1, batch_size=4, seed=0)
+        with pytest.raises(NumericError, match=rf"^dataset {name} row 4 is not finite$"):
+            nn.fit(net, _Pairs(arrays["histories"], arrays["futures"]), cfg)
 
     def test_divergence_raises_naming_epoch_and_batch(self):
         net = nn.init_mlp([2, 4, 1], rng=0)

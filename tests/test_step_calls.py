@@ -16,8 +16,9 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from multistep import cgan, nn
+from multistep import cgan, nn, strategies
 from multistep.data import make_windows
 
 
@@ -72,6 +73,17 @@ def test_train_cgan_makes_two_adam_steps_per_minibatch(monkeypatch):
     cgan.train_cgan(data, cfg)
     minibatches = cfg.epochs * math.ceil(len(data) / cfg.batch_size)
     assert counts["adam_step"] == 2 * minibatches
+
+
+@pytest.mark.parametrize("step_scale", [None, 5])
+def test_rollout_makes_one_eval_forward_per_step(monkeypatch, step_scale):
+    """The tracer reads rollout cost from its eval forwards (nn.forward_eval,
+    nn.eval_rows): fusing rollout steps would hide them."""
+    counts = count_step_calls(monkeypatch)
+    net = nn.init_mlp([4 if step_scale is None else 5, 6, 1], rng=0)
+    histories = np.random.default_rng(1).uniform(0, 1, (7, 4))
+    strategies.rollout(net, histories, 5, step_scale)
+    assert counts == Counter(forward_eval=5)
 
 
 def test_tracer_targets_resolve():

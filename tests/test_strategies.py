@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multistep import dad, nn, strategies as stg
 from multistep.data import WindowedDataset, make_windows
@@ -22,6 +24,64 @@ def select_last_net(p):
 def serve(model, history, n_steps):
     """One history [p] through the uniform batch predictor."""
     return stg.batch_predictor(model, n_steps)(np.asarray(history, dtype=float)[None, :])[0]
+
+
+def loop_rollout(net, histories, n_steps, step_scale=None):
+    """Rollout with a fresh window and step column every step, built by
+    concatenation: the oracle for the buffered `rollout`."""
+    window = np.asarray(histories, dtype=float).copy()
+    m = window.shape[0]
+    preds = np.empty((m, n_steps))
+    for n in range(1, n_steps + 1):
+        if step_scale is None:
+            inp = window
+        else:
+            v = np.full((m, 1), (n - 1) / step_scale)
+            inp = np.concatenate([window, v], axis=1)
+        out, _ = nn.forward(net, inp, mode="eval")
+        preds[:, n - 1] = out[:, 0]
+        window = np.concatenate([window[:, 1:], out], axis=1)
+    return preds
+
+
+class TestRollout:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 9),
+        p=st.integers(1, 6),
+        n_steps=st.integers(1, 8),
+        step_scale=st.one_of(st.none(), st.integers(1, 8)),
+        activations=st.lists(st.sampled_from(nn.ACTIVATIONS), max_size=3),
+        final=st.sampled_from(nn.ACTIVATIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_loop_oracle_bitwise(self, m, p, n_steps, step_scale, activations,
+                                        final, seed):
+        rng = np.random.default_rng(seed)
+        dims = [p if step_scale is None else p + 1]
+        dims += [int(d) for d in rng.integers(1, 7, size=len(activations))] + [1]
+        layers = [nn.Layer(rng.uniform(-1.5, 1.5, (o, i)), rng.uniform(-0.5, 0.5, o), act)
+                  for i, o, act in zip(dims[:-1], dims[1:], [*activations, final])]
+        net = nn.Mlp(layers)
+        histories = rng.uniform(-1, 1, (m, p))
+        before = histories.copy()
+        got = stg.rollout(net, histories, n_steps, step_scale)
+        assert np.array_equal(got, loop_rollout(net, before, n_steps, step_scale))
+        assert np.array_equal(histories, before)
+
+    def test_wrong_history_width_rejected(self):
+        net = linear_net([[0.5, 0.1]])  # input_dim 2
+        assert stg.rollout(net, np.ones((3, 1)), 2, step_scale=2).shape == (3, 2)
+        with pytest.raises(ShapeError, match="dims"):
+            stg.rollout(net, np.ones((3, 2)), 2, step_scale=2)
+        with pytest.raises(ShapeError, match="dims"):
+            stg.rollout(net, np.ones((3, 1)), 2)
+        with pytest.raises(ShapeError):
+            stg.rollout(linear_net(np.zeros((1, 0))), np.ones((3, 0)), 2)
+
+    def test_multi_output_net_rejected(self):
+        with pytest.raises(ShapeError, match="dims"):
+            stg.rollout(linear_net(np.ones((2, 2))), np.ones((3, 2)), 1)
 
 
 class TestRecursive:
