@@ -83,9 +83,7 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
             "resolution_minutes": 15,
             "p": 8,
             "q": 8,
-            "stride": 1,
             "gap_policy": "reject",
-            "input_csv": None,
         },
         required=("split",),
     )
@@ -264,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multistep", description="Multi-step traffic-flow forecasting toolkit"
     )
+    parser.add_argument("--profile", metavar="PATH", help="cProfile the command into PATH")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ing = sub.add_parser("ingest", help="validate and aggregate a raw flow CSV")
@@ -311,7 +310,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.profile is None:
+            return args.func(args)
+        import cProfile  # only a profiled run pays for loading the profiler
+        profiler = cProfile.Profile()
+        try:
+            return profiler.runcall(args.func, args)
+        finally:
+            profiler.dump_stats(args.profile)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,9 @@ immutable once built.
 from __future__ import annotations
 
 import csv
+import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -34,12 +37,12 @@ class TimeSeries:
             raise IngestError("non-finite values")
         if np.any(self.values < 0):
             raise IngestError("negative flow values")
-        for i in range(1, len(self.timestamps)):
-            delta = self.timestamps[i] - self.timestamps[i - 1]
-            if delta != self.resolution:
-                raise IngestError(
-                    f"row {i}: spacing {delta} != resolution {self.resolution}"
-                )
+        deltas = list(map(operator.sub, self.timestamps[1:], self.timestamps))
+        if deltas.count(self.resolution) != len(deltas):
+            i = next(i for i, d in enumerate(deltas) if d != self.resolution)
+            raise IngestError(
+                f"row {i + 1}: spacing {deltas[i]} != resolution {self.resolution}"
+            )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -100,9 +103,11 @@ def ingest_csv(
 ) -> TimeSeries:
     """Read a `timestamp,flow` CSV into a validated TimeSeries.
 
-    Rows are sorted by timestamp; duplicates and negative values are
-    rejected with the offending row number. Gaps are rejected by default
-    or linearly interpolated under gap_policy='linear'.
+    Each row is checked as it is read, and the first bad row in file
+    order is named. Rows are then sorted by timestamp; a duplicate is
+    rejected with its row number. Gaps are rejected by default or
+    linearly interpolated under gap_policy='linear'. The spacing loop
+    runs only when some spacing differs from the resolution.
     """
     if gap_policy not in ("reject", "linear"):
         raise ConfigError(f"unknown gap_policy {gap_policy!r}")
@@ -127,46 +132,45 @@ def ingest_csv(
                 value = float(row[1])
             except ValueError as exc:
                 raise IngestError(f"row {lineno}: bad value {row[1]!r}") from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise IngestError(f"row {lineno}: non-finite value")
             if value < 0:
                 raise IngestError(f"row {lineno}: negative value {value}")
             rows.append((ts, value, lineno))
     if not rows:
         raise IngestError("no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (t0, _, _), (t1, _, ln) in zip(rows, rows[1:]):
-        if t1 == t0:
-            raise IngestError(f"row {ln}: duplicate timestamp {t1.isoformat()}")
-
-    timestamps = [rows[0][0]]
-    values = [rows[0][1]]
-    for ts, value, lineno in rows[1:]:
-        delta = ts - timestamps[-1]
-        steps, rem = divmod(delta, expected_resolution)
-        if rem != timedelta(0):
-            raise IngestError(
-                f"row {lineno}: spacing {delta} is not a multiple of "
-                f"{expected_resolution}"
-            )
-        if steps > 1:
-            if gap_policy == "reject":
-                raise IngestError(f"row {lineno}: gap of {steps - 1} missing intervals")
-            prev = values[-1]
-            for k in range(1, steps):
-                timestamps.append(timestamps[-1] + expected_resolution)
-                values.append(prev + (value - prev) * k / steps)
-        timestamps.append(ts)
-        values.append(value)
-    return TimeSeries(tuple(timestamps), np.array(values), expected_resolution)
+    rows.sort(key=operator.itemgetter(0))  # one pass when already in order
+    timestamps, values, linenos = zip(*rows)
+    deltas = list(map(operator.sub, timestamps[1:], timestamps))
+    if deltas.count(expected_resolution) != len(deltas):  # duplicates, gaps or off-grid rows
+        if timedelta(0) in deltas:
+            i = deltas.index(timedelta(0)) + 1
+            raise IngestError(f"row {linenos[i]}: duplicate timestamp {timestamps[i].isoformat()}")
+        timestamps, values = [timestamps[0]], [values[0]]
+        for (ts, value, lineno), delta in zip(rows[1:], deltas):
+            steps, rem = divmod(delta, expected_resolution)
+            if rem:
+                raise IngestError(
+                    f"row {lineno}: spacing {delta} is not a multiple of "
+                    f"{expected_resolution}"
+                )
+            if steps > 1:
+                if gap_policy == "reject":
+                    raise IngestError(f"row {lineno}: gap of {steps - 1} missing intervals")
+                prev = values[-1]
+                for k in range(1, steps):
+                    timestamps.append(timestamps[-1] + expected_resolution)
+                    values.append(prev + (value - prev) * k / steps)
+            timestamps.append(ts)
+            values.append(value)
+    return TimeSeries(timestamps, np.array(values), expected_resolution)
 
 
 def write_series_csv(series: TimeSeries, path) -> None:
+    lines = map("{},{!r}\r\n".format, map(datetime.isoformat, series.timestamps),
+                series.values.tolist())
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["timestamp", "flow"])
-        for ts, value in zip(series.timestamps, series.values):
-            writer.writerow([ts.isoformat(), repr(float(value))])
+        f.write("timestamp,flow\r\n" + "".join(lines))
 
 
 def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
@@ -184,7 +188,7 @@ def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
         raise ConfigError(f"series length {len(series)} < factor {factor}")
     blocks = series.values[: n * factor].reshape(n, factor)
     values = blocks.sum(axis=1) if how == "sum" else blocks.mean(axis=1)
-    timestamps = tuple(series.timestamps[i * factor] for i in range(n))
+    timestamps = series.timestamps[: n * factor : factor]
     return TimeSeries(timestamps, values, series.resolution * factor)
 
 
@@ -220,8 +224,8 @@ def split_by_date(
     """Chronological split: train = (-inf, train_end], val = (train_end,
     val_end], test = (val_end, inf). All three segments must be non-empty."""
     ts = series.timestamps
-    n_train = sum(1 for t in ts if t <= spec.train_end)
-    n_val = sum(1 for t in ts if spec.train_end < t <= spec.val_end)
+    n_train = bisect_right(ts, spec.train_end)
+    n_val = bisect_right(ts, spec.val_end) - n_train
     n_test = len(ts) - n_train - n_val
     if n_train == 0:
         raise ConfigError("empty training split")

@@ -9,6 +9,8 @@ hybrid set keeps one per horizon step under "models".
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,8 +36,8 @@ def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
         "dropout_rate": net.dropout_rate,
         "layers": [
             {
-                "weights": [[float(w) for w in row] for row in layer.weights],
-                "bias": [float(b) for b in layer.bias],
+                "weights": layer.weights.tolist(),
+                "bias": layer.bias.tolist(),
                 "activation": layer.activation,
             }
             for layer in net.layers
@@ -110,10 +112,36 @@ def model_from_doc(doc: dict):
     raise ConfigError(f"unknown strategy_tag {meta.get('strategy_tag')!r}")
 
 
+# what json writes for a str, number, bool or None, at any indent
+_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json(obj, indent: str) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` nested at
+    `indent`, for str keys; each list of plain floats is one join."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    if not isinstance(obj, (list, tuple, dict)):
+        return _scalar(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        pairs = sorted(obj.items())
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in pairs)
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+        items = map(float.__repr__, obj)
+    else:
+        items = (_json(v, inner) for v in obj)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
 def dump_json(doc: dict, path) -> None:
-    """Write doc as JSON; a NaN or infinity raises NumericError and writes nothing."""
+    """Write doc as `json.dumps(doc, indent=2, sort_keys=True)` does, plus a
+    newline; a NaN or infinity raises NumericError and writes nothing."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = _json(doc, "")
     except ValueError as exc:
         raise NumericError(f"cannot write {path}: {exc}") from exc
     with open(path, "w") as f:

@@ -1,8 +1,10 @@
+import csv
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from multistep import data as dt
@@ -25,6 +27,111 @@ def mk_rows(n, start=datetime(2011, 1, 1), step=FIVE_MIN, values=None):
 def mk_series(values, start=datetime(2011, 1, 1), step=FIVE_MIN):
     ts = tuple(start + i * step for i in range(len(values)))
     return dt.TimeSeries(ts, np.array(values, dtype=float), step)
+
+
+def ingest_error(path, *rows, gap_policy="reject"):
+    """The message `ingest_csv` raises for a CSV of these lines under a header."""
+    path.write_text("\n".join(["timestamp,flow", *rows]) + "\n")
+    with pytest.raises(IngestError) as exc:
+        dt.ingest_csv(path, FIVE_MIN, gap_policy=gap_policy)
+    return str(exc.value)
+
+
+def loop_ingest_csv(path, expected_resolution, gap_policy="reject"):
+    """The per-row loop ingest_csv replaced; it must give the same series
+    bitwise, or raise the same message."""
+    if gap_policy not in ("reject", "linear"):
+        raise ConfigError(f"unknown gap_policy {gap_policy!r}")
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"no such file: {path}")
+    rows = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1 and row and row[0].strip().lower() == "timestamp":
+                continue  # header
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise IngestError(f"row {lineno}: expected 2 columns, got {len(row)}")
+            try:
+                ts = datetime.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                raise IngestError(f"row {lineno}: bad timestamp {row[0]!r}") from exc
+            try:
+                value = float(row[1])
+            except ValueError as exc:
+                raise IngestError(f"row {lineno}: bad value {row[1]!r}") from exc
+            if not np.isfinite(value):
+                raise IngestError(f"row {lineno}: non-finite value")
+            if value < 0:
+                raise IngestError(f"row {lineno}: negative value {value}")
+            rows.append((ts, value, lineno))
+    if not rows:
+        raise IngestError("no data rows")
+    rows.sort(key=lambda r: r[0])
+    for (t0, _, _), (t1, _, ln) in zip(rows, rows[1:]):
+        if t1 == t0:
+            raise IngestError(f"row {ln}: duplicate timestamp {t1.isoformat()}")
+
+    timestamps = [rows[0][0]]
+    values = [rows[0][1]]
+    for ts, value, lineno in rows[1:]:
+        delta = ts - timestamps[-1]
+        steps, rem = divmod(delta, expected_resolution)
+        if rem != timedelta(0):
+            raise IngestError(
+                f"row {lineno}: spacing {delta} is not a multiple of "
+                f"{expected_resolution}"
+            )
+        if steps > 1:
+            if gap_policy == "reject":
+                raise IngestError(f"row {lineno}: gap of {steps - 1} missing intervals")
+            prev = values[-1]
+            for k in range(1, steps):
+                timestamps.append(timestamps[-1] + expected_resolution)
+                values.append(prev + (value - prev) * k / steps)
+        timestamps.append(ts)
+        values.append(value)
+    return dt.TimeSeries(tuple(timestamps), np.array(values), expected_resolution)
+
+
+def ingest_outcome(ingest, path, gap_policy):
+    try:
+        s = ingest(path, FIVE_MIN, gap_policy=gap_policy)
+    except IngestError as exc:
+        return "error", str(exc)
+    return s.timestamps, s.values.dtype, s.values.tobytes(), s.resolution
+
+
+@st.composite
+def csv_lines(draw):
+    """A few CSV lines on a 5-minute grid, sometimes shuffled: good rows,
+    gaps, duplicates and off-grid times, and in half the files each kind
+    of bad row mixed in."""
+    bad = ["blank", "columns", "timestamp", "value", "nan", "inf", "negative"]
+    odd = st.sampled_from(["ok"] * 12 + ["gap", "duplicate", "off-grid"])
+    kinds = st.one_of(odd, st.sampled_from(bad)) if draw(st.booleans()) else odd
+    lines, slot = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(kinds)
+        slot += {"gap": draw(st.integers(2, 3)), "duplicate": 0}.get(kind, 1)
+        minutes = 5 * slot + (draw(st.integers(1, 4)) if kind == "off-grid" else 0)
+        ts = (datetime(2011, 1, 1) + timedelta(minutes=minutes)).isoformat()
+        value = repr(draw(st.one_of(st.floats(0, 1e6), st.integers(0, 999))))
+        lines.append({
+            "blank": "",
+            "columns": f"{ts},{value},1",
+            "timestamp": f"{ts}x,{value}",
+            "value": f"{ts},{value}q",
+            "nan": f"{ts},nan",
+            "inf": f"{ts},{draw(st.sampled_from(['inf', '-inf', '1e999']))}",
+            "negative": f"{ts},-{value}",
+        }.get(kind, f"{ts},{value}"))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return (["timestamp,flow"] if draw(st.booleans()) else []) + lines
 
 
 class TestIngest:
@@ -85,6 +192,45 @@ class TestIngest:
         s = dt.ingest_csv(f, FIVE_MIN)
         assert np.array_equal(s.values, [10, 20, 30])
 
+    def test_wrong_column_count_names_row(self, tmp_path):
+        msg = ingest_error(tmp_path / "s.csv", "2011-01-01T00:00:00,5,6")
+        assert msg == "row 2: expected 2 columns, got 3"
+
+    def test_bad_timestamp_names_row(self, tmp_path):
+        msg = ingest_error(tmp_path / "s.csv", "2011-01-01T00:00:00,5", "yesterday,6")
+        assert msg == "row 3: bad timestamp 'yesterday'"
+
+    def test_bad_value_names_row(self, tmp_path):
+        msg = ingest_error(tmp_path / "s.csv", "2011-01-01T00:00:00,abc")
+        assert msg == "row 2: bad value 'abc'"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_row(self, tmp_path, bad):
+        msg = ingest_error(tmp_path / "s.csv", f"2011-01-01T00:00:00,{bad}")
+        assert msg == "row 2: non-finite value"
+
+    @pytest.mark.parametrize("gap_policy", ["reject", "linear"])
+    def test_spacing_off_the_resolution_names_row(self, tmp_path, gap_policy):
+        msg = ingest_error(tmp_path / "s.csv", "2011-01-01T00:00:00,5",
+                           "2011-01-01T00:05:00,5", "2011-01-01T00:12:00,5",
+                           gap_policy=gap_policy)
+        assert msg == "row 4: spacing 0:07:00 is not a multiple of 0:05:00"
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        # row 2 is later in time than row 3, and both are bad
+        msg = ingest_error(tmp_path / "s.csv", "2011-01-01T00:10:00,abc",
+                           "2011-01-01T00:00:00,-1")
+        assert msg == "row 2: bad value 'abc'"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # file rewritten
+    @given(lines=csv_lines(), gap_policy=st.sampled_from(["reject", "linear"]))
+    def test_equals_loop_oracle(self, tmp_path, lines, gap_policy):
+        f = tmp_path / "s.csv"
+        f.write_text("\n".join(lines) + "\n")
+        assert ingest_outcome(dt.ingest_csv, f, gap_policy) == ingest_outcome(
+            loop_ingest_csv, f, gap_policy)
+
     def test_csv_round_trip(self, tmp_path):
         s = mk_series([10.25, 20.5, 30.75])
         f = tmp_path / "out.csv"
@@ -92,6 +238,40 @@ class TestIngest:
         back = dt.ingest_csv(f, FIVE_MIN)
         assert np.array_equal(back.values, s.values)
         assert back.timestamps == s.timestamps
+
+
+def csv_writer_series_csv(series, path):
+    """The csv.writer loop write_series_csv replaced; same bytes."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["timestamp", "flow"])
+        for ts, value in zip(series.timestamps, series.values):
+            writer.writerow([ts.isoformat(), repr(float(value))])
+
+
+class TestWriteSeries:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # files rewritten
+    @given(
+        st.lists(st.one_of(st.floats(0, 1e300), st.sampled_from([0.0, 1e-300, 5e-324])),
+                 min_size=1, max_size=30),
+        st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)),
+        st.timedeltas(timedelta(microseconds=1), timedelta(days=2)),
+    )
+    def test_same_bytes_as_csv_writer(self, tmp_path, values, start, step):
+        s = mk_series(values, start=start, step=step)
+        ours, theirs = tmp_path / "a.csv", tmp_path / "b.csv"
+        dt.write_series_csv(s, ours)
+        csv_writer_series_csv(s, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+class TestTimeSeries:
+    def test_uneven_spacing_names_row(self):
+        ts = [datetime(2011, 1, 1) + m * timedelta(minutes=1) for m in (0, 5, 15, 20)]
+        with pytest.raises(IngestError) as exc:
+            dt.TimeSeries(ts, np.ones(4), FIVE_MIN)
+        assert str(exc.value) == "row 2: spacing 0:10:00 != resolution 0:05:00"
 
 
 class TestAggregate:
@@ -116,6 +296,14 @@ class TestAggregate:
     def test_bad_factor(self):
         with pytest.raises(ConfigError):
             dt.aggregate(mk_series([1, 2]), 0)
+
+    @given(st.integers(1, 40), st.integers(1, 5))
+    def test_timestamps_are_each_blocks_first(self, n, factor):
+        if n < factor:
+            return
+        s = mk_series(list(range(n)))
+        out = dt.aggregate(s, factor)
+        assert out.timestamps == tuple(s.timestamps[i * factor] for i in range(n // factor))
 
     @given(st.lists(st.floats(0, 1e6), min_size=3, max_size=40),
            st.integers(1, 5))
@@ -224,7 +412,32 @@ class TestWindows:
             assert len(ds) == (n - p - q) // stride + 1
 
 
+def counted_split_sizes(series, spec):
+    """The counting split_by_date replaced: (n_train, n_val, n_test)."""
+    ts = series.timestamps
+    n_train = sum(1 for t in ts if t <= spec.train_end)
+    n_val = sum(1 for t in ts if spec.train_end < t <= spec.val_end)
+    return n_train, n_val, len(ts) - n_train - n_val
+
+
 class TestSplit:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.lists(st.integers(-3, 27), min_size=2, max_size=2,
+                                        unique=True))
+    def test_equals_counting_formula(self, n, halves):
+        # boundaries in half steps: before, on, between and after the timestamps
+        s = mk_series(list(range(n)))
+        train_end, val_end = (s.timestamps[0] + k * FIVE_MIN / 2 for k in sorted(halves))
+        spec = dt.SplitSpec(train_end, val_end)
+        sizes = counted_split_sizes(s, spec)
+        if 0 in sizes:
+            with pytest.raises(ConfigError):
+                dt.split_by_date(s, spec)
+            return
+        segments = dt.split_by_date(s, spec)
+        assert tuple(map(len, segments)) == sizes
+        assert sum((seg.timestamps for seg in segments), ()) == s.timestamps
+
     def mk(self, n=10):
         return mk_series(list(range(1, n + 1)))
 

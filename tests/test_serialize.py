@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multistep import dad, nn, serialize, strategies
 from multistep.data import make_windows
@@ -59,6 +61,96 @@ class TestValidation:
             serialize.mlp_from_dict(doc)
 
 
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 1e-300, 1e300, 5e-324, 0.1 + 0.2]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x7f", "é ü 日本", "\U0001f600", "</script>"]),
+)
+JSON_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(['"q"', "k\\", "é", "\x01"]))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def plain_json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # file rewritten
+    @given(JSON_DOCS)
+    def test_same_bytes_as_plain_json(self, tmp_path, doc):
+        path = tmp_path / "d.json"
+        serialize.dump_json(doc, path)
+        assert path.read_bytes() == plain_json_bytes(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": {"b": [1, [], {}, (), [[0.5, -0.0]]]}},
+        [np.float64(0.1), 2.0, float(np.float64(1e-300))],
+        {"rows": [[1e300, -1e300], [5e-324, 1.0]], "ok": [True, False, None]},
+        "é\u2028\"\\",
+        3,
+    ])
+    def test_edge_documents_same_bytes(self, tmp_path, doc):
+        path = tmp_path / "d.json"
+        serialize.dump_json(doc, path)
+        assert path.read_bytes() == plain_json_bytes(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("nan")])
+    @pytest.mark.parametrize("where", ["scalar", "float_list", "mixed_list"])
+    def test_non_finite_anywhere_raises_and_writes_nothing(self, tmp_path, bad, where):
+        doc = {
+            "scalar": {"x": bad},
+            "float_list": {"w": [[0.5, 1.5], [2.5, bad]]},
+            "mixed_list": [1, "a", [None, bad]],
+        }[where]
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        path = tmp_path / "d.json"
+        with pytest.raises(NumericError, match="not JSON compliant"):
+            serialize.dump_json(doc, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"a": np.int64(3)},
+        [np.array([1.0, 2.0])],
+        {"s": {1, 2}},
+        {"o": object()},
+        {(1, 2): "tuple key"},
+        {"a": 1, 2: "mixed keys"},
+        b"bytes",
+    ])
+    def test_unsupported_types_raise_type_error(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        path = tmp_path / "d.json"
+        with pytest.raises(TypeError):
+            serialize.dump_json(doc, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key", [1, 2.5, True, None, float("nan")])
+    def test_keys_other_than_str_raise_type_error(self, tmp_path, key):
+        # json would write them as strings; no multistep document has them
+        path = tmp_path / "d.json"
+        with pytest.raises(TypeError):
+            serialize.dump_json({"a": {key: 1}}, path)
+        assert not path.exists()
+
+
 class TestDocumentLayout:
     def test_required_keys_and_determinism(self, tmp_path):
         net = nn.init_mlp([3, 4, 1], rng=1)
@@ -77,6 +169,15 @@ class TestDocumentLayout:
         serialize.dump_json(doc, a)
         serialize.dump_json(doc, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_weights_are_plain_python_floats(self):
+        net = nn.init_mlp([3, 4, 2], rng=2)
+        doc = serialize.mlp_to_dict(net)
+        for layer, ld in zip(net.layers, doc["layers"]):
+            assert all(type(w) is float for row in ld["weights"] for w in row)
+            assert all(type(b) is float for b in ld["bias"])
+            assert np.array_equal(np.array(ld["weights"]), layer.weights)
+            assert np.array_equal(np.array(ld["bias"]), layer.bias)
 
     def test_output_is_sorted_plain_json(self, tmp_path):
         path = tmp_path / "d.json"
