@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multistep", description="Multi-step traffic-flow forecasting toolkit"
     )
-    parser.add_argument("--profile", metavar="PATH", help="cProfile the command into PATH")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ing = sub.add_parser("ingest", help="validate and aggregate a raw flow CSV")
@@ -310,14 +309,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.profile is None:
-            return args.func(args)
-        import cProfile  # only a profiled run pays for loading the profiler
-        profiler = cProfile.Profile()
-        try:
-            return profiler.runcall(args.func, args)
-        finally:
-            profiler.dump_stats(args.profile)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

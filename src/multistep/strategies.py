@@ -86,7 +86,7 @@ def rollout(
     Each step shifts the window left by one and appends the previous
     prediction. With step_scale set, the input is extended by a step
     feature v = (already-recycled count)/step_scale, i.e. v=0 for the
-    first prediction. The input windows and every layer's output live in
+    first prediction. The input window and every layer's output live in
     buffers made once per call; `histories` is never written.
     """
     histories = np.asarray(histories, dtype=float)
@@ -101,8 +101,7 @@ def rollout(
             f"a rollout of [m, {p}] histories{'' if step_scale is None else ' + step'} "
             f"needs a net of dims ({width}, 1), got ({net.input_dim}, {net.output_dim})"
         )
-    # two input windows in turn, so the shift never copies a window onto itself
-    inp, nxt = np.empty((m, width)), np.empty((m, width))
+    inp = np.empty((m, width))
     inp[:, :p] = histories
     buffers = [np.empty((m, layer.out_dim)) for layer in net.layers]
     preds = np.empty((m, n_steps))
@@ -111,9 +110,8 @@ def rollout(
             inp[:, p] = (n - 1) / step_scale
         out, _ = forward(net, inp, mode="eval", buffers=buffers)
         preds[:, n - 1] = out[:, 0]
-        nxt[:, : p - 1] = inp[:, 1:p]
-        nxt[:, p - 1] = out[:, 0]
-        inp, nxt = nxt, inp
+        inp[:, : p - 1] = inp[:, 1:p]
+        inp[:, p - 1] = out[:, 0]
     return preds
 
 

@@ -1,6 +1,5 @@
 import io
 import json
-import pstats
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -233,43 +232,3 @@ class TestEvaluateAndCompare:
         assert table["rows"][0]["mse_improvement_pct"] is None
         text = (tmp_path / "cmp.txt").read_text()
         assert "recursive" in text and "multi" in text
-
-
-class TestProfile:
-    def run(self, tmp_path, series_csv, doc, profile):
-        tmp_path.mkdir()
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        argv = ["train", "--config", str(cfg), "--data", str(series_csv),
-                "--out", str(tmp_path / "model.json")]
-        if profile:
-            argv = ["--profile", str(tmp_path / "run.prof"), *argv]
-        code = cli.main(argv)
-        files = {f.name: f.read_bytes() for f in tmp_path.iterdir()
-                 if f.name not in ("run.prof", "cfg.json")}
-        return code, files
-
-    @pytest.mark.parametrize("strategy", ["cdad", "lstm"])
-    def test_same_artefacts_and_exit_code_with_the_flag(self, tmp_path, series_csv, strategy):
-        doc = base_config(strategy=strategy)
-        if strategy == "cdad":
-            doc["dad"] = {"n_steps": 4, "meta_iterations": 1, "inner_epochs": 1}
-        plain = self.run(tmp_path / "plain", series_csv, doc, profile=False)
-        profiled = self.run(tmp_path / "profiled", series_csv, doc, profile=True)
-        assert profiled == plain
-        assert (tmp_path / "profiled" / "run.prof").exists()
-        assert plain[0] == (0 if strategy == "cdad" else 2)
-        assert len(plain[1]) == (3 if strategy == "cdad" else 0)
-
-    @pytest.mark.parametrize("command", ["cmd_train", "cmd_synth_data"])
-    def test_stats_load_and_list_the_command(self, tmp_path, series_csv, command):
-        prof = tmp_path / "run.prof"
-        if command == "cmd_train":
-            argv = ["train", "--config", str(tmp_path / "cfg.json"), "--data",
-                    str(series_csv), "--out", str(tmp_path / "model.json")]
-            (tmp_path / "cfg.json").write_text(json.dumps(base_config()))
-        else:
-            argv = ["synth-data", "--points", "20", "--output", str(tmp_path / "s.csv")]
-        assert cli.main(["--profile", str(prof), *argv]) == 0
-        stats = pstats.Stats(str(prof))
-        assert command in {name for _, _, name in stats.stats}
