@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import Mlp, adam_step, backward, forward, init_adam, init_mlp, input_grad
+from .nn import Mlp, Workspace, adam_step, backward, forward, init_adam, init_mlp, input_grad
 
 PROB_EPS = 1e-7  # clamp for log arguments
 
@@ -100,26 +100,35 @@ def train_cgan(
     g_state = init_adam(gen.params, learning_rate=cfg.lr_generator)
     d_state = init_adam(disc.params, learning_rate=cfg.lr_discriminator)
 
-    n = len(data)
+    n, nd = len(data), cfg.noise_dim
+    pairs = np.concatenate([data.histories, data.futures], axis=1)  # real [h | futures]
+    starts = range(0, n, cfg.batch_size)
+    # per batch row count: workspaces of G, of D's real pass (reused by the
+    # G-step's eval pass) and of D's fake pass, then the z and input blocks
+    work = {
+        b: (Workspace(gen, b), Workspace(disc, b), Workspace(disc, b),
+            np.empty((b, nd)), np.empty((b, nd + q)), np.empty((b, p + q)), np.empty((b, p + q)))
+        for b in {min(cfg.batch_size, n), n - starts[-1]}
+    }
     log: list[dict] = []
     eval_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x60DA)))
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         d_losses, g_losses, acc_hits, acc_total = [], [], 0, 0
-        for start in range(0, n, cfg.batch_size):
+        for start in starts:
             idx = order[start : start + cfg.batch_size]
-            real_h, futures = data.histories[idx], data.futures[idx]
             b = len(idx)
+            g_ws, real_ws, fake_ws, z, gen_in, real_in, fake_in = work[b]
+            np.take(pairs, idx, axis=0, out=real_in)
+            gen_in[:, nd:] = fake_in[:, p:] = real_in[:, p:]
 
             # --- discriminator update ---
-            z = rng.standard_normal((b, cfg.noise_dim))
-            fake_h, _ = forward(gen, np.concatenate([z, futures], axis=1), mode="eval")
-            d_real, cache_r = forward(
-                disc, np.concatenate([real_h, futures], axis=1), mode="train", rng=rng
-            )
-            d_fake, cache_f = forward(
-                disc, np.concatenate([fake_h, futures], axis=1), mode="train", rng=rng
-            )
+            rng.standard_normal(out=z)
+            gen_in[:, :nd] = z
+            fake_h, _ = forward(gen, gen_in, mode="eval", workspace=g_ws)
+            fake_in[:, :p] = fake_h
+            d_real, cache_r = forward(disc, real_in, mode="train", rng=rng, workspace=real_ws)
+            d_fake, cache_f = forward(disc, fake_in, mode="train", rng=rng, workspace=fake_ws)
             pr, pf = _clamp(d_real), _clamp(d_fake)
             d_loss = float(-np.mean(np.log(pr)) - np.mean(np.log(1.0 - pf)))
             grad_r = -1.0 / (pr * b)
@@ -127,15 +136,15 @@ def train_cgan(
             d_grad = backward(disc, cache_r, grad_r)
             d_grad += backward(disc, cache_f, grad_f)
             adam_step(disc.params, d_grad, d_state)
+            # read d_real now: the G-step's eval pass overwrites it
+            acc_hits += int(np.sum(d_real[:, 0] > 0.5)) + int(np.sum(d_fake[:, 0] <= 0.5))
 
             # --- generator update ---
-            z = rng.standard_normal((b, cfg.noise_dim))
-            fake_h, cache_g = forward(
-                gen, np.concatenate([z, futures], axis=1), mode="train", rng=rng
-            )
-            d_out, cache_d = forward(
-                disc, np.concatenate([fake_h, futures], axis=1), mode="eval"
-            )
+            rng.standard_normal(out=z)
+            gen_in[:, :nd] = z
+            fake_h, cache_g = forward(gen, gen_in, mode="train", rng=rng, workspace=g_ws)
+            fake_in[:, :p] = fake_h
+            d_out, cache_d = forward(disc, fake_in, mode="eval", workspace=real_ws)
             pg = _clamp(d_out)
             if cfg.saturating:
                 g_loss = float(np.mean(np.log(1.0 - pg)))
@@ -148,7 +157,6 @@ def train_cgan(
 
             d_losses.append(d_loss)
             g_losses.append(g_loss)
-            acc_hits += int(np.sum(d_real[:, 0] > 0.5)) + int(np.sum(d_fake[:, 0] <= 0.5))
             acc_total += 2 * b
         epoch_acc = acc_hits / acc_total
         if holdout is not None:

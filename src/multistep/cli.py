@@ -139,9 +139,7 @@ def _load_series(path, cfg_data: dict):
         timedelta(minutes=cfg_data["resolution_minutes"]),
         gap_policy=cfg_data["gap_policy"],
     )
-    if cfg_data["aggregate_factor"] > 1:
-        series = aggregate(series, cfg_data["aggregate_factor"])
-    return series
+    return aggregate(series, cfg_data["aggregate_factor"])
 
 
 def cmd_ingest(args) -> int:
@@ -151,8 +149,7 @@ def cmd_ingest(args) -> int:
         gap_policy=args.gap_policy,
     )
     raw_rows = len(series)
-    if args.factor > 1:
-        series = aggregate(series, args.factor, how=args.how)
+    series = aggregate(series, args.factor, how=args.how)
     write_series_csv(series, args.output)
     sidecar = {
         "rows": len(series),

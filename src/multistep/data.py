@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ class TimeSeries:
     resolution: timedelta
 
     def __post_init__(self):
+        if not self.resolution > timedelta(0):
+            raise ConfigError(f"resolution must be positive, got {self.resolution}")
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if len(self.timestamps) != len(self.values):
@@ -111,6 +114,8 @@ def ingest_csv(
     """
     if gap_policy not in ("reject", "linear"):
         raise ConfigError(f"unknown gap_policy {gap_policy!r}")
+    if not expected_resolution > timedelta(0):
+        raise ConfigError(f"resolution must be positive, got {expected_resolution}")
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
@@ -177,8 +182,8 @@ def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
     """Coarsen resolution by `factor` consecutive points (flow counts sum;
     `how='mean'` for rate-like data). A trailing remainder shorter than
     `factor` is dropped."""
-    if factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {factor}")
+    if isinstance(factor, bool) or not isinstance(factor, numbers.Integral) or factor < 1:
+        raise ConfigError(f"factor must be an integer >= 1, got {factor!r}")
     if how not in ("sum", "mean"):
         raise ConfigError(f"unknown aggregation {how!r}")
     if factor == 1:

@@ -8,6 +8,7 @@ against finite differences in the test suite instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +49,10 @@ class Mlp:
     params: np.ndarray = field(init=False, repr=False)
     # per layer (weights slice, bias slice) of the flat layout, for backward
     grad_slices: list[tuple[slice, slice]] = field(init=False, repr=False, compare=False)
+    # per layer (W, W.T, bias, activation), planned once for every pass
+    plan: list[tuple] = field(init=False, repr=False, compare=False)
+    input_dim: int = field(init=False, repr=False, compare=False)
+    output_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -79,17 +84,16 @@ class Mlp:
             off = b_end
         self.layers = views
         self.grad_slices = slices
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].out_dim
+        self.plan = [(l.weights, l.weights.T, l.bias, l.activation) for l in views]
+        self.input_dim = views[0].in_dim
+        self.output_dim = views[-1].out_dim
 
     def copy(self) -> "Mlp":
         return Mlp(list(self.layers), self.dropout_rate, dict(self.metadata))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -101,6 +105,9 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -137,6 +144,8 @@ def init_mlp(
     """He-style uniform initialization, U(+-sqrt(6/fan_in)), biases zero."""
     if len(dims) < 2:
         raise ConfigError("need at least input and output dims")
+    if not all(_is_int(d) and d >= 1 for d in dims):
+        raise ConfigError(f"dims must be integers >= 1, got {list(dims)}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     layers = []
@@ -157,10 +166,61 @@ class LayerCache:
     mask: np.ndarray | None  # inverted-dropout mask, or None
 
 
+class Workspace:
+    """Every array that passes of `net` over `rows` rows write.
+
+    The layer outputs and their layer caches are made at construction;
+    the dropout masks and dropped outputs by the first train-mode pass
+    with dropout; the deltas, input gradients and flat parameter gradient
+    by the first backward walk. So an eval-only workspace holds the layer
+    outputs alone. `forward`'s output and cache, `backward`'s gradient
+    and `input_grad`'s result alias these arrays: the next pass through
+    the workspace overwrites them.
+    """
+
+    __slots__ = ("net", "rows", "outputs", "caches", "dropout_caches", "dropped", "deltas",
+                 "input_grads", "grad", "grad_views")
+
+    def __init__(self, net: Mlp, rows: int):
+        self.net, self.rows = net, rows
+        self.outputs = [np.empty((rows, wt.shape[1])) for _, wt, _, _ in net.plan]
+        # each pass sets layer 0's input; layer i > 0 reads layer i - 1's output
+        self.caches = self._layer_caches(self.outputs[:-1], [None] * len(net.plan))
+        self.dropout_caches = self.dropped = self.grad = None
+
+    def _layer_caches(self, inputs, masks) -> list[LayerCache]:
+        return [LayerCache(*c) for c in zip([None, *inputs], self.outputs, masks)]
+
+    def dropout_layer_caches(self) -> list[LayerCache]:
+        """The layer caches of a pass with dropout: one mask per hidden
+        layer, and layer i > 0 reads layer i - 1's dropped output."""
+        if self.dropout_caches is None:
+            hidden = self.outputs[:-1]
+            self.dropped = [np.empty_like(h) for h in hidden]
+            masks = [np.empty_like(h) for h in hidden]
+            self.dropout_caches = self._layer_caches(self.dropped, [*masks, None])
+        return self.dropout_caches
+
+    def backward_arrays(self):
+        """Per layer a delta, d loss / d input and (W, b) views of the gradient."""
+        if self.grad is None:
+            self.deltas = [np.empty_like(h) for h in self.outputs]
+            self.input_grads = [np.empty((self.rows, self.net.input_dim))]
+            self.input_grads += [np.empty_like(h) for h in self.outputs[:-1]]
+            self.grad = np.empty_like(self.net.params)
+            self.grad_views = [
+                (self.grad[w].reshape(weights.shape), self.grad[b])
+                for (w, b), (weights, _, _, _) in zip(self.net.grad_slices, self.net.plan)
+            ]
+        return self.deltas, self.input_grads, self.grad_views
+
+
 @dataclass(slots=True)
 class ForwardCache:
     layer_caches: list[LayerCache]
     single: bool  # input was a 1-D vector
+    net: Mlp  # the network that made the pass
+    workspace: Workspace  # where the pass wrote, and backward writes
 
 
 def forward(
@@ -168,7 +228,7 @@ def forward(
     x: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    buffers: Sequence[np.ndarray] | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network. Accepts a single vector or a [batch, in_dim] matrix.
 
@@ -177,10 +237,10 @@ def forward(
     layer applies its activation in place on its pre-activation, so it
     keeps one array.
 
-    `buffers`, if given, holds one float64 [batch, out_dim] array per
-    layer, and layer i writes into buffers[i] instead of a fresh array.
-    The output and the cache then alias the buffers: the next call with
-    the same buffers overwrites them.
+    Every layer writes into `workspace`, made for this net and row count
+    (a fresh one if None); a workspace of another net or row count raises
+    ShapeError before anything is written. The output and the cache alias
+    the workspace: the next pass through it overwrites them.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -189,30 +249,26 @@ def forward(
     a = x[None, :] if single else x
     if a.ndim != 2 or a.shape[1] != net.input_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    if buffers is not None:
-        shapes = [(a.shape[0], layer.out_dim) for layer in net.layers]
-        got = [np.shape(buf) for buf in buffers]
-        if got != shapes or not all(
-            isinstance(buf, np.ndarray) and buf.dtype == np.float64 for buf in buffers
-        ):
-            raise ShapeError(f"buffers must be float64 arrays of shapes {shapes}, got {got}")
+    rows = a.shape[0]
+    if workspace is None:
+        workspace = Workspace(net, rows)
+    elif workspace.net is not net or workspace.rows != rows:
+        raise ShapeError(f"workspace is not one of this network over {rows} rows")
     if not np.isfinite(a).all():
         raise NumericError("non-finite input")
-    use_dropout = mode == "train" and net.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ConfigError("train-mode forward with dropout requires an rng")
+    caches = workspace.caches
+    if mode == "train" and net.dropout_rate > 0.0:
+        if rng is None:
+            raise ConfigError("train-mode forward with dropout requires an rng")
+        caches = workspace.dropout_layer_caches()
+        keep = 1.0 - net.dropout_rate
 
-    caches = []
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        if buffers is None:
-            h = a @ layer.weights.T
-        else:
-            h = np.matmul(a, layer.weights.T, out=buffers[i])
-        h += layer.bias
+    caches[0].inputs = a
+    for i, ((_, wt, bias, act), lc) in enumerate(zip(net.plan, caches)):
+        h = np.matmul(lc.inputs, wt, out=lc.act_out)
+        h += bias
         # each in-place step is one operation of the textbook formula, so
         # the bits equal max(z, 0), 1 / (1 + exp(-z)) and tanh(z)
-        act = layer.activation
         if act == "relu":
             np.maximum(h, 0.0, out=h)
         elif act == "sigmoid":
@@ -222,55 +278,58 @@ def forward(
             np.divide(1.0, h, out=h)
         elif act == "tanh":
             np.tanh(h, out=h)
-        mask = None
-        out = h
-        if use_dropout and i < last:
-            keep = 1.0 - net.dropout_rate
-            mask = (rng.random(h.shape) < keep).astype(float)
+        if lc.mask is not None:  # a hidden layer under dropout
+            mask = lc.mask
+            rng.random(out=mask)
+            np.less(mask, keep, out=mask)
             mask /= keep
-            out = h * mask
-        caches.append(LayerCache(inputs=a, act_out=h, mask=mask))
-        a = out
-    y = a[0] if single else a
-    return y, ForwardCache(caches, single)
+            np.multiply(h, mask, out=workspace.dropped[i])
+    return (h[0] if single else h), ForwardCache(caches, single, net, workspace)
 
 
-def _output_grad(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
-    """loss_grad as a [batch, output_dim] matrix, checked against the cache."""
-    if len(cache.layer_caches) != len(net.layers):
-        raise ShapeError("cache does not match network depth")
+def _backprop(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray, params: bool) -> np.ndarray:
+    """The one backward walk, writing into the cache's workspace.
+
+    With `params`, it forms every layer's parameter gradient and stops at
+    layer 0; without, it carries the gradient through layer 0 to the
+    input and returns it as a [batch, input_dim] matrix.
+    """
+    if cache.net is not net:
+        raise ShapeError("cache was made by a pass of another network")
     g = np.asarray(loss_grad, dtype=float)
     if cache.single:
         g = g[None, :]
-    batch = cache.layer_caches[0].inputs.shape[0]
-    if g.shape != (batch, net.output_dim):
-        raise ShapeError(f"loss_grad shape {loss_grad.shape} incompatible with output")
+    ws = cache.workspace
+    if g.shape != (ws.rows, net.output_dim):
+        raise ShapeError(f"loss_grad shape {np.shape(loss_grad)} incompatible with output")
+    deltas, input_grads, grad_views = ws.backward_arrays()
+    for i in range(len(net.plan) - 1, -1, -1):
+        weights, _, _, act = net.plan[i]
+        lc = cache.layer_caches[i]
+        if lc.mask is not None:
+            g *= lc.mask  # g is input_grads[i + 1]: the final layer has no mask
+        if act != "linear":
+            # f'(z) into the delta, then times g: the bits of g * f'(z).
+            # relu(z) > 0 is the same boolean as z > 0, NaN included.
+            d, out = deltas[i], lc.act_out
+            if act == "relu":
+                np.greater(out, 0.0, out=d)
+            elif act == "sigmoid":
+                np.subtract(1.0, out, out=d)
+                d *= out
+            else:  # tanh
+                np.multiply(out, out, out=d)
+                np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
+        if params:
+            dw, db = grad_views[i]
+            np.matmul(g.T, lc.inputs, out=dw)
+            np.add.reduce(g, axis=0, out=db)
+            if i == 0:
+                break
+        g = np.matmul(g, weights, out=input_grads[i])
     return g
-
-
-def _preact_grad(layer: Layer, lc: LayerCache, g: np.ndarray) -> np.ndarray:
-    """d loss / d layer output -> d loss / d pre-activation."""
-    if lc.inputs.shape[1] != layer.in_dim or lc.act_out.shape[1] != layer.out_dim:
-        raise ShapeError("cache does not match layer shapes")
-    if lc.mask is not None:
-        g = g * lc.mask
-    act = layer.activation
-    if act == "linear":
-        return g
-    # f'(z) into a fresh array, then times g in place: the bits of g * f'(z)
-    # with one temporary fewer (a bool-times-float g * (z > 0) measured slower).
-    # relu(z) > 0 is the same boolean as z > 0, NaN included.
-    out = lc.act_out
-    if act == "relu":
-        d = (out > 0.0).astype(float)
-    elif act == "sigmoid":
-        d = 1.0 - out
-        d *= out
-    else:  # tanh
-        d = out * out
-        np.subtract(1.0, d, out=d)
-    d *= g
-    return d
 
 
 def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
@@ -279,18 +338,11 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray
     Returns the parameter gradient as one flat vector in the layout of
     net.params. Batch inputs are summed, so scale loss_grad by 1/batch
     for a mean loss. `input_grad` gives the gradient w.r.t. the input.
+    The vector aliases the cache's workspace: the next backward through
+    it overwrites it. A cache made by another network raises ShapeError.
     """
-    g = _output_grad(net, cache, loss_grad)
-    grad = np.empty_like(net.params)
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer, lc = net.layers[i], cache.layer_caches[i]
-        g = _preact_grad(layer, lc, g)
-        w, b = net.grad_slices[i]
-        np.matmul(g.T, lc.inputs, out=grad[w].reshape(layer.weights.shape))
-        g.sum(axis=0, out=grad[b])
-        if i:
-            g = g @ layer.weights
-    return grad
+    _backprop(net, cache, loss_grad, params=True)
+    return cache.workspace.grad
 
 
 def input_grad(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
@@ -298,11 +350,10 @@ def input_grad(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarr
 
     This is what chains networks (a generator trained through a
     discriminator); no parameter gradient is formed. The result has the
-    shape of the input the cached pass was run on.
+    shape of the input the cached pass was run on and, like `backward`'s,
+    aliases the cache's workspace.
     """
-    g = _output_grad(net, cache, loss_grad)
-    for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
-        g = _preact_grad(layer, lc, g) @ layer.weights
+    g = _backprop(net, cache, loss_grad, params=False)
     return g[0] if cache.single else g
 
 
@@ -399,23 +450,32 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
         return trained, []
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(trained.params, learning_rate=cfg.learning_rate)
-    n = x.shape[0]
+    n, bs, q = x.shape[0], cfg.batch_size, y.shape[1]
+    starts = range(0, n, bs)
+    # a workspace and the loss's diff and square buffers per batch row
+    # count: the full batch and the remainder
+    work = {
+        rows: (Workspace(trained, rows), np.empty((rows, q)), np.empty((rows, q)))
+        for rows in {min(bs, n), n - starts[-1]}
+    }
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         x_epoch, y_epoch = x[order], y[order]
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            yb = y_epoch[start : start + cfg.batch_size]
+        for start in starts:
+            yb = y_epoch[start : start + bs]
+            ws, diff, square = work[yb.shape[0]]
             pred, cache = forward(
-                trained, x_epoch[start : start + cfg.batch_size], mode="train", rng=rng
+                trained, x_epoch[start : start + bs], mode="train", rng=rng, workspace=ws
             )
-            diff = pred - yb
-            batch_loss = float((diff * diff).sum()) / yb.shape[1]
+            np.subtract(pred, yb, out=diff)
+            np.multiply(diff, diff, out=square)
+            batch_loss = float(np.add.reduce(square, axis=None)) / q
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
-                    f"batch {start // cfg.batch_size} (both 0-based)"
+                    f"batch {start // bs} (both 0-based)"
                 )
             epoch_loss += batch_loss
             diff *= 2.0

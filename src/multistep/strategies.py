@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import Mlp, TrainConfig, fit, forward, init_mlp
+from .nn import Mlp, TrainConfig, Workspace, fit, forward, init_mlp
 
 
 @dataclass
@@ -86,8 +86,8 @@ def rollout(
     Each step shifts the window left by one and appends the previous
     prediction. With step_scale set, the input is extended by a step
     feature v = (already-recycled count)/step_scale, i.e. v=0 for the
-    first prediction. The input window and every layer's output live in
-    buffers made once per call; `histories` is never written.
+    first prediction. The input window and one workspace for every
+    layer's output are made once per call; `histories` is never written.
     """
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 2 or histories.shape[1] < 1:
@@ -103,12 +103,12 @@ def rollout(
         )
     inp = np.empty((m, width))
     inp[:, :p] = histories
-    buffers = [np.empty((m, layer.out_dim)) for layer in net.layers]
+    workspace = Workspace(net, m)
     preds = np.empty((m, n_steps))
     for n in range(1, n_steps + 1):
         if step_scale is not None:
             inp[:, p] = (n - 1) / step_scale
-        out, _ = forward(net, inp, mode="eval", buffers=buffers)
+        out, _ = forward(net, inp, mode="eval", workspace=workspace)
         preds[:, n - 1] = out[:, 0]
         inp[:, : p - 1] = inp[:, 1:p]
         inp[:, p - 1] = out[:, 0]

@@ -148,6 +148,58 @@ class TestConfigValidation:
         assert exc.value.code == 2
 
 
+def _set(section, key, value):
+    def edit(doc):
+        target = doc
+        for name in section:
+            target = target[name]
+        target[key] = value
+    return edit
+
+
+class TestBadValuesExitTwo:
+    """Each bad value is a ConfigError (exit 2) that writes nothing."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--resolution-minutes", "0"],
+        ["--resolution-minutes", "-5"],
+        ["--factor", "0"],
+        ["--factor", "-2"],
+    ], ids=["resolution-0", "resolution-neg", "factor-0", "factor-neg"])
+    def test_ingest(self, tmp_path, series_csv, flags):
+        out = tmp_path / "agg.csv"
+        code = cli.main(["ingest", "--input", str(series_csv), "--output", str(out),
+                         "--resolution-minutes", "15", *flags])  # the flags given win
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("edit", [
+        _set(["data"], "resolution_minutes", 0),
+        _set(["data"], "aggregate_factor", 0),
+        _set(["data"], "aggregate_factor", -3),
+        _set(["data"], "aggregate_factor", 1.5),
+        _set(["model", "train"], "batch_size", 64.5),
+        _set(["model", "train"], "batch_size", True),
+        _set(["model", "train"], "epochs", "2"),
+        _set(["model"], "hidden_units", 0),
+    ], ids=["resolution-0", "factor-0", "factor-neg", "factor-1.5", "batch-64.5",
+            "batch-true", "epochs-str", "hidden-units-0"])
+    def test_train(self, tmp_path, series_csv, edit):
+        doc = base_config()
+        edit(doc)
+        code, out = run_train(tmp_path, series_csv, doc)
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_evaluate(self, tmp_path, series_csv):
+        _, model = run_train(tmp_path, series_csv, base_config())
+        report = tmp_path / "r.json"
+        code = cli.main(["evaluate", "--model", str(model), "--data", str(series_csv),
+                         "--report", str(report), "--resolution-minutes", "0"])
+        assert code == 2
+        assert not report.exists()
+
+
 class TestTrain:
     def test_recursive_model_document(self, tmp_path, series_csv):
         code, out = run_train(tmp_path, series_csv, base_config())

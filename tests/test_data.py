@@ -273,6 +273,19 @@ class TestTimeSeries:
             dt.TimeSeries(ts, np.ones(4), FIVE_MIN)
         assert str(exc.value) == "row 2: spacing 0:10:00 != resolution 0:05:00"
 
+    @pytest.mark.parametrize("minutes", [0, -5])
+    def test_non_positive_resolution(self, minutes):
+        step = timedelta(minutes=minutes)
+        ts = [datetime(2011, 1, 1) + i * step for i in range(3)]  # spaced by it
+        with pytest.raises(ConfigError, match="resolution must be positive"):
+            dt.TimeSeries(ts, np.ones(3), step)
+
+    @pytest.mark.parametrize("minutes", [0, -5])
+    def test_ingest_refuses_non_positive_resolution_before_reading(self, tmp_path, minutes):
+        # a missing file would be an IngestError: the resolution is checked first
+        with pytest.raises(ConfigError, match="resolution must be positive"):
+            dt.ingest_csv(tmp_path / "absent.csv", timedelta(minutes=minutes))
+
 
 class TestAggregate:
     def test_factor_one_is_identity(self):
@@ -296,6 +309,14 @@ class TestAggregate:
     def test_bad_factor(self):
         with pytest.raises(ConfigError):
             dt.aggregate(mk_series([1, 2]), 0)
+
+    @pytest.mark.parametrize("factor", [-2, 1.5, 2.0, True, "2", None])
+    def test_factor_must_be_an_integer_of_at_least_one(self, factor):
+        with pytest.raises(ConfigError, match="factor must be an integer >= 1"):
+            dt.aggregate(mk_series([1, 2, 3, 4]), factor)
+
+    def test_numpy_integer_factor(self):
+        assert np.array_equal(dt.aggregate(mk_series([1, 2, 3, 4]), np.int64(2)).values, [3, 7])
 
     @given(st.integers(1, 40), st.integers(1, 5))
     def test_timestamps_are_each_blocks_first(self, n, factor):

@@ -324,8 +324,13 @@ def random_net(rng, dims, dropout_rate=0.0):
     return nn.Mlp(layers, dropout_rate=dropout_rate)
 
 
-def layer_buffers(net, rows, fill=np.nan):
-    return [np.full((rows, layer.out_dim), fill) for layer in net.layers]
+def filled_workspace(net, rows, fill=np.nan):
+    """A workspace whose layer outputs all hold `fill`, so a layer that
+    skipped its write would show."""
+    workspace = nn.Workspace(net, rows)
+    for out in workspace.outputs:
+        out.fill(fill)
+    return workspace
 
 
 class TestInPlaceForward:
@@ -349,9 +354,9 @@ class TestInPlaceForward:
         net = random_net(rng, [5, 7, 6, 3], dropout_rate=0.3)
         x = rng.standard_normal((11, 5))
         fresh, fresh_cache = nn.forward(net, x, mode=mode, rng=np.random.default_rng(9))
-        buffers = layer_buffers(net, 11)
+        workspace = filled_workspace(net, 11)
         out, cache = nn.forward(net, x, mode=mode, rng=np.random.default_rng(9),
-                                buffers=buffers)
+                                workspace=workspace)
         assert np.array_equal(out, fresh)
         for lc, ref in zip(cache.layer_caches, fresh_cache.layer_caches):
             assert np.array_equal(lc.inputs, ref.inputs)
@@ -360,20 +365,22 @@ class TestInPlaceForward:
             if lc.mask is not None:
                 assert np.array_equal(lc.mask, ref.mask)
         assert any(lc.mask is not None for lc in cache.layer_caches) == (mode == "train")
-        for lc, buf in zip(cache.layer_caches, buffers):
+        assert cache.net is net and cache.workspace is workspace
+        assert fresh_cache.workspace is not workspace
+        for lc, buf in zip(cache.layer_caches, workspace.outputs):
             assert lc.act_out is buf
-        # the outputs alias the buffers: the next call overwrites them
+        # the outputs alias the workspace: the next pass through it overwrites them
         again, _ = nn.forward(net, -x, mode=mode, rng=np.random.default_rng(9),
-                              buffers=buffers)
+                              workspace=workspace)
         if mode == "eval":
-            assert out is again is buffers[-1]
+            assert out is again is workspace.outputs[-1]
         assert np.array_equal(again, nn.forward(net, -x, mode=mode,
                                                 rng=np.random.default_rng(9))[0])
 
     def test_single_vector_with_buffers(self):
         net = nn.init_mlp([3, 5, 2], rng=2, hidden_activation="tanh")
         x = np.array([0.3, -0.8, 0.5])
-        out, _ = nn.forward(net, x, buffers=layer_buffers(net, 1))
+        out, _ = nn.forward(net, x, workspace=filled_workspace(net, 1))
         assert out.shape == (2,)
         assert np.array_equal(out, nn.forward(net, x)[0])
 
@@ -382,13 +389,18 @@ class TestInPlaceForward:
         rng = np.random.default_rng(seed)
         net = random_net(rng, [5, 7, 6, 3], dropout_rate=0.3)
         x = rng.standard_normal((11, 5))
-        _, cache = nn.forward(net, x, mode="train", rng=rng, buffers=layer_buffers(net, 11))
+        workspace = filled_workspace(net, 11)
+        _, cache = nn.forward(net, x, mode="train", rng=rng, workspace=workspace)
         loss_grad = rng.standard_normal((11, 3))
         pairs = reference_backward_pairs(net, cache, loss_grad)
         expected = np.concatenate([a.ravel() for pair in pairs for a in pair])
-        assert np.array_equal(nn.backward(net, cache, loss_grad), expected)
-        assert np.array_equal(nn.input_grad(net, cache, loss_grad),
-                              reference_input_grad(net, cache, loss_grad))
+        grad = nn.backward(net, cache, loss_grad)
+        assert np.array_equal(grad, expected)
+        assert grad is workspace.grad  # the gradient aliases the workspace
+        dx = nn.input_grad(net, cache, loss_grad)
+        assert np.array_equal(dx, reference_input_grad(net, cache, loss_grad))
+        assert dx is workspace.input_grads[0]
+        assert np.array_equal(grad, expected)  # input_grad leaves the gradient alone
 
     def test_relu_gradient_of_zero_preactivation_is_zero(self):
         # z == 0 exactly: relu'(0) is taken as 0, as from z > 0
@@ -398,21 +410,23 @@ class TestInPlaceForward:
         assert np.array_equal(nn.input_grad(net, cache, np.ones((2, 1))), [[0.0], [1.0]])
 
     @pytest.mark.parametrize("bad", [
-        lambda bufs: bufs[:-1],
-        lambda bufs: bufs + [np.zeros((4, 1))],
-        lambda bufs: [bufs[0], np.zeros((5, 2))],
-        lambda bufs: [bufs[0], np.zeros((4, 3))],
-        lambda bufs: [bufs[0], np.zeros((4, 2), dtype=np.float32)],
-        lambda bufs: [bufs[0], [[0.0, 0.0]] * 4],
-    ], ids=["too-few", "too-many", "rows", "columns", "float32", "list"])
+        lambda net: nn.Workspace(nn.init_mlp([3, 2], rng=0), 4),
+        lambda net: nn.Workspace(nn.init_mlp([3, 6, 2, 2], rng=0), 4),
+        lambda net: nn.Workspace(net, 5),
+        lambda net: nn.Workspace(nn.init_mlp([3, 5, 2], rng=0), 4),
+        lambda net: nn.Workspace(nn.init_mlp([3, 6, 2], rng=0), 4),
+        lambda net: nn.Workspace(net.copy(), 4),
+    ], ids=["too-few", "too-many", "rows", "columns", "same-dims", "copy"])
     def test_bad_buffers_rejected_before_any_write(self, bad):
         net = nn.init_mlp([3, 6, 2], rng=0)
-        buffers = bad(layer_buffers(net, 4, fill=7.0))
-        before = [np.array(b, copy=True) for b in buffers]
-        with pytest.raises(ShapeError, match="buffers"):
-            nn.forward(net, np.ones((4, 3)), buffers=buffers)
-        for b, b0 in zip(buffers, before):
-            assert np.array_equal(np.asarray(b), b0)
+        workspace = bad(net)
+        for out in workspace.outputs:
+            out.fill(7.0)
+        with pytest.raises(ShapeError, match="workspace"):
+            nn.forward(net, np.ones((4, 3)), workspace=workspace)
+        for out in workspace.outputs:
+            assert np.all(out == 7.0)
+        assert workspace.dropout_caches is None and workspace.grad is None
 
 
 class TestMseLoss:
@@ -538,6 +552,24 @@ class _Pairs:
     def __init__(self, x, y):
         self.histories = x
         self.futures = y
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [64.5, 2.0, "2", True, None])
+    def test_train_config_refuses_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            nn.TrainConfig(**{field: value})
+
+    def test_train_config_takes_numpy_integers(self):
+        cfg = nn.TrainConfig(epochs=np.int64(3), batch_size=np.int32(8))
+        assert cfg.epochs == 3 and cfg.batch_size == 8
+
+    @pytest.mark.parametrize("dims", [[3, 0, 1], [0, 2], [3, -1, 1], [3, 2.0, 1],
+                                      [3, True, 1], [3, "4", 1]])
+    def test_init_mlp_refuses_bad_dims(self, dims):
+        with pytest.raises(ConfigError, match="dims must be integers >= 1"):
+            nn.init_mlp(dims, rng=0)
 
 
 class TestFit:
