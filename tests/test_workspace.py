@@ -4,8 +4,9 @@ allocates nothing of batch size per minibatch step.
 
 The oracle below is the engine as it was before workspaces: forward,
 backward and input_grad into fresh arrays on every call, and `fit`'s and
-`train_cgan`'s minibatch loops built on them. It shares no code with the
-workspace path except `adam_step` and the initialisers.
+`train_cgan`'s minibatch loops built on them. Of the package it calls
+only `adam_step`, the initialisers, `Mlp.copy`, `cgan._clamp` and, for the
+holdout accuracy, `cgan.discriminator_accuracy`.
 """
 
 import math
