@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import Mlp, Workspace, adam_step, backward, forward, init_adam, init_mlp, input_grad
+from .nn import (Mlp, Workspace, _is_int, adam_step, backward, check_integers, forward,
+                 hidden_dims, init_adam, init_mlp, input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
 
@@ -34,6 +35,7 @@ class CganConfig:
     saturating: bool = False  # literal log(1-D) generator objective
 
     def __post_init__(self):
+        check_integers(self, "noise_dim", "epochs", "batch_size")
         if self.noise_dim < 1:
             raise ConfigError("noise_dim must be >= 1")
         if self.lr_discriminator <= 0 or self.lr_generator <= 0:
@@ -89,7 +91,7 @@ def train_cgan(
         raise ConfigError("empty dataset")
     p, q = data.p, data.q
     rng = np.random.default_rng(cfg.seed)
-    hidden = [cfg.hidden_units] * cfg.hidden_layers
+    hidden = hidden_dims(cfg.hidden_layers, cfg.hidden_units)
     gen = init_mlp([cfg.noise_dim + q, *hidden, p], dropout_rate=cfg.dropout, rng=rng)
     disc = init_mlp(
         [p + q, *hidden, 1],
@@ -214,6 +216,8 @@ def resample_futures(
     data: WindowedDataset, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Futures drawn uniformly with replacement from the real training set."""
+    if not _is_int(count) or count < 0:
+        raise ConfigError(f"synthetic count must be an integer >= 0, got {count!r}")
     if count == 0:
         return np.empty((0, data.q))
     return data.futures[rng.integers(0, len(data), size=count)]

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timedelta
 
@@ -25,7 +24,7 @@ from .data import (
     write_series_csv,
 )
 from .errors import ConfigError, MultistepError
-from .nn import TrainConfig
+from .nn import TrainConfig, _is_int
 
 STRATEGIES = tuple(pipeline.STRATEGIES)
 
@@ -87,6 +86,9 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
         },
         required=("split",),
     )
+    if not all(_is_int(data[k]) and data[k] >= 1 for k in ("p", "q")):
+        raise ConfigError(f"data.p and data.q must be integers >= 1, got {data['p']!r}, "
+                          f"{data['q']!r}")
     split = data["split"]
     if not isinstance(split, dict) or set(split) != {"train_end", "val_end"}:
         raise ConfigError("data.split must contain exactly train_end and val_end")
@@ -133,13 +135,14 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
     return resolved
 
 
-def _load_series(path, cfg_data: dict):
-    series = ingest_csv(
-        path,
-        timedelta(minutes=cfg_data["resolution_minutes"]),
-        gap_policy=cfg_data["gap_policy"],
-    )
-    return aggregate(series, cfg_data["aggregate_factor"])
+# what `_load_series` reads; `train` records it as the model's metadata.data
+RECIPE_KEYS = ("resolution_minutes", "aggregate_factor", "gap_policy")
+
+
+def _load_series(path, recipe: dict):
+    resolution = timedelta(minutes=recipe["resolution_minutes"])
+    series = ingest_csv(path, resolution, gap_policy=recipe["gap_policy"])
+    return aggregate(series, recipe["aggregate_factor"])
 
 
 def cmd_ingest(args) -> int:
@@ -169,8 +172,7 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.config) as f:
-        cfg = resolve_config(json.load(f), seed_override=args.seed)
+    cfg = resolve_config(serialize.load_json(args.config), seed_override=args.seed)
     data_cfg = cfg["data"]
     series = _load_series(args.data, data_cfg)
     split = SplitSpec(
@@ -204,6 +206,7 @@ def cmd_train(args) -> int:
         "strategy_tag": strategy,
         "normalization": {"min": normalizer.min, "max": normalizer.max},
         "q": spec.q,
+        "data": {k: data_cfg[k] for k in RECIPE_KEYS},
     }
     serialize.dump_json(serialize.model_to_doc(model, meta), args.out)
     serialize.dump_json(cfg, str(args.out) + ".config.json")
@@ -219,9 +222,11 @@ def cmd_evaluate(args) -> int:
     p, q = meta["p"], meta["q"]
     norm = meta["normalization"]
     normalizer = Normalizer(norm["min"], norm["max"])
-    series = ingest_csv(
-        args.data, timedelta(minutes=args.resolution_minutes), gap_policy="reject"
-    )
+    recipe = meta.get("data", {})
+    missing = [k for k in RECIPE_KEYS if not isinstance(recipe, dict) or k not in recipe]
+    if missing:
+        raise ConfigError(f"{args.model}: metadata.data lacks {missing}; retrain to record them")
+    series = _load_series(args.data, recipe)
     values = normalizer.apply(series.values)
     test = make_windows(values, p, q)
     predict_fn = strategies.batch_predictor(model, n_steps=q)
@@ -290,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--curves", default=None)
     p_ev.add_argument("--denormalize", action="store_true")
     p_ev.add_argument("--tag", default=None)
-    p_ev.add_argument("--resolution-minutes", type=float, default=15.0)
     p_ev.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", help="improvement table from report JSONs")

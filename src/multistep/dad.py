@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import TimeSeries, WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
-from .nn import Mlp, TrainConfig, fit, init_mlp
+from .nn import Mlp, TrainConfig, check_integers, fit, hidden_dims, init_mlp
 from .strategies import RecursiveModel, rollout
 
 
@@ -35,6 +35,7 @@ class DadConfig:
     accumulate: bool = False  # keep synthetic rows from earlier iterations
 
     def __post_init__(self):
+        check_integers(self, "p", "n_steps", "meta_iterations")
         if self.p < 1:
             raise ConfigError("p must be >= 1")
         if self.n_steps < 1:
@@ -187,7 +188,7 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     p, n_steps, big_k = cfg.p, cfg.n_steps, cfg.meta_iterations
     base_cfg = cfg.base_train if cfg.base_train is not None else cfg.inner_train
     seed = cfg.inner_train.seed
-    hidden = [cfg.hidden_units] * cfg.hidden_layers
+    hidden = hidden_dims(cfg.hidden_layers, cfg.hidden_units)
     step_scale = n_steps if cfg.conditional else None
 
     one_step = make_windows(train_values, p, 1)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestError, ShapeError
+from .nn import _is_int
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
     """Coarsen resolution by `factor` consecutive points (flow counts sum;
     `how='mean'` for rate-like data). A trailing remainder shorter than
     `factor` is dropped."""
-    if isinstance(factor, bool) or not isinstance(factor, numbers.Integral) or factor < 1:
+    if not _is_int(factor) or factor < 1:
         raise ConfigError(f"factor must be an integer >= 1, got {factor!r}")
     if how not in ("sum", "mean"):
         raise ConfigError(f"unknown aggregation {how!r}")
@@ -208,18 +208,16 @@ def fit_normalizer(series) -> Normalizer:
     return Normalizer(lo, hi)
 
 
-def make_windows(series, p: int, q: int, stride: int = 1) -> WindowedDataset:
+def make_windows(series, p: int, q: int) -> WindowedDataset:
     """Slice a series into (history, future) pairs: sample i covers
-    values[i*stride : i*stride+p] and the q points after it."""
+    values[i : i+p] and the q points after it."""
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
-    if p < 1 or q < 1:
-        raise ConfigError("p and q must be >= 1")
-    if stride < 1:
-        raise ConfigError("stride must be >= 1")
+    if not (_is_int(p) and _is_int(q)) or p < 1 or q < 1:
+        raise ConfigError(f"p and q must be integers >= 1, got p={p!r}, q={q!r}")
     n = len(values)
     if n < p + q:
         raise ConfigError(f"series length {n} < p + q = {p + q}")
-    windows = np.lib.stride_tricks.sliding_window_view(values, p + q)[::stride]
+    windows = np.lib.stride_tricks.sliding_window_view(values, p + q)
     return WindowedDataset(windows[:, :p].copy(), windows[:, p:].copy(), p, q)
 
 

@@ -4,14 +4,13 @@ percent improvement against a named baseline, and table/curve exports."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .data import Normalizer, WindowedDataset
 from .errors import ConfigError, NumericError, ShapeError
-from .serialize import dump_json
+from .serialize import dump_json, load_json
 
 
 @dataclass
@@ -151,5 +150,4 @@ def save_report(report: MetricsReport, path) -> None:
 
 
 def load_report(path) -> MetricsReport:
-    with open(path) as f:
-        return MetricsReport.from_dict(json.load(f))
+    return MetricsReport.from_dict(load_json(path))

@@ -96,6 +96,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_integers(obj, *names: str) -> None:
+    """ConfigError naming the first of the `names` attributes of obj that is not an integer."""
+    for name in names:
+        if not _is_int(getattr(obj, name)):
+            raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 200
@@ -105,9 +112,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_integers(self, "epochs", "batch_size")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -157,6 +162,13 @@ def init_mlp(
         act = final_activation if i == len(dims) - 2 else hidden_activation
         layers.append(Layer(w, b, act))
     return Mlp(layers, dropout_rate=dropout_rate)
+
+
+def hidden_dims(hidden_layers: int, hidden_units: int) -> list[int]:
+    """The hidden widths of `hidden_layers` layers (0: none) of `hidden_units`."""
+    if not _is_int(hidden_layers) or hidden_layers < 0:
+        raise ConfigError(f"hidden_layers must be an integer >= 0, got {hidden_layers!r}")
+    return [hidden_units] * hidden_layers
 
 
 @dataclass(slots=True)

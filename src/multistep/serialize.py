@@ -149,5 +149,13 @@ def dump_json(doc: dict, path) -> None:
 
 
 def load_json(path) -> dict:
+    """The JSON object in `path`; ConfigError when the text is not JSON or
+    its top level is not an object."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got a {type(doc).__name__}")
+    return doc

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import Mlp, TrainConfig, Workspace, fit, forward, init_mlp
+from .nn import Mlp, TrainConfig, Workspace, fit, forward, hidden_dims, init_mlp
 
 
 @dataclass
@@ -71,10 +71,6 @@ class MultiOutputModel:
             )
 
 
-def _hidden_dims(hidden_layers: int, hidden_units: int) -> list[int]:
-    return [hidden_units] * hidden_layers
-
-
 def rollout(
     net: Mlp,
     histories: np.ndarray,
@@ -125,7 +121,7 @@ def train_recursive(
     if data.q != 1:
         raise ConfigError(f"recursive training needs q == 1 windows, got q={data.q}")
     net = init_mlp(
-        [data.p, *_hidden_dims(hidden_layers, hidden_units), 1],
+        [data.p, *hidden_dims(hidden_layers, hidden_units), 1],
         dropout_rate=cfg.dropout_rate,
         rng=np.random.default_rng(cfg.seed),
     )
@@ -150,7 +146,7 @@ def train_direct(
     horizon = data.q
     models: list[Mlp] = []
     extra = np.empty((len(data), 0))
-    hidden = _hidden_dims(hidden_layers, hidden_units)
+    hidden = hidden_dims(hidden_layers, hidden_units)
     for h in range(1, horizon + 1):
         inputs = np.concatenate([data.histories, extra], axis=1) if hybrid else data.histories
         targets = data.futures[:, h - 1 : h]
@@ -193,7 +189,7 @@ def train_multi_output(
     if data.q < 2:
         raise ConfigError("q < 2: use the recursive or direct path for single-step")
     net = init_mlp(
-        [data.p, *_hidden_dims(hidden_layers, hidden_units), data.q],
+        [data.p, *hidden_dims(hidden_layers, hidden_units), data.q],
         dropout_rate=cfg.dropout_rate,
         rng=np.random.default_rng(cfg.seed),
     )

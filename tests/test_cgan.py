@@ -21,7 +21,9 @@ def tiny_cfg(**overrides):
 
 class TestConfig:
     def test_invalid_values_rejected(self):
-        for bad in (dict(noise_dim=0), dict(lr_generator=0.0), dict(epochs=0)):
+        for bad in (dict(noise_dim=0), dict(lr_generator=0.0), dict(epochs=0),
+                    dict(noise_dim=2.5), dict(epochs=2.5), dict(batch_size=16.5),
+                    dict(batch_size=True)):
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad)
 
@@ -83,6 +85,11 @@ class TestGenerate:
         assert np.array_equal(fakes.futures, futures)
         assert fakes.histories.min() >= 0.0
         assert fakes.histories.max() <= 1.0
+
+    @pytest.mark.parametrize("count", [3.5, -3, 2.0, True])
+    def test_resample_refuses_bad_counts(self, count):
+        with pytest.raises(ConfigError, match="synthetic count must be an integer >= 0"):
+            cgan.resample_futures(tiny_data(), count, np.random.default_rng(0))
 
     def test_empty_request(self):
         pair = cgan.train_cgan(tiny_data(), tiny_cfg())

@@ -5,8 +5,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from multistep import cli, serialize
-from multistep.data import ingest_csv
+from multistep import cli, serialize, synth
+from multistep.data import ingest_csv, write_series_csv
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,13 @@ def _set(section, key, value):
     return edit
 
 
+def _strategy(strategy, section, **values):
+    def edit(doc):
+        doc["model"]["strategy"] = strategy
+        doc[section] = values
+    return edit
+
+
 class TestBadValuesExitTwo:
     """Each bad value is a ConfigError (exit 2) that writes nothing."""
 
@@ -182,8 +189,20 @@ class TestBadValuesExitTwo:
         _set(["model", "train"], "batch_size", True),
         _set(["model", "train"], "epochs", "2"),
         _set(["model"], "hidden_units", 0),
+        _set(["model"], "hidden_layers", 1.5),
+        _set(["model"], "hidden_layers", -1),
+        _set(["data"], "p", 2.5),
+        _set(["data"], "q", 2.5),
+        _strategy("dad", "dad", n_steps=2.5),
+        _strategy("dad", "dad", meta_iterations=1.5),
+        _strategy("multi-cgan", "cgan", epochs=2.5),
+        _strategy("multi-cgan", "cgan", batch_size=16.5),
+        _strategy("multi-cgan", "cgan", epochs=1, synthetic_count=3.5),
+        _strategy("multi-cgan", "cgan", epochs=1, synthetic_count=-3),
     ], ids=["resolution-0", "factor-0", "factor-neg", "factor-1.5", "batch-64.5",
-            "batch-true", "epochs-str", "hidden-units-0"])
+            "batch-true", "epochs-str", "hidden-units-0", "hidden-layers-1.5",
+            "hidden-layers-neg", "p-2.5", "q-2.5", "dad-steps-2.5", "dad-iterations-1.5",
+            "cgan-epochs-2.5", "cgan-batch-16.5", "cgan-count-3.5", "cgan-count-neg"])
     def test_train(self, tmp_path, series_csv, edit):
         doc = base_config()
         edit(doc)
@@ -193,9 +212,12 @@ class TestBadValuesExitTwo:
 
     def test_evaluate(self, tmp_path, series_csv):
         _, model = run_train(tmp_path, series_csv, base_config())
+        doc = serialize.load_json(model)
+        doc["metadata"]["data"]["resolution_minutes"] = 0
+        serialize.dump_json(doc, model)
         report = tmp_path / "r.json"
         code = cli.main(["evaluate", "--model", str(model), "--data", str(series_csv),
-                         "--report", str(report), "--resolution-minutes", "0"])
+                         "--report", str(report)])
         assert code == 2
         assert not report.exists()
 
@@ -284,3 +306,112 @@ class TestEvaluateAndCompare:
         assert table["rows"][0]["mse_improvement_pct"] is None
         text = (tmp_path / "cmp.txt").read_text()
         assert "recursive" in text and "multi" in text
+
+
+@pytest.fixture(scope="module")
+def raw_csv(tmp_path_factory):
+    """900 raw 5-minute points whose factor-3 sums lie on series_csv's 15-minute grid."""
+    path = tmp_path_factory.mktemp("raw") / "raw.csv"
+    series = synth.make_synthetic_series(900, seed=2, resolution=timedelta(minutes=5))
+    write_series_csv(series, path)
+    return path
+
+
+def evaluate(model, data, report):
+    return cli.main(["evaluate", "--model", str(model), "--data", str(data),
+                     "--report", str(report)])
+
+
+class TestDataRecipe:
+    """`evaluate` loads its CSV by the recipe `train` records in metadata.data."""
+
+    def test_raw_csv_scores_like_its_ingested_copy(self, tmp_path, raw_csv):
+        flow = tmp_path / "flow.csv"
+        assert cli.main(["ingest", "--input", str(raw_csv), "--output", str(flow),
+                         "--factor", "3"]) == 0
+        raw_doc = base_config(strategy="multi")
+        raw_doc["data"].update(resolution_minutes=5, aggregate_factor=3)
+        _, raw_model = run_train(tmp_path, raw_csv, raw_doc, name="raw.json")
+        # the path a raw series took before the recipe was recorded: ingest
+        # --factor 3, then train and evaluate on that copy at 15 minutes
+        _, flow_model = run_train(tmp_path, flow, base_config(strategy="multi"), name="flow.json")
+        r_raw, r_flow = tmp_path / "raw.report.json", tmp_path / "flow.report.json"
+        assert evaluate(raw_model, raw_csv, r_raw) == 0
+        assert evaluate(flow_model, flow, r_flow) == 0
+        assert r_raw.read_bytes() == r_flow.read_bytes()
+        a, b = serialize.load_json(raw_model), serialize.load_json(flow_model)
+        assert a["metadata"].pop("data") == {
+            "resolution_minutes": 5, "aggregate_factor": 3, "gap_policy": "reject"}
+        assert b["metadata"].pop("data") == {
+            "resolution_minutes": 15, "aggregate_factor": 1, "gap_policy": "reject"}
+        assert a == b
+        # a CSV at another resolution fails as `train` fails on it
+        assert evaluate(raw_model, flow, tmp_path / "r.json") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_gap_policy_is_served(self, tmp_path, series_csv):
+        lines = series_csv.read_text().splitlines(keepends=True)
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("".join(lines[:281] + lines[282:]))  # one test-split row gone
+        doc = base_config()
+        doc["data"]["gap_policy"] = "linear"
+        _, model = run_train(tmp_path, gapped, doc)
+        report = tmp_path / "r.json"
+        assert evaluate(model, gapped, report) == 0
+        # evaluate windows the whole series, the interpolated row included
+        assert serialize.load_json(report)["num_samples"] == 300 - 4 - 4 + 1
+
+    @pytest.mark.parametrize("drop", [None, "gap_policy"], ids=["no-recipe", "no-gap-policy"])
+    def test_document_without_recipe_exits_two(self, tmp_path, series_csv, capsys, drop):
+        _, model = run_train(tmp_path, series_csv, base_config())
+        doc = serialize.load_json(model)
+        if drop is None:
+            del doc["metadata"]["data"]
+        else:
+            del doc["metadata"]["data"][drop]
+        serialize.dump_json(doc, model)
+        report = tmp_path / "r.json"
+        assert evaluate(model, series_csv, report) == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert "metadata.data" in err
+        assert "gap_policy" in err
+
+    def test_resolution_flag_is_gone(self, tmp_path, series_csv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--model", "m.json", "--data", str(series_csv),
+                      "--report", str(tmp_path / "r.json"), "--resolution-minutes", "15"])
+        assert exc.value.code == 2
+
+
+class TestMalformedJsonExitsTwo:
+    """A JSON input that does not parse, or is not an object, is a ConfigError."""
+
+    def test_train_config(self, tmp_path, series_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config())[:-7])
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--config", str(cfg), "--data", str(series_csv),
+                         "--out", str(out)])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("text", ['{"format_version": 1, "metadata": {', "[1, 2]"],
+                             ids=["truncated", "list"])
+    def test_evaluate_model(self, tmp_path, series_csv, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        report = tmp_path / "r.json"
+        assert evaluate(model, series_csv, report) == 2
+        assert not report.exists()
+
+    def test_compare_reports(self, tmp_path, series_csv):
+        _, model = run_train(tmp_path, series_csv, base_config())
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        assert evaluate(model, series_csv, good) == 0
+        bad.write_text(good.read_text()[:-10])
+        out = tmp_path / "cmp"
+        code = cli.main(["compare", "--reports", str(good), str(bad), "--baseline",
+                         "recursive", "--out", str(out)])
+        assert code == 2
+        assert not (tmp_path / "cmp.json").exists() and not (tmp_path / "cmp.txt").exists()

@@ -31,7 +31,8 @@ def wave(n, seed=0):
 class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
-        [("p", 0), ("n_steps", 0), ("meta_iterations", 0), ("selection_metric", "rmse")],
+        [("p", 0), ("n_steps", 0), ("meta_iterations", 0), ("selection_metric", "rmse"),
+         ("p", 2.5), ("n_steps", 2.5), ("meta_iterations", 1.5), ("n_steps", True)],
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

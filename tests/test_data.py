@@ -367,15 +367,14 @@ class TestNormalizer:
         assert (n.min, n.max) == (0.0, 10.0)
 
 
-def loop_windows(values, p, q, stride):
+def loop_windows(values, p, q):
     """The per-sample loop make_windows replaced; it must equal this bitwise."""
-    num = (len(values) - p - q) // stride + 1
+    num = len(values) - p - q + 1
     histories = np.empty((num, p))
     futures = np.empty((num, q))
     for i in range(num):
-        s = i * stride
-        histories[i] = values[s : s + p]
-        futures[i] = values[s + p : s + p + q]
+        histories[i] = values[i : i + p]
+        futures[i] = values[i + p : i + p + q]
     return histories, futures
 
 
@@ -384,14 +383,13 @@ class TestWindows:
     @given(
         st.integers(1, 6),
         st.integers(1, 6),
-        st.integers(1, 7),
         st.lists(st.floats(0, 1e6), min_size=2, max_size=60),
     )
-    def test_equals_loop_oracle(self, p, q, stride, values):
+    def test_equals_loop_oracle(self, p, q, values):
         assume(len(values) >= p + q)
         values = np.array(values)
-        ds = dt.make_windows(values, p, q, stride)
-        histories, futures = loop_windows(values, p, q, stride)
+        ds = dt.make_windows(values, p, q)
+        histories, futures = loop_windows(values, p, q)
         assert np.array_equal(ds.histories, histories)
         assert np.array_equal(ds.futures, futures)
         assert ds.histories.flags.c_contiguous and ds.futures.flags.c_contiguous
@@ -407,20 +405,21 @@ class TestWindows:
         ds = dt.make_windows(np.arange(4.0), p=2, q=2)
         assert len(ds) == 1
 
-    def test_large_stride_gives_one_sample(self):
-        ds = dt.make_windows(np.arange(10.0), p=2, q=2, stride=10)
-        assert len(ds) == 1
-
     def test_too_short_rejected(self):
         with pytest.raises(ConfigError):
             dt.make_windows(np.arange(3.0), p=2, q=2)
+
+    @pytest.mark.parametrize("p, q", [(2.5, 2), (2, 2.5), (2.0, 2), (True, 2), (2, 0)])
+    def test_non_integer_or_small_p_q_rejected(self, p, q):
+        with pytest.raises(ConfigError, match="p and q must be integers >= 1"):
+            dt.make_windows(np.arange(10.0), p, q)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(6, 30))
     def test_stride_one_reconstruction(self, p, q, n):
         if n < p + q:
             return
         values = np.arange(float(n))
-        ds = dt.make_windows(values, p, q, stride=1)
+        ds = dt.make_windows(values, p, q)
         rebuilt = np.full(n, np.nan)
         for i in range(len(ds)):
             rebuilt[i : i + p] = ds.histories[i]
@@ -428,9 +427,9 @@ class TestWindows:
         assert np.array_equal(rebuilt, values)
 
     def test_sample_count_formula(self):
-        for n, p, q, stride in [(20, 3, 2, 1), (20, 3, 2, 4), (9, 4, 5, 3)]:
-            ds = dt.make_windows(np.arange(float(n)), p, q, stride)
-            assert len(ds) == (n - p - q) // stride + 1
+        for n, p, q in [(20, 3, 2), (9, 4, 5)]:
+            ds = dt.make_windows(np.arange(float(n)), p, q)
+            assert len(ds) == n - p - q + 1
 
 
 def counted_split_sizes(series, spec):

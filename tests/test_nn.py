@@ -571,6 +571,15 @@ class TestIntegerFields:
         with pytest.raises(ConfigError, match="dims must be integers >= 1"):
             nn.init_mlp(dims, rng=0)
 
+    @pytest.mark.parametrize("layers", [1.5, -1, 2.0, True, "2"])
+    def test_hidden_dims_refuses_bad_layer_counts(self, layers):
+        with pytest.raises(ConfigError, match="hidden_layers must be an integer >= 0"):
+            nn.hidden_dims(layers, 4)
+
+    def test_hidden_dims_zero_is_no_hidden_layer(self):
+        assert nn.hidden_dims(0, 4) == []
+        assert nn.hidden_dims(np.int64(2), 4) == [4, 4]
+
 
 class TestFit:
     def test_zero_epochs_returns_net_unchanged(self):

@@ -60,6 +60,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dims"):
             serialize.mlp_from_dict(doc)
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"a": [1, 2', "not valid JSON"),
+        ("", "not valid JSON"),
+        (b"\xff\xfe{}", "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object, got a list"),
+        ("3.5", "must hold a JSON object, got a float"),
+    ], ids=["truncated", "empty", "not-utf8", "list", "number"])
+    def test_load_json_refuses_non_objects(self, tmp_path, text, match):
+        path = tmp_path / "doc.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=match) as exc:
+            serialize.load_json(path)
+        assert str(path) in str(exc.value)
+
 
 JSON_SCALARS = st.one_of(
     st.none(),
