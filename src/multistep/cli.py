@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import math
+import numbers
 import sys
 from datetime import datetime, timedelta
 
@@ -139,17 +141,26 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
 RECIPE_KEYS = ("resolution_minutes", "aggregate_factor", "gap_policy")
 
 
+def _resolution(minutes) -> timedelta:
+    """`minutes` as a timedelta; ConfigError unless it is a finite real number > 0."""
+    if (isinstance(minutes, numbers.Real) and not isinstance(minutes, bool)
+            and math.isfinite(minutes) and minutes > 0):
+        try:
+            return timedelta(minutes=minutes)
+        except OverflowError:
+            pass
+    raise ConfigError(f"resolution_minutes must be a finite number > 0, got {minutes!r}")
+
+
 def _load_series(path, recipe: dict):
-    resolution = timedelta(minutes=recipe["resolution_minutes"])
+    resolution = _resolution(recipe["resolution_minutes"])
     series = ingest_csv(path, resolution, gap_policy=recipe["gap_policy"])
     return aggregate(series, recipe["aggregate_factor"])
 
 
 def cmd_ingest(args) -> int:
     series = ingest_csv(
-        args.input,
-        timedelta(minutes=args.resolution_minutes),
-        gap_policy=args.gap_policy,
+        args.input, _resolution(args.resolution_minutes), gap_policy=args.gap_policy
     )
     raw_rows = len(series)
     series = aggregate(series, args.factor, how=args.how)

@@ -109,8 +109,9 @@ def ingest_csv(
     Each row is checked as it is read, and the first bad row in file
     order is named. Rows are then sorted by timestamp; a duplicate is
     rejected with its row number. Gaps are rejected by default or
-    linearly interpolated under gap_policy='linear'. The spacing loop
-    runs only when some spacing differs from the resolution.
+    linearly interpolated under gap_policy='linear', which first requires
+    some two consecutive rows to lie one resolution apart. The spacing
+    loop runs only when some spacing differs from the resolution.
     """
     if gap_policy not in ("reject", "linear"):
         raise ConfigError(f"unknown gap_policy {gap_policy!r}")
@@ -151,6 +152,10 @@ def ingest_csv(
         if timedelta(0) in deltas:
             i = deltas.index(timedelta(0)) + 1
             raise IngestError(f"row {linenos[i]}: duplicate timestamp {timestamps[i].isoformat()}")
+        if gap_policy == "linear" and expected_resolution not in deltas:
+            # a coarser series read at this resolution would be mostly invented points
+            raise IngestError(f"no two consecutive rows are {expected_resolution} apart "
+                              f"(smallest spacing {min(deltas)}); is the resolution right?")
         timestamps, values = [timestamps[0]], [values[0]]
         for (ts, value, lineno), delta in zip(rows[1:], deltas):
             steps, rem = divmod(delta, expected_resolution)

@@ -4,7 +4,7 @@ percent improvement against a named baseline, and table/curve exports."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,12 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
+        """The report `to_dict` wrote; ConfigError naming missing and unknown fields."""
+        names = {f.name for f in fields(cls)}
+        missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in doc)
+        unknown = sorted(set(doc) - names)
+        if missing or unknown:
+            raise ConfigError(f"report fields missing {missing}, unknown {unknown}")
         return cls(**doc)
 
 
@@ -150,4 +156,8 @@ def save_report(report: MetricsReport, path) -> None:
 
 
 def load_report(path) -> MetricsReport:
-    return MetricsReport.from_dict(load_json(path))
+    doc = load_json(path)
+    try:
+        return MetricsReport.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

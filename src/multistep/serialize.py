@@ -1,13 +1,19 @@
 """Versioned JSON model documents.
 
-Floats are emitted via Python's shortest round-trip repr, which json
-preserves exactly, so save -> load is bit-identical at float64. A
-recursive or multi-output model is one network document; a direct or
-hybrid set keeps one per horizon step under "models".
+A network document (format_version 2) lists each layer's weight `shape`
+[out_dim, in_dim] and `activation`, and stores every parameter in one
+`params` string: the base64 of `Mlp.params` as little-endian float64,
+laid out W0 (row-major), b0, W1, b1, ... The bytes are the float64 values
+themselves, so save -> load is bit-identical. A recursive or multi-output
+model is one network document; a direct or hybrid set keeps one per
+horizon step under "models". Documents of any other format_version are
+refused.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -15,17 +21,20 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .nn import Layer, Mlp
+from .nn import Layer, Mlp, _is_int
 from .pipeline import STRATEGIES
 from .strategies import DirectModelSet, MultiOutputModel, RecursiveModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # strategy_tag -> the model kind trained under it
 MODEL_KINDS = {tag: row.kind for tag, row in STRATEGIES.items()}
 
 
 def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
+    """The network document of `net`; NumericError if a parameter is not finite."""
+    if not np.isfinite(net.params).all():
+        raise NumericError("cannot store a network with non-finite parameters")
     meta = dict(net.metadata)
     if metadata:
         meta.update(metadata)
@@ -35,28 +44,50 @@ def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
         "output_dim": net.output_dim,
         "dropout_rate": net.dropout_rate,
         "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "bias": layer.bias.tolist(),
-                "activation": layer.activation,
-            }
+            {"shape": list(layer.weights.shape), "activation": layer.activation}
             for layer in net.layers
         ],
+        "params": base64.b64encode(net.params.astype("<f8", copy=False).tobytes()).decode(),
         "metadata": meta,
     }
 
 
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and len(shape) == 2 and all(
+        _is_int(d) and d >= 1 for d in shape)
+
+
 def mlp_from_dict(doc: dict) -> Mlp:
+    """Rebuild the `Mlp` of a network document; ConfigError when its
+    version, layer shapes or params block are not what `mlp_to_dict` writes."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
-    layers = [
-        Layer(
-            np.array(ld["weights"], dtype=float),
-            np.array(ld["bias"], dtype=float),
-            ld["activation"],
-        )
-        for ld in doc["layers"]
-    ]
+    specs = doc.get("layers")
+    if not isinstance(specs, list) or not all(
+            isinstance(ld, dict) and _is_shape(ld.get("shape")) for ld in specs):
+        raise ConfigError("layers must be a list of objects with an integer shape "
+                          "[out_dim, in_dim]")
+    for i in range(1, len(specs)):
+        if specs[i]["shape"][1] != specs[i - 1]["shape"][0]:
+            raise ConfigError(f"layer {i} shape {specs[i]['shape']} does not take "
+                              f"layer {i - 1} shape {specs[i - 1]['shape']}")
+    params = doc.get("params")
+    if not isinstance(params, str):
+        raise ConfigError(f"params must be a base64 string, got {type(params).__name__}")
+    try:
+        raw = base64.b64decode(params, validate=True)
+    except binascii.Error as exc:
+        raise ConfigError(f"params is not base64: {exc}") from exc
+    size = sum(out * (inp + 1) for out, inp in (ld["shape"] for ld in specs))
+    if len(raw) != 8 * size:
+        raise ConfigError(f"params holds {len(raw)} bytes; the layer shapes need {8 * size}")
+    flat, layers, off = np.frombuffer(raw, "<f8"), [], 0
+    for ld in specs:
+        out, inp = ld["shape"]
+        w_end = off + out * inp
+        layers.append(Layer(flat[off:w_end].reshape(out, inp), flat[w_end:w_end + out],
+                            ld.get("activation")))
+        off = w_end + out
     net = Mlp(layers, dropout_rate=doc["dropout_rate"], metadata=dict(doc.get("metadata", {})))
     if net.input_dim != doc["input_dim"] or net.output_dim != doc["output_dim"]:
         raise ConfigError("declared dims disagree with layer shapes")
@@ -118,7 +149,7 @@ _scalar = json.JSONEncoder(allow_nan=False).encode
 
 def _json(obj, indent: str) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` nested at
-    `indent`, for str keys; each list of plain floats is one join."""
+    `indent`, for str keys."""
     if isinstance(obj, float) and not math.isfinite(obj):
         raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
     if not isinstance(obj, (list, tuple, dict)):
@@ -130,10 +161,7 @@ def _json(obj, indent: str) -> str:
         pairs = sorted(obj.items())
         items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in pairs)
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-        items = map(float.__repr__, obj)
-    else:
-        items = (_json(v, inner) for v in obj)
+    items = (_json(v, inner) for v in obj)
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 from datetime import datetime, timedelta
@@ -199,10 +200,17 @@ class TestBadValuesExitTwo:
         _strategy("multi-cgan", "cgan", batch_size=16.5),
         _strategy("multi-cgan", "cgan", epochs=1, synthetic_count=3.5),
         _strategy("multi-cgan", "cgan", epochs=1, synthetic_count=-3),
+        _set(["data"], "resolution_minutes", "15"),
+        _set(["data"], "resolution_minutes", True),
+        _set(["data"], "resolution_minutes", float("nan")),
+        _set(["data"], "resolution_minutes", float("inf")),
+        _set(["data"], "resolution_minutes", 1e300),
     ], ids=["resolution-0", "factor-0", "factor-neg", "factor-1.5", "batch-64.5",
             "batch-true", "epochs-str", "hidden-units-0", "hidden-layers-1.5",
             "hidden-layers-neg", "p-2.5", "q-2.5", "dad-steps-2.5", "dad-iterations-1.5",
-            "cgan-epochs-2.5", "cgan-batch-16.5", "cgan-count-3.5", "cgan-count-neg"])
+            "cgan-epochs-2.5", "cgan-batch-16.5", "cgan-count-3.5", "cgan-count-neg",
+            "resolution-str", "resolution-true", "resolution-nan", "resolution-inf",
+            "resolution-huge"])
     def test_train(self, tmp_path, series_csv, edit):
         doc = base_config()
         edit(doc)
@@ -210,16 +218,18 @@ class TestBadValuesExitTwo:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    def test_evaluate(self, tmp_path, series_csv):
+    @pytest.mark.parametrize("value", [0, "15"], ids=["resolution-0", "resolution-str"])
+    def test_evaluate(self, tmp_path, series_csv, capsys, value):
         _, model = run_train(tmp_path, series_csv, base_config())
         doc = serialize.load_json(model)
-        doc["metadata"]["data"]["resolution_minutes"] = 0
+        doc["metadata"]["data"]["resolution_minutes"] = value
         serialize.dump_json(doc, model)
         report = tmp_path / "r.json"
         code = cli.main(["evaluate", "--model", str(model), "--data", str(series_csv),
                          "--report", str(report)])
         assert code == 2
         assert not report.exists()
+        assert "resolution_minutes" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -377,11 +387,76 @@ class TestDataRecipe:
         assert "metadata.data" in err
         assert "gap_policy" in err
 
+    def test_linear_gaps_refuse_a_coarser_series(self, tmp_path, series_csv, capsys):
+        # series_csv is 15-minute data; read as 5-minute data, two of every
+        # three points would be interpolated
+        out = tmp_path / "flow.csv"
+        assert cli.main(["ingest", "--input", str(series_csv), "--output", str(out),
+                         "--factor", "1", "--resolution-minutes", "5",
+                         "--gap-policy", "linear"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        doc = base_config()
+        doc["data"].update(resolution_minutes=5, gap_policy="linear")
+        code, _ = run_train(tmp_path, series_csv, doc)
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        assert capsys.readouterr().err.count("smallest spacing 0:15:00") == 2
+
     def test_resolution_flag_is_gone(self, tmp_path, series_csv):
         with pytest.raises(SystemExit) as exc:
             cli.main(["evaluate", "--model", "m.json", "--data", str(series_csv),
                       "--report", str(tmp_path / "r.json"), "--resolution-minutes", "15"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory, series_csv):
+    """The document `train` writes for base_config()."""
+    code, out = run_train(tmp_path_factory.mktemp("doc"), series_csv, base_config())
+    assert code == 0
+    return serialize.load_json(out)
+
+
+def _params_bytes(doc) -> bytes:
+    return base64.b64decode(doc["params"])
+
+
+def _as_format_1(doc):
+    """The same network in the layout of format_version 1: per-layer float lists."""
+    flat, off = np.frombuffer(_params_bytes(doc), "<f8"), 0
+    for ld in doc["layers"]:
+        out, inp = ld.pop("shape")
+        ld["weights"] = flat[off:off + out * inp].reshape(out, inp).tolist()
+        ld["bias"] = flat[off + out * inp:off + out * (inp + 1)].tolist()
+        off += out * (inp + 1)
+    del doc["params"]
+    doc["format_version"] = 1
+
+
+class TestModelDocumentExitsTwo:
+    """`evaluate` refuses a network document it cannot rebuild exactly, with
+    exit 2 and no report."""
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.pop("params"), "params must be a base64 string, got NoneType"),
+        (lambda d: d.update(params=[0.5, 1.5]), "params must be a base64 string, got list"),
+        (lambda d: d.update(params="not base64!"), "params is not base64"),
+        (lambda d: d.update(params=base64.b64encode(_params_bytes(d)[:-8]).decode()),
+         "params holds 192 bytes; the layer shapes need 200"),
+        (lambda d: d["layers"][1].update(shape=[1, 5]), "layer 1 shape [1, 5] does not take"),
+        (lambda d: d["layers"][0].update(shape=[4, 4.0]), "integer shape"),
+        (lambda d: d["layers"][0].pop("shape"), "integer shape"),
+        (_as_format_1, "unsupported format_version 1"),
+    ], ids=["params-missing", "params-not-str", "params-not-base64", "params-short",
+            "shapes-do-not-chain", "shape-not-int", "shape-missing", "format-1"])
+    def test_evaluate(self, tmp_path, series_csv, model_doc, capsys, edit, named):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc)
+        model, report = tmp_path / "model.json", tmp_path / "r.json"
+        serialize.dump_json(doc, model)
+        assert evaluate(model, series_csv, report) == 2
+        assert not report.exists()
+        assert named in capsys.readouterr().err
 
 
 class TestMalformedJsonExitsTwo:
@@ -415,3 +490,13 @@ class TestMalformedJsonExitsTwo:
                          "recursive", "--out", str(out)])
         assert code == 2
         assert not (tmp_path / "cmp.json").exists() and not (tmp_path / "cmp.txt").exists()
+
+    def test_compare_report_fields(self, tmp_path, capsys):
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps({"model_tag": "recursive", "overall_mse": 0.5}))
+        out = tmp_path / "cmp"
+        code = cli.main(["compare", "--reports", str(partial), "--baseline", "recursive",
+                         "--out", str(out)])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json"]
+        assert "missing ['num_samples', 'overall_mae'" in capsys.readouterr().err

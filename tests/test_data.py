@@ -74,6 +74,10 @@ def loop_ingest_csv(path, expected_resolution, gap_policy="reject"):
     for (t0, _, _), (t1, _, ln) in zip(rows, rows[1:]):
         if t1 == t0:
             raise IngestError(f"row {ln}: duplicate timestamp {t1.isoformat()}")
+    spacings = [t1 - t0 for (t0, _, _), (t1, _, _) in zip(rows, rows[1:])]
+    if gap_policy == "linear" and spacings and expected_resolution not in spacings:
+        raise IngestError(f"no two consecutive rows are {expected_resolution} apart "
+                          f"(smallest spacing {min(spacings)}); is the resolution right?")
 
     timestamps = [rows[0][0]]
     values = [rows[0][1]]
@@ -154,13 +158,21 @@ class TestIngest:
         assert np.array_equal(s.values, [10, 20, 30])
 
     def test_gap_linear_fill_midpoint(self, tmp_path):
-        rows = mk_rows(3, values=[10, 20, 30])
-        del rows[1]  # drop the middle slot
+        rows = mk_rows(4, values=[10, 20, 30, 40])
+        del rows[1]  # drop the second slot; the last pair keeps the 5-minute grid
         f = tmp_path / "s.csv"
         write_csv(f, rows)
         s = dt.ingest_csv(f, FIVE_MIN, gap_policy="linear")
-        assert len(s) == 3
+        assert len(s) == 4
         assert s.values[1] == 20.0  # midpoint of 10 and 30
+
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_gap_linear_refuses_a_coarser_series(self, tmp_path, n):
+        # 15-minute rows read as 5-minute data would be two thirds invented points
+        f = tmp_path / "s.csv"
+        write_csv(f, mk_rows(n, step=timedelta(minutes=15)))
+        with pytest.raises(IngestError, match=r"smallest spacing 0:15:00"):
+            dt.ingest_csv(f, FIVE_MIN, gap_policy="linear")
 
     def test_gap_rejected_by_default(self, tmp_path):
         rows = mk_rows(3)

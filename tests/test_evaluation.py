@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multistep import evaluation as ev
-from multistep import nn, strategies
+from multistep import nn, serialize, strategies
 from multistep.data import Normalizer, WindowedDataset
 from multistep.errors import ConfigError, NumericError, ShapeError
 
@@ -152,6 +152,23 @@ class TestExports:
         ev.save_report(report, path)
         back = ev.load_report(path)
         assert back == report  # bit-exact floats via plain JSON round trip
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: {"model_tag": "m", "overall_mse": 0.5},
+         r"missing \['num_samples', 'overall_mae', 'per_step_mae', 'per_step_mse'\], unknown \[\]"),
+        (lambda d: dict(d, extra=1), r"missing \[\], unknown \['extra'\]"),
+        (lambda d: {k: v for k, v in d.items() if k != "denormalized"}, None),
+    ], ids=["missing", "unknown", "default-omitted"])
+    def test_report_fields_checked_on_load(self, tmp_path, edit, match):
+        report = mk_report("m", 0.5, 0.25)
+        path = tmp_path / "r.json"
+        serialize.dump_json(edit(report.to_dict()), path)
+        if match is None:
+            assert ev.load_report(path) == report
+            return
+        with pytest.raises(ConfigError, match=match) as exc:
+            ev.load_report(path)
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_report_rejected_and_nothing_written(self, tmp_path, bad):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -41,11 +42,15 @@ class TestRoundTrip:
 class TestValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_rejected_and_nothing_written(self, tmp_path, bad):
-        doc = serialize.mlp_to_dict(nn.init_mlp([2, 1], rng=0))
-        doc["layers"][0]["bias"][0] = bad
+        net = nn.init_mlp([2, 1], rng=0)
+        net.layers[0].bias[0] = bad  # a view of net.params, as training writes it
         path = tmp_path / "model.json"
         with pytest.raises(NumericError):
-            serialize.dump_json(doc, path)
+            serialize.dump_json(serialize.mlp_to_dict(net), path)
+        assert not path.exists()
+        model = strategies.MultiOutputModel(net, p=2, q=1)
+        with pytest.raises(NumericError):
+            serialize.dump_json(serialize.model_to_doc(model, {"strategy_tag": "multi"}), path)
         assert not path.exists()
 
     def test_unknown_version_rejected(self):
@@ -172,29 +177,39 @@ class TestDocumentLayout:
     def test_required_keys_and_determinism(self, tmp_path):
         net = nn.init_mlp([3, 4, 1], rng=1)
         doc = serialize.mlp_to_dict(net)
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert set(doc) == {
             "format_version",
             "input_dim",
             "output_dim",
             "dropout_rate",
             "layers",
+            "params",
             "metadata",
         }
-        assert set(doc["layers"][0]) == {"weights", "bias", "activation"}
+        assert set(doc["layers"][0]) == {"shape", "activation"}
+        assert [ld["shape"] for ld in doc["layers"]] == [[4, 3], [1, 4]]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         serialize.dump_json(doc, a)
         serialize.dump_json(doc, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_weights_are_plain_python_floats(self):
+    def test_params_are_one_little_endian_float64_block(self):
         net = nn.init_mlp([3, 4, 2], rng=2)
         doc = serialize.mlp_to_dict(net)
+        assert type(doc["params"]) is str
+        flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8")
+        assert flat.tobytes() == net.params.astype("<f8").tobytes()  # bitwise
+        off = 0
         for layer, ld in zip(net.layers, doc["layers"]):
-            assert all(type(w) is float for row in ld["weights"] for w in row)
-            assert all(type(b) is float for b in ld["bias"])
-            assert np.array_equal(np.array(ld["weights"]), layer.weights)
-            assert np.array_equal(np.array(ld["bias"]), layer.bias)
+            assert all(type(d) is int for d in ld["shape"])
+            out, inp = ld["shape"]
+            weights = flat[off:off + out * inp].reshape(out, inp)
+            bias = flat[off + out * inp:off + out * (inp + 1)]
+            assert np.array_equal(weights, layer.weights)
+            assert np.array_equal(bias, layer.bias)
+            off += out * (inp + 1)
+        assert off == flat.size
 
     def test_output_is_sorted_plain_json(self, tmp_path):
         path = tmp_path / "d.json"
@@ -275,7 +290,8 @@ class TestModelDocument:
             model = strategies.DirectModelSet([net], horizon=1, p=2)
         else:
             model = strategies.MultiOutputModel(net, p=2, q=1)
-        doc = serialize.model_to_doc(model, {"strategy_tag": tag})
-        doc["format_version"] = 2
-        with pytest.raises(ConfigError, match="format_version"):
-            serialize.model_from_doc(doc)
+        for version in (1, 3):
+            doc = serialize.model_to_doc(model, {"strategy_tag": tag})
+            doc["format_version"] = version
+            with pytest.raises(ConfigError, match="format_version"):
+                serialize.model_from_doc(doc)
