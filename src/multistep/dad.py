@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import TimeSeries, WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
-from .nn import Mlp, TrainConfig, check_integers, fit, hidden_dims, init_mlp
+from .nn import Mlp, TrainConfig, _is_int, check_integers, fit, hidden_dims, init_mlp
 from .strategies import RecursiveModel, rollout
 
 
@@ -44,6 +44,9 @@ class DadConfig:
             raise ConfigError("meta_iterations must be >= 1")
         if self.selection_metric not in ("mse", "mae"):
             raise ConfigError(f"unknown selection metric {self.selection_metric!r}")
+        for name in ("conditional", "accumulate"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -52,6 +55,7 @@ class AugmentedDataset:
     targets: np.ndarray  # [m]
     tags: np.ndarray  # [m] ints; 0 = original ground-truth pair
     conditional: bool
+    layout: tuple[int, int, int, int]  # series length, p, n_steps, rollout count
 
     def to_windowed(self) -> WindowedDataset:
         return WindowedDataset(
@@ -93,31 +97,26 @@ def _sub_seed(seed: int, k: int) -> int:
 _rollout_aug = rollout
 
 
-def _synthetic_rows(
-    values: np.ndarray,
-    p: int,
-    start_indices: np.ndarray,
-    preds: np.ndarray,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Windows ending in the n-th prediction, paired with the true next value.
+def _allocate_augmented(values, p, starts, conditional, n_steps, blocks) -> AugmentedDataset:
+    """A set of the one-step rows then `blocks` synthetic blocks, with every
+    entry written except the rollout predictions.
 
-    Usable tags are 1..n_steps-1: the window ending in the final prediction
-    has no ground-truth successor inside the rollout span.
+    A block holds, by depth n in 1..n_steps-1 and then by start, the window
+    ending in the n-th prediction paired with the true next value; the
+    window's true history is its first p-n columns. The window ending in the
+    final prediction has no ground-truth successor inside the rollout span.
     """
-    xs, ys, tags = [], [], []
-    for n in range(1, n_steps):
-        if n < p:
-            gt_part = np.lib.stride_tricks.sliding_window_view(values, p - n)[start_indices + n]
-            window = np.concatenate([gt_part, preds[:, :n]], axis=1)
-        else:
-            window = preds[:, n - p : n]
-        xs.append(window)
-        ys.append(values[start_indices + p + n])
-        tags.append(np.full(len(start_indices), n, dtype=int))
-    if not xs:
-        return np.empty((0, p)), np.empty(0), np.empty(0, dtype=int)
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(tags)
+    m0 = len(values) - p
+    depth = np.repeat(np.arange(1, n_steps), len(starts))
+    at = (np.arange(1, n_steps)[:, None] + starts.astype(int)).ravel()
+    index = np.concatenate([np.arange(m0), np.tile(at, blocks)])
+    tags = np.concatenate([np.zeros(m0, dtype=int), np.tile(depth, blocks)])
+    inputs = np.empty((len(index), p + 1 if conditional else p))
+    inputs[:, :p] = np.lib.stride_tricks.sliding_window_view(values, p)[index]
+    if conditional:
+        inputs[:, p] = tags / n_steps
+    layout = (len(values), p, n_steps, len(starts))
+    return AugmentedDataset(inputs, values[index + p], tags, conditional, layout)
 
 
 def build_augmented_dataset(
@@ -127,6 +126,8 @@ def build_augmented_dataset(
     preds: np.ndarray,
     conditional: bool,
     n_steps: int,
+    out: AugmentedDataset | None = None,
+    block: int = 0,
 ) -> AugmentedDataset:
     """Original one-step pairs (tag 0) plus rollout-derived synthetic pairs.
 
@@ -134,13 +135,16 @@ def build_augmented_dataset(
     starts[i], which must have n_steps true successors in the series.
     When conditional, each row gains the step feature tag/n_steps, the
     value the rollout feeds alongside the (tag+1)-th prediction.
+
+    Without `out` the set is built fresh. With `out`, a set built for the
+    same series, p, starts, n_steps and `conditional`, only the predictions
+    of its synthetic block `block` are written, and its rows up to the end
+    of that block are returned as views: the next write into `out`
+    overwrites them.
     """
     values = _series_values(series)
-    one_step = make_windows(values, p, 1)
-    x0 = one_step.histories
-    y0 = one_step.futures[:, 0]
-    t0 = np.zeros(len(one_step), dtype=int)
-
+    if not _is_int(p) or not 1 <= p < len(values):
+        raise ConfigError(f"p must be an integer in [1, {len(values)}), got {p!r}")
     starts = np.asarray(starts)
     preds = np.asarray(preds, dtype=float)
     if starts.ndim != 1 or preds.ndim != 2 or preds.shape[0] != len(starts):
@@ -154,16 +158,25 @@ def build_augmented_dataset(
             raise AlignmentError(f"start indices must be integers, got {starts.dtype}")
         if starts.min() < 0 or starts.max() + p + n_steps > len(values):
             raise AlignmentError("trajectory start index out of range for the series")
-        xs, ys, ts = _synthetic_rows(values, p, starts, preds, n_steps)
-    else:
-        xs, ys, ts = np.empty((0, p)), np.empty(0), np.empty(0, dtype=int)
-
-    inputs = np.concatenate([x0, xs])
-    targets = np.concatenate([y0, ys])
-    tags = np.concatenate([t0, ts])
-    if conditional:
-        inputs = np.concatenate([inputs, (tags / n_steps)[:, None]], axis=1)
-    return AugmentedDataset(inputs, targets, tags, conditional)
+    layout = (len(values), p, n_steps, len(starts))
+    if out is None:
+        out = _allocate_augmented(values, p, starts, conditional, n_steps, blocks=1)
+    elif (out.layout, out.conditional) != (layout, conditional):
+        raise AlignmentError(
+            f"out holds (series length, p, n_steps, rollouts) {out.layout} and "
+            f"conditional={out.conditional}, not {layout} and conditional={conditional}"
+        )
+    s = len(starts)
+    first = len(values) - p + block * (n_steps - 1) * s
+    end = first + (n_steps - 1) * s
+    if block < 0 or end > len(out):
+        raise AlignmentError(f"block {block} is outside the {len(out)} rows of out")
+    for n in range(1, n_steps):
+        rows = out.inputs[first + (n - 1) * s : first + n * s]
+        rows[:, max(0, p - n) : p] = preds[:, max(0, n - p) : n]
+    return AugmentedDataset(
+        out.inputs[:end], out.targets[:end], out.tags[:end], conditional, layout
+    )
 
 
 def _score(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
@@ -195,17 +208,16 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     roll_windows = make_windows(train_values, p, n_steps)
     val_windows = make_windows(val_values, p, n_steps)
     starts = np.arange(len(roll_windows))
-    bank: list[tuple[np.ndarray, np.ndarray]] = []
+    # Only the rollout predictions change between rebuilds, so the set is
+    # built once; under `accumulate` each rebuild fills the next block.
+    blocks = big_k + int(cfg.conditional) if cfg.accumulate else 1
+    buffer = _allocate_augmented(train_values, p, starts, cfg.conditional, n_steps, blocks)
 
-    def build(preds: np.ndarray) -> WindowedDataset:
-        aug = build_augmented_dataset(train_values, p, starts, preds, cfg.conditional, n_steps)
-        if not cfg.accumulate:
-            return aug.to_windowed()
-        mask = aug.tags > 0
-        bank.append((aug.inputs[mask], aug.targets[mask]))
-        inputs = np.concatenate([aug.inputs[~mask]] + [b[0] for b in bank])
-        targets = np.concatenate([aug.targets[~mask]] + [b[1] for b in bank])
-        return WindowedDataset(inputs, targets[:, None], inputs.shape[1], 1)
+    def build(preds: np.ndarray, block: int) -> WindowedDataset:
+        return build_augmented_dataset(
+            train_values, p, starts, preds, cfg.conditional, n_steps,
+            out=buffer, block=block if cfg.accumulate else 0,
+        ).to_windowed()
 
     def fitted(net: Mlp, data: WindowedDataset, train: TrainConfig, k: int) -> Mlp:
         return fit(net, data, replace(train, seed=_sub_seed(seed, k)))[0]
@@ -229,16 +241,12 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
             rng=np.random.default_rng(_sub_seed(seed, 2)),
         )
         preds = rollout(current, roll_windows.histories, n_steps)
-        aug = build(preds)
-        current = fitted(m0, aug, base_cfg, 10)
+        current = fitted(m0, build(preds, 0), base_cfg, 10)
 
     candidates = [candidate(current)]
     for k in range(1, big_k + 1):
-        # `aug` stays bound so each rebuilt set is freed only after the next
-        # exists: freeing it right after its fit measured about 7% slower on
-        # perfbench's recursive-family (memory reuse; same arithmetic).
         preds = rollout(current, roll_windows.histories, n_steps, step_scale)
-        aug = build(preds)
+        aug = build(preds, k - 1 + int(cfg.conditional))
         current = fitted(current, aug, cfg.inner_train, 10 + k)
         candidates.append(candidate(current))
 

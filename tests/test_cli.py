@@ -218,6 +218,15 @@ class TestBadValuesExitTwo:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_dad_accumulate_must_be_bool(self, tmp_path, series_csv, capsys):
+        # a truthy string once trained in accumulate mode and exited 0
+        doc = base_config()
+        _strategy("dad", "dad", meta_iterations=1, inner_epochs=1, accumulate="no")(doc)
+        code, out = run_train(tmp_path, series_csv, doc)
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        assert "accumulate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [0, "15"], ids=["resolution-0", "resolution-str"])
     def test_evaluate(self, tmp_path, series_csv, capsys, value):
         _, model = run_train(tmp_path, series_csv, base_config())

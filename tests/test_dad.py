@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,13 @@ class TestConfig:
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("accumulate", "no"), ("accumulate", 1),
+                                             ("conditional", "yes"), ("conditional", None)])
+    def test_flags_must_be_bool(self, field, value):
+        # a truthy string once switched accumulate on
+        with pytest.raises(ConfigError, match=field):
             small_cfg(**{field: value})
 
     def test_wrapper_mode_checks(self):
@@ -81,12 +90,21 @@ class TestAugmentedDataset:
         preds = rng.uniform(0, 1, (len(starts), n_steps))
         for conditional in (False, True):
             aug = dad.build_augmented_dataset(values, p, starts, preds, conditional, n_steps)
+            # the same set rebuilt in place over another rollout's predictions
+            stale = dad.build_augmented_dataset(
+                values, p, starts, rng.uniform(0, 1, preds.shape), conditional, n_steps
+            )
+            rebuilt = dad.build_augmented_dataset(
+                values, p, starts, preds, conditional, n_steps, out=stale
+            )
+            assert np.shares_memory(rebuilt.inputs, stale.inputs)
             inputs, targets, tags = loop_augmented(
                 values, p, starts, preds, n_steps, conditional
             )
-            assert np.array_equal(aug.inputs, inputs)
-            assert np.array_equal(aug.targets, targets)
-            assert np.array_equal(aug.tags, tags)
+            for built in (aug, rebuilt):
+                assert np.array_equal(built.inputs, inputs)
+                assert np.array_equal(built.targets, targets)
+                assert np.array_equal(built.tags, tags)
 
     def test_three_point_enumeration(self):
         # Series [1, 2, 3], p=1, rollout depth 2, one trajectory starting
@@ -184,6 +202,49 @@ class TestAugmentedDataset:
             dad.build_augmented_dataset(values, 1, np.array([0, 1]), preds, False, 2)
         with pytest.raises(AlignmentError):  # fractional start index
             dad.build_augmented_dataset(values, 1, np.array([0.5]), preds, False, 2)
+
+
+    @pytest.mark.parametrize("p", [0, 3, 4, 2.0], ids=["zero", "series-length", "past-end", "float"])
+    def test_window_length_the_series_cannot_fill_rejected(self, p):
+        with pytest.raises(ConfigError):
+            dad.build_augmented_dataset(
+                np.array([1.0, 2.0, 3.0]), p, np.empty(0, dtype=int), np.empty((0, 1)), False, 1
+            )
+
+
+class TestReusedSet:
+    """A set passed as `out` must be one built for the same series length,
+    p, n_steps and step flag, and must have room for the block asked for."""
+
+    values, p, n_steps = wave(20), 3, 3
+    starts = np.arange(10)
+    preds = np.random.default_rng(0).uniform(0, 1, (10, 3))
+
+    def built(self):
+        return dad.build_augmented_dataset(
+            self.values, self.p, self.starts, self.preds, False, self.n_steps
+        )
+
+    @pytest.mark.parametrize("mismatch", [
+        dict(values=wave(22)),
+        dict(p=2),
+        dict(n_steps=2, preds=preds[:, :2] * 2),
+        dict(conditional=True),
+        dict(block=1),
+        dict(block=-1),
+    ], ids=["series-length", "p", "n_steps", "conditional", "block-past-end", "block-negative"])
+    def test_mismatch_raises_before_writing(self, mismatch):
+        out = self.built()
+        before = [out.inputs.copy(), out.targets.copy(), out.tags.copy()]
+        args = dict(values=self.values, p=self.p, preds=self.preds * 2,
+                    conditional=False, n_steps=self.n_steps, block=0) | mismatch
+        with pytest.raises(AlignmentError):
+            dad.build_augmented_dataset(
+                args["values"], args["p"], self.starts, args["preds"], args["conditional"],
+                args["n_steps"], out=out, block=args["block"],
+            )
+        for kept, now in zip(before, (out.inputs, out.targets, out.tags)):
+            assert np.array_equal(kept, now)
 
 
 class TestSelectBest:
@@ -291,3 +352,108 @@ class TestAccumulate:
         same = 1 if conditional else 2
         assert acc.per_iteration_val_errors[:same] == plain.per_iteration_val_errors[:same]
         assert acc.per_iteration_val_errors[same:] != plain.per_iteration_val_errors[same:]
+
+
+def concatenating_builder(accumulate):
+    """The builder the in-place one replaced, as the bitwise oracle of the
+    meta loop: every call builds the whole set afresh by concatenation and,
+    under `accumulate`, appends its synthetic rows to a bank that the
+    returned set carries in full. `out` and `block` are ignored."""
+    bank = []
+
+    def build(series, p, starts, preds, conditional, n_steps, out=None, block=0):
+        values = np.asarray(series, dtype=float)
+        one_step = make_windows(values, p, 1)
+        xs, ys = [one_step.histories], [one_step.futures[:, 0]]
+        ts = [np.zeros(len(one_step), dtype=int)]
+        for n in range(1, n_steps):
+            if n < p:
+                gt_part = np.lib.stride_tricks.sliding_window_view(values, p - n)[starts + n]
+                xs.append(np.concatenate([gt_part, preds[:, :n]], axis=1))
+            else:
+                xs.append(preds[:, n - p : n])
+            ys.append(values[starts + p + n])
+            ts.append(np.full(len(starts), n, dtype=int))
+        inputs, targets, tags = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
+        if conditional:
+            inputs = np.concatenate([inputs, (tags / n_steps)[:, None]], axis=1)
+        if accumulate:
+            mask = tags > 0
+            bank.append((inputs[mask], targets[mask], tags[mask]))
+            inputs = np.concatenate([inputs[~mask]] + [b[0] for b in bank])
+            targets = np.concatenate([targets[~mask]] + [b[1] for b in bank])
+            tags = np.concatenate([tags[~mask]] + [b[2] for b in bank])
+        return dad.AugmentedDataset(inputs, targets, tags, conditional, None)
+
+    return build
+
+
+def fits_and_result(monkeypatch, cfg, builder=None):
+    """Meta-train on a fixed series, keeping a copy of every set fit receives."""
+    sets = []
+
+    def recording_fit(net, data, train_cfg):
+        sets.append((data.histories.copy(), data.futures.copy()))
+        return nn.fit(net, data, train_cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dad, "fit", recording_fit)
+        if builder is not None:
+            patch.setattr(dad, "build_augmented_dataset", builder)
+        fn = dad.train_cdad if cfg.conditional else dad.train_dad
+        return sets, fn(wave(50), wave(30, seed=1), cfg)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceRebuild:
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 5], ids=["N=1", "N<p", "N=p", "N>p"])
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["fresh", "accumulate"])
+    @pytest.mark.parametrize("conditional", [False, True], ids=["dad", "cdad"])
+    def test_every_fit_equals_the_concatenating_oracle(
+        self, monkeypatch, conditional, accumulate, n_steps
+    ):
+        cfg = small_cfg(n_steps=n_steps, meta_iterations=3, conditional=conditional,
+                        accumulate=accumulate)
+        sets, result = fits_and_result(monkeypatch, cfg)
+        oracle_sets, oracle = fits_and_result(monkeypatch, cfg, concatenating_builder(accumulate))
+        assert len(sets) == len(oracle_sets) == 4 + int(conditional)
+        for (x, y), (ox, oy) in zip(sets, oracle_sets):
+            assert same_bits(x, ox) and same_bits(y, oy)
+        assert result.best_iteration == oracle.best_iteration
+        assert result.per_iteration_val_errors == oracle.per_iteration_val_errors
+        for a, b in zip(result.best_model.net.params, oracle.best_model.net.params):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["fresh", "accumulate"])
+    @pytest.mark.parametrize("conditional", [False, True], ids=["dad", "cdad"])
+    def test_rebuilds_allocate_no_set_sized_array(self, monkeypatch, conditional, accumulate):
+        """No rebuild of the meta loop's set allocates an array as large as
+        the set's inputs. NumPy's iterator takes a scratch buffer of up to
+        getbufsize() elements for a strided copy; it is cut to 16 elements
+        here so that only arrays count."""
+        build = dad.build_augmented_dataset
+        marks = []  # (peak growth during the rebuild, bytes of the set's inputs)
+
+        def measured(*args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            aug = build(*args, **kwargs)
+            marks.append((tracemalloc.get_traced_memory()[1] - before, aug.inputs.nbytes))
+            return aug
+
+        monkeypatch.setattr(dad, "build_augmented_dataset", measured)
+        cfg = small_cfg(n_steps=5, meta_iterations=3, conditional=conditional,
+                        accumulate=accumulate)
+        fn = dad.train_cdad if conditional else dad.train_dad
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            fn(wave(400), wave(60, seed=1), cfg)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert len(marks) == 3 + int(conditional)
+        assert all(growth < nbytes for growth, nbytes in marks), marks
