@@ -13,12 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (Mlp, Workspace, _is_int, adam_step, backward, check_integers, forward,
-                 hidden_dims, init_adam, init_mlp, input_grad)
+from .nn import (Mlp, Workspace, adam_step, backward, forward, hidden_dims, init_adam, init_mlp,
+                 input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
+# the `cgan` config section; CganConfig checks the fields it shares with it
+SECTION = {
+    "noise_dim": schema.Int(1, default=16),
+    "lr_discriminator": schema.Real(gt=0, default=2e-4),
+    "lr_generator": schema.Real(gt=0, default=1e-4),
+    "epochs": schema.Int(1, default=200),
+    "batch_size": schema.Int(1, default=64),
+    "synthetic_count": schema.Int(0, default=None),  # C-GAN rows to add; null: one per window
+}
+# the `noise` config section: `noise_augment`'s options
+NOISE = {"sigma": schema.Real(ge=0, default=0.1), "interpret_as_stddev": schema.Bool(default=True)}
 
 
 @dataclass
@@ -35,13 +47,7 @@ class CganConfig:
     saturating: bool = False  # literal log(1-D) generator objective
 
     def __post_init__(self):
-        check_integers(self, "noise_dim", "epochs", "batch_size")
-        if self.noise_dim < 1:
-            raise ConfigError("noise_dim must be >= 1")
-        if self.lr_discriminator <= 0 or self.lr_generator <= 0:
-            raise ConfigError("learning rates must be > 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        schema.check_fields(self, SECTION)
         if self.lr_discriminator < self.lr_generator:
             warnings.warn(
                 "discriminator learning rate below generator's; the "
@@ -181,8 +187,7 @@ def discriminator_accuracy(
     rng: np.random.Generator,
 ) -> float:
     """Fraction of correct real/fake calls at threshold 0.5 (real iff D > 0.5)."""
-    if num_fakes < 1:
-        raise ConfigError("num_fakes must be >= 1")
+    schema.Int(1).check(num_fakes, "num_fakes")
     real_in = np.concatenate([data.histories, data.futures], axis=1)
     d_real, _ = forward(pair.discriminator, real_in, mode="eval")
     futures = data.futures[rng.integers(0, len(data), size=num_fakes)]
@@ -216,8 +221,7 @@ def resample_futures(
     data: WindowedDataset, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Futures drawn uniformly with replacement from the real training set."""
-    if not _is_int(count) or count < 0:
-        raise ConfigError(f"synthetic count must be an integer >= 0, got {count!r}")
+    schema.Int(0).check(count, "synthetic count")
     if count == 0:
         return np.empty((0, data.q))
     return data.futures[rng.integers(0, len(data), size=count)]
@@ -234,8 +238,7 @@ def noise_augment(
     Futures stay exact. With interpret_as_stddev=False, sigma is taken as
     a variance and the standard deviation used is sqrt(sigma).
     """
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    NOISE["sigma"].check(sigma, "sigma")
     std = sigma if interpret_as_stddev else float(np.sqrt(sigma))
     noisy = data.histories + rng.normal(0.0, std, size=data.histories.shape)
     histories = np.concatenate([data.histories, noisy])

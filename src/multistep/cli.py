@@ -9,13 +9,13 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import math
-import numbers
 import sys
+from dataclasses import replace
 from datetime import datetime, timedelta
 
-from . import cgan, evaluation, pipeline, serialize, strategies, synth
+from . import cgan, dad, evaluation, nn, pipeline, schema, serialize, strategies, synth
 from .data import (
+    RECIPE,
     Normalizer,
     SplitSpec,
     aggregate,
@@ -26,142 +26,64 @@ from .data import (
     write_series_csv,
 )
 from .errors import ConfigError, MultistepError
-from .nn import TrainConfig, _is_int
 
 STRATEGIES = tuple(pipeline.STRATEGIES)
-
-
-def _section(doc: dict, key: str, defaults: dict, required: tuple = ()) -> dict:
-    raw = doc.get(key, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config key {key!r} must be an object")
-    unknown = set(raw) - set(defaults) - set(required)
-    if unknown:
-        raise ConfigError(f"unknown config keys in {key!r}: {sorted(unknown)}")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise ConfigError(f"missing required keys in {key!r}: {missing}")
-    out = dict(defaults)
-    out.update(raw)
-    return out
-
-
-# The optional config sections with their defaults; a strategy takes the
-# one its pipeline row names and rejects the others.
-_SECTION_DEFAULTS = {
-    "dad": {
-        "n_steps": 8,
-        "meta_iterations": 30,
-        "inner_epochs": 50,
-        "selection_metric": "mse",
-        "accumulate": False,
-    },
-    "cgan": {
-        "noise_dim": 16,
-        "lr_discriminator": 2e-4,
-        "lr_generator": 1e-4,
-        "epochs": 200,
-        "batch_size": 64,
-        "synthetic_count": None,
-    },
-    "noise": {"sigma": 0.1, "interpret_as_stddev": True},
+# a run config; a strategy keeps the one of dad, cgan and noise its pipeline row names
+CONFIG = {
+    "seed": schema.Int(0, default=0),
+    "data": schema.Table({
+        "split": schema.Table({"train_end": schema.DATETIME, "val_end": schema.DATETIME}),
+        "p": schema.Int(1, default=8),
+        "q": schema.Int(1, default=8),
+        **RECIPE,
+    }),
+    "model": schema.Table({
+        "strategy": schema.OneOf(STRATEGIES),
+        **nn.ARCH,
+        "dropout": replace(nn.DROPOUT, default=0.1),
+        "train": schema.Table(nn.TRAIN),
+    }),
+    "dad": schema.Table(dad.SECTION),
+    "cgan": schema.Table(cgan.SECTION),
+    "noise": schema.Table(cgan.NOISE),
+}
+# a model document's metadata as `train` writes it
+METADATA = {
+    **serialize.METADATA,
+    "q": schema.Int(1),
+    "normalization": schema.Table({"min": schema.Real(), "max": schema.Real()}),
+    "data": schema.Table({k: replace(kind, default=...) for k, kind in RECIPE.items()}),
 }
 
 
 def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
-    """Validate a run config and materialize every default."""
-    known_top = {"seed", "data", "model", *_SECTION_DEFAULTS}
-    unknown = set(doc) - known_top
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
-
-    data = _section(
-        doc,
-        "data",
-        defaults={
-            "aggregate_factor": 1,
-            "resolution_minutes": 15,
-            "p": 8,
-            "q": 8,
-            "gap_policy": "reject",
-        },
-        required=("split",),
-    )
-    if not all(_is_int(data[k]) and data[k] >= 1 for k in ("p", "q")):
-        raise ConfigError(f"data.p and data.q must be integers >= 1, got {data['p']!r}, "
-                          f"{data['q']!r}")
-    split = data["split"]
-    if not isinstance(split, dict) or set(split) != {"train_end", "val_end"}:
-        raise ConfigError("data.split must contain exactly train_end and val_end")
-
-    model = _section(
-        doc,
-        "model",
-        defaults={
-            "hidden_layers": 2,
-            "hidden_units": 150,
-            "dropout": 0.1,
-            "train": {},
-        },
-        required=("strategy",),
-    )
-    if model["strategy"] not in STRATEGIES:
-        raise ConfigError(
-            f"model.strategy must be one of {STRATEGIES}, got {model['strategy']!r}"
-        )
-    train = dict(model["train"])
-    unknown = set(train) - {"epochs", "batch_size", "learning_rate"}
-    if unknown:
-        raise ConfigError(f"unknown config keys in model.train: {sorted(unknown)}")
-    model["train"] = {
-        "epochs": train.get("epochs", 200),
-        "batch_size": train.get("batch_size", 64),
-        "learning_rate": train.get("learning_rate", 1e-3),
-    }
-
-    resolved = {"seed": seed, "data": data, "model": model}
-    strategy = model["strategy"]
+    """`doc` checked against CONFIG, every default materialized."""
+    cfg = schema.check(doc if seed_override is None else dict(doc, seed=seed_override), CONFIG)
+    strategy = cfg["model"]["strategy"]
     row = pipeline.STRATEGIES[strategy]
-    for name, defaults in _SECTION_DEFAULTS.items():
-        if name == row.section:
-            resolved[name] = _section(doc, name, defaults)
-        elif name in doc:
-            raise ConfigError(f"{name!r} section given but strategy is {strategy!r}")
-    if row.options.get("conditional") and data["q"] > resolved["dad"]["n_steps"]:
+    for name in ("dad", "cgan", "noise"):
+        if name != row.section:
+            if name in doc:
+                raise ConfigError(f"{name!r} section given but strategy is {strategy!r}")
+            del cfg[name]
+    if row.options.get("conditional") and cfg["data"]["q"] > cfg["dad"]["n_steps"]:
         # its step input is trained to depth n_steps, and serving refuses deeper
         raise ConfigError(
-            f"{strategy} trained to depth dad.n_steps={resolved['dad']['n_steps']} "
-            f"cannot be evaluated at data.q={data['q']}"
+            f"{strategy} trained to depth dad.n_steps={cfg['dad']['n_steps']} "
+            f"cannot be evaluated at data.q={cfg['data']['q']}"
         )
-    return resolved
-
-
-# what `_load_series` reads; `train` records it as the model's metadata.data
-RECIPE_KEYS = ("resolution_minutes", "aggregate_factor", "gap_policy")
-
-
-def _resolution(minutes) -> timedelta:
-    """`minutes` as a timedelta; ConfigError unless it is a finite real number > 0."""
-    if (isinstance(minutes, numbers.Real) and not isinstance(minutes, bool)
-            and math.isfinite(minutes) and minutes > 0):
-        try:
-            return timedelta(minutes=minutes)
-        except OverflowError:
-            pass
-    raise ConfigError(f"resolution_minutes must be a finite number > 0, got {minutes!r}")
+    return cfg
 
 
 def _load_series(path, recipe: dict):
-    resolution = _resolution(recipe["resolution_minutes"])
+    resolution = timedelta(minutes=recipe["resolution_minutes"])
     series = ingest_csv(path, resolution, gap_policy=recipe["gap_policy"])
     return aggregate(series, recipe["aggregate_factor"])
 
 
 def cmd_ingest(args) -> int:
-    series = ingest_csv(
-        args.input, _resolution(args.resolution_minutes), gap_policy=args.gap_policy
-    )
+    minutes = RECIPE["resolution_minutes"].check(args.resolution_minutes, "--resolution-minutes")
+    series = ingest_csv(args.input, timedelta(minutes=minutes), gap_policy=args.gap_policy)
     raw_rows = len(series)
     series = aggregate(series, args.factor, how=args.how)
     write_series_csv(series, args.output)
@@ -203,7 +125,7 @@ def cmd_train(args) -> int:
     spec = pipeline.TrainSpec(
         p=data_cfg["p"],
         q=data_cfg["q"],
-        train=TrainConfig(
+        train=nn.TrainConfig(
             seed=cfg["seed"], dropout_rate=model_cfg["dropout"], **model_cfg["train"]
         ),
         **arch,
@@ -217,7 +139,7 @@ def cmd_train(args) -> int:
         "strategy_tag": strategy,
         "normalization": {"min": normalizer.min, "max": normalizer.max},
         "q": spec.q,
-        "data": {k: data_cfg[k] for k in RECIPE_KEYS},
+        "data": {k: data_cfg[k] for k in RECIPE},
     }
     serialize.dump_json(serialize.model_to_doc(model, meta), args.out)
     serialize.dump_json(cfg, str(args.out) + ".config.json")
@@ -228,19 +150,13 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     doc = serialize.load_json(args.model)
+    meta = schema.check(doc.get("metadata", {}), METADATA, "metadata")
     model = serialize.model_from_doc(doc)
-    meta = doc["metadata"]
-    p, q = meta["p"], meta["q"]
-    norm = meta["normalization"]
-    normalizer = Normalizer(norm["min"], norm["max"])
-    recipe = meta.get("data", {})
-    missing = [k for k in RECIPE_KEYS if not isinstance(recipe, dict) or k not in recipe]
-    if missing:
-        raise ConfigError(f"{args.model}: metadata.data lacks {missing}; retrain to record them")
-    series = _load_series(args.data, recipe)
+    normalizer = Normalizer(meta["normalization"]["min"], meta["normalization"]["max"])
+    series = _load_series(args.data, meta["data"])
     values = normalizer.apply(series.values)
-    test = make_windows(values, p, q)
-    predict_fn = strategies.batch_predictor(model, n_steps=q)
+    test = make_windows(values, meta["p"], meta["q"])
+    predict_fn = strategies.batch_predictor(model, n_steps=meta["q"])
     report = evaluation.evaluate(
         predict_fn,
         test,
@@ -261,8 +177,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     reports = [evaluation.load_report(p) for p in args.reports]
     table = evaluation.build_comparison(reports, args.baseline)
-    serialize.dump_json(table.to_dict(), args.out + ".json")
     text = evaluation.render_comparison_text(table)
+    serialize.dump_json(table.to_dict(), args.out + ".json")
     with open(args.out + ".txt", "w") as f:
         f.write(text)
     if args.curves:
@@ -325,10 +241,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MultistepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MultistepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,20 @@ from typing import Sequence
 
 import numpy as np
 
+from . import schema
 from .data import TimeSeries, WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
-from .nn import Mlp, TrainConfig, _is_int, check_integers, fit, hidden_dims, init_mlp
+from .nn import TRAIN, Mlp, TrainConfig, fit, hidden_dims, init_mlp
 from .strategies import RecursiveModel, rollout
+
+# the `dad` config section; DadConfig checks the fields it shares with it
+SECTION = {
+    "n_steps": schema.Int(1, default=8),
+    "meta_iterations": schema.Int(1, default=30),
+    "inner_epochs": replace(TRAIN["epochs"], default=50),
+    "selection_metric": schema.OneOf(("mse", "mae"), default="mse"),
+    "accumulate": schema.Bool(default=False),
+}
 
 
 @dataclass
@@ -35,18 +45,7 @@ class DadConfig:
     accumulate: bool = False  # keep synthetic rows from earlier iterations
 
     def __post_init__(self):
-        check_integers(self, "p", "n_steps", "meta_iterations")
-        if self.p < 1:
-            raise ConfigError("p must be >= 1")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
-        if self.meta_iterations < 1:
-            raise ConfigError("meta_iterations must be >= 1")
-        if self.selection_metric not in ("mse", "mae"):
-            raise ConfigError(f"unknown selection metric {self.selection_metric!r}")
-        for name in ("conditional", "accumulate"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        schema.check_fields(self, dict(SECTION, p=schema.Int(1), conditional=schema.Bool()))
 
 
 @dataclass
@@ -143,7 +142,7 @@ def build_augmented_dataset(
     overwrites them.
     """
     values = _series_values(series)
-    if not _is_int(p) or not 1 <= p < len(values):
+    if not schema.is_int(p) or not 1 <= p < len(values):
         raise ConfigError(f"p must be an integer in [1, {len(values)}), got {p!r}")
     starts = np.asarray(starts)
     preds = np.asarray(preds, dtype=float)

@@ -17,8 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, IngestError, ShapeError
-from .nn import _is_int
+
+# how the CLI loads a CSV as a series; `train` records it as metadata.data
+RECIPE = {
+    "resolution_minutes": schema.Real(gt=0, lt=10**12, default=15),  # a timedelta holds it
+    "aggregate_factor": schema.Int(1, default=1),
+    "gap_policy": schema.OneOf(("reject", "linear"), default="reject"),
+}
 
 
 @dataclass(frozen=True)
@@ -113,8 +120,7 @@ def ingest_csv(
     some two consecutive rows to lie one resolution apart. The spacing
     loop runs only when some spacing differs from the resolution.
     """
-    if gap_policy not in ("reject", "linear"):
-        raise ConfigError(f"unknown gap_policy {gap_policy!r}")
+    RECIPE["gap_policy"].check(gap_policy, "gap_policy")
     if not expected_resolution > timedelta(0):
         raise ConfigError(f"resolution must be positive, got {expected_resolution}")
     path = Path(path)
@@ -187,10 +193,8 @@ def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
     """Coarsen resolution by `factor` consecutive points (flow counts sum;
     `how='mean'` for rate-like data). A trailing remainder shorter than
     `factor` is dropped."""
-    if not _is_int(factor) or factor < 1:
-        raise ConfigError(f"factor must be an integer >= 1, got {factor!r}")
-    if how not in ("sum", "mean"):
-        raise ConfigError(f"unknown aggregation {how!r}")
+    RECIPE["aggregate_factor"].check(factor, "factor")
+    schema.OneOf(("sum", "mean")).check(how, "how")
     if factor == 1:
         return series
     n = len(series) // factor
@@ -217,7 +221,7 @@ def make_windows(series, p: int, q: int) -> WindowedDataset:
     """Slice a series into (history, future) pairs: sample i covers
     values[i : i+p] and the q points after it."""
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
-    if not (_is_int(p) and _is_int(q)) or p < 1 or q < 1:
+    if not (schema.is_int(p) and schema.is_int(q)) or p < 1 or q < 1:
         raise ConfigError(f"p and q must be integers >= 1, got p={p!r}, q={q!r}")
     n = len(values)
     if n < p + q:

@@ -4,13 +4,26 @@ percent improvement against a named baseline, and table/curve exports."""
 from __future__ import annotations
 
 import csv
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import schema
 from .data import Normalizer, WindowedDataset
 from .errors import ConfigError, NumericError, ShapeError
 from .serialize import dump_json, load_json
+
+_ERRORS = schema.Seq(schema.Real(ge=0), "a list of finite reals >= 0")
+# a report as `MetricsReport.to_dict` writes it
+REPORT = {
+    "model_tag": schema.Kind("a string", lambda v: isinstance(v, str)),
+    "overall_mse": schema.Real(ge=0),
+    "overall_mae": schema.Real(ge=0),
+    "per_step_mse": _ERRORS,
+    "per_step_mae": _ERRORS,
+    "num_samples": schema.Int(1),
+    "denormalized": schema.Bool(default=False),
+}
 
 
 @dataclass
@@ -25,16 +38,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricsReport":
-        """The report `to_dict` wrote; ConfigError naming missing and unknown fields."""
-        names = {f.name for f in fields(cls)}
-        missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in doc)
-        unknown = sorted(set(doc) - names)
-        if missing or unknown:
-            raise ConfigError(f"report fields missing {missing}, unknown {unknown}")
-        return cls(**doc)
 
 
 @dataclass
@@ -89,8 +92,7 @@ def evaluate(
 
 def percent_improvement(baseline: float, candidate: float) -> float:
     """100 * (baseline - candidate) / baseline; negative when worse."""
-    if baseline <= 0:
-        raise ConfigError(f"baseline must be > 0, got {baseline}")
+    schema.Real(gt=0).check(baseline, "baseline")
     return 100.0 * (baseline - candidate) / baseline
 
 
@@ -158,6 +160,6 @@ def save_report(report: MetricsReport, path) -> None:
 def load_report(path) -> MetricsReport:
     doc = load_json(path)
     try:
-        return MetricsReport.from_dict(doc)
+        return MetricsReport(**schema.check(doc, REPORT))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -8,15 +8,25 @@ against finite differences in the test suite instead.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "linear", "sigmoid", "tanh")
+ACTIVATION = schema.OneOf(ACTIVATIONS)
+DROPOUT = schema.Real(ge=0, lt=1)  # every net's dropout rate
+# the predictor's budget: TrainConfig's and the `model.train` config section's
+TRAIN = {
+    "epochs": schema.Int(0, default=200),
+    "batch_size": schema.Int(1, default=64),
+    "learning_rate": schema.Real(gt=0, default=1e-3),
+}
+# a net's hidden layers, as `hidden_dims` and the `model` config section take them
+ARCH = {"hidden_layers": schema.Int(0, default=2), "hidden_units": schema.Int(1, default=150)}
 
 
 @dataclass(frozen=True)
@@ -57,11 +67,9 @@ class Mlp:
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("Mlp needs at least one layer")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        DROPOUT.check(self.dropout_rate, "dropout_rate")
         for i, layer in enumerate(self.layers):
-            if layer.activation not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {layer.activation!r}")
+            ACTIVATION.check(layer.activation, "activation")
             if layer.bias.shape != (layer.out_dim,):
                 raise ShapeError(f"layer {i}: bias shape {layer.bias.shape} != ({layer.out_dim},)")
             if i > 0 and layer.in_dim != self.layers[i - 1].out_dim:
@@ -92,17 +100,6 @@ class Mlp:
         return Mlp(list(self.layers), self.dropout_rate, dict(self.metadata))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def check_integers(obj, *names: str) -> None:
-    """ConfigError naming the first of the `names` attributes of obj that is not an integer."""
-    for name in names:
-        if not _is_int(getattr(obj, name)):
-            raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 200
@@ -112,15 +109,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        check_integers(self, "epochs", "batch_size")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        schema.check_fields(self, dict(TRAIN, dropout_rate=DROPOUT))
 
 
 @dataclass
@@ -149,8 +138,7 @@ def init_mlp(
     """He-style uniform initialization, U(+-sqrt(6/fan_in)), biases zero."""
     if len(dims) < 2:
         raise ConfigError("need at least input and output dims")
-    if not all(_is_int(d) and d >= 1 for d in dims):
-        raise ConfigError(f"dims must be integers >= 1, got {list(dims)}")
+    schema.Seq(schema.Int(1), "integers >= 1").check(list(dims), "dims")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     layers = []
@@ -166,8 +154,7 @@ def init_mlp(
 
 def hidden_dims(hidden_layers: int, hidden_units: int) -> list[int]:
     """The hidden widths of `hidden_layers` layers (0: none) of `hidden_units`."""
-    if not _is_int(hidden_layers) or hidden_layers < 0:
-        raise ConfigError(f"hidden_layers must be an integer >= 0, got {hidden_layers!r}")
+    ARCH["hidden_layers"].check(hidden_layers, "hidden_layers")
     return [hidden_units] * hidden_layers
 
 

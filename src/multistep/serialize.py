@@ -15,13 +15,12 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, NumericError
-from .nn import Layer, Mlp, _is_int
+from .nn import ACTIVATION, DROPOUT, Layer, Mlp
 from .pipeline import STRATEGIES
 from .strategies import DirectModelSet, MultiOutputModel, RecursiveModel
 
@@ -29,6 +28,35 @@ FORMAT_VERSION = 2
 
 # strategy_tag -> the model kind trained under it
 MODEL_KINDS = {tag: row.kind for tag, row in STRATEGIES.items()}
+
+_OBJECT = schema.Table(None)  # any object
+_VERSION = schema.Kind(str(FORMAT_VERSION), lambda v: schema.is_int(v) and v == FORMAT_VERSION)
+# a network document, as `mlp_to_dict` writes it
+NETWORK = {
+    "format_version": _VERSION,
+    "input_dim": schema.Int(1),
+    "output_dim": schema.Int(1),
+    "dropout_rate": DROPOUT,
+    "layers": schema.Seq(schema.Table({
+        "shape": schema.Seq(schema.Int(1), "an integer shape [out_dim, in_dim]", length=2),
+        "activation": ACTIVATION,
+    }), "a list of layer objects"),
+    "params": schema.Kind("a base64 string", lambda v: isinstance(v, str)),
+    "metadata": _OBJECT,
+    "h": schema.Int(1, default=None),  # the horizon step of a direct or hybrid set's net
+}
+# the metadata of a model document
+METADATA = {
+    "strategy_tag": schema.OneOf(tuple(STRATEGIES)),
+    "p": schema.Int(1),
+    "q": schema.Int(1, default=None),
+    "hybrid": schema.Bool(default=False),
+    "time_step_augmented": schema.Bool(default=False),
+    "max_step": schema.Int(1, default=None),
+    # the data recipe and normalizer `multistep train` records, which `evaluate` requires
+    "normalization": schema.Table(None, null=True),
+    "data": schema.Table(None, null=True),
+}
 
 
 def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
@@ -52,30 +80,16 @@ def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
     }
 
 
-def _is_shape(shape) -> bool:
-    return isinstance(shape, list) and len(shape) == 2 and all(
-        _is_int(d) and d >= 1 for d in shape)
-
-
-def mlp_from_dict(doc: dict) -> Mlp:
-    """Rebuild the `Mlp` of a network document; ConfigError when its
-    version, layer shapes or params block are not what `mlp_to_dict` writes."""
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
-    specs = doc.get("layers")
-    if not isinstance(specs, list) or not all(
-            isinstance(ld, dict) and _is_shape(ld.get("shape")) for ld in specs):
-        raise ConfigError("layers must be a list of objects with an integer shape "
-                          "[out_dim, in_dim]")
+def mlp_from_dict(doc: dict, path: str = "") -> Mlp:
+    """The `Mlp` of the network document at `path`; ConfigError unless it fits NETWORK."""
+    doc = schema.check(doc, NETWORK, path)
+    specs = doc["layers"]
     for i in range(1, len(specs)):
         if specs[i]["shape"][1] != specs[i - 1]["shape"][0]:
             raise ConfigError(f"layer {i} shape {specs[i]['shape']} does not take "
                               f"layer {i - 1} shape {specs[i - 1]['shape']}")
-    params = doc.get("params")
-    if not isinstance(params, str):
-        raise ConfigError(f"params must be a base64 string, got {type(params).__name__}")
     try:
-        raw = base64.b64decode(params, validate=True)
+        raw = base64.b64decode(doc["params"], validate=True)
     except binascii.Error as exc:
         raise ConfigError(f"params is not base64: {exc}") from exc
     size = sum(out * (inp + 1) for out, inp in (ld["shape"] for ld in specs))
@@ -86,22 +100,19 @@ def mlp_from_dict(doc: dict) -> Mlp:
         out, inp = ld["shape"]
         w_end = off + out * inp
         layers.append(Layer(flat[off:w_end].reshape(out, inp), flat[w_end:w_end + out],
-                            ld.get("activation")))
+                            ld["activation"]))
         off = w_end + out
-    net = Mlp(layers, dropout_rate=doc["dropout_rate"], metadata=dict(doc.get("metadata", {})))
+    net = Mlp(layers, dropout_rate=doc["dropout_rate"], metadata=dict(doc["metadata"]))
     if net.input_dim != doc["input_dim"] or net.output_dim != doc["output_dim"]:
         raise ConfigError("declared dims disagree with layer shapes")
     return net
 
 
 def model_to_doc(model, metadata: dict) -> dict:
-    """The document of any strategy's model.
-
-    `metadata` is stored as given, plus the fields `model_from_doc` needs,
-    read from the model itself: p, and by kind q, hybrid, or the step
-    input's max_step (None for plain DaD, whose documents carry it too).
-    Its `strategy_tag` must name a strategy that trains this kind of model.
-    """
+    """The document of any strategy's model: `metadata` as given (keys outside
+    METADATA are refused on load), plus what `model_from_doc` reads from the
+    model: p, and by kind q, hybrid, or max_step (None for plain DaD). Its
+    `strategy_tag` must name a strategy that trains this kind of model."""
     tag = metadata.get("strategy_tag")
     if MODEL_KINDS.get(tag) is not type(model):
         raise ConfigError(f"strategy_tag {tag!r} does not store a {type(model).__name__}")
@@ -123,53 +134,30 @@ def model_to_doc(model, metadata: dict) -> dict:
 
 
 def model_from_doc(doc: dict):
-    """Rebuild the model a `model_to_doc` document holds."""
+    """Rebuild the model a `model_to_doc` document holds; ConfigError unless it fits."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
-    meta = doc["metadata"]
-    kind = MODEL_KINDS.get(meta.get("strategy_tag"))
+    meta = schema.check(doc.get("metadata", {}), METADATA, "metadata")
+    kind = MODEL_KINDS[meta["strategy_tag"]]
     if kind is DirectModelSet:
-        nets = [mlp_from_dict(m) for m in doc["models"]]
+        docs = schema.Seq(_OBJECT, "a list of network documents").check(doc.get("models"), "models")
+        nets = [mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)]
         return DirectModelSet(nets, horizon=len(nets), p=meta["p"], hybrid=meta["hybrid"])
     if kind is MultiOutputModel:
         return MultiOutputModel(mlp_from_dict(doc), p=meta["p"], q=meta["q"])
-    if kind is RecursiveModel:
-        return RecursiveModel(
-            mlp_from_dict(doc),
-            p=meta["p"],
-            time_step_augmented=meta.get("time_step_augmented", False),
-            max_step=meta.get("max_step"),
-        )
-    raise ConfigError(f"unknown strategy_tag {meta.get('strategy_tag')!r}")
-
-
-# what json writes for a str, number, bool or None, at any indent
-_scalar = json.JSONEncoder(allow_nan=False).encode
-
-
-def _json(obj, indent: str) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` nested at
-    `indent`, for str keys."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-    if not isinstance(obj, (list, tuple, dict)):
-        return _scalar(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        pairs = sorted(obj.items())
-        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in pairs)
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    items = (_json(v, inner) for v in obj)
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    return RecursiveModel(
+        mlp_from_dict(doc),
+        p=meta["p"],
+        time_step_augmented=meta["time_step_augmented"],
+        max_step=meta["max_step"],
+    )
 
 
 def dump_json(doc: dict, path) -> None:
-    """Write doc as `json.dumps(doc, indent=2, sort_keys=True)` does, plus a
+    """Write doc as `json.dumps(doc, indent=2, sort_keys=True)` plus a
     newline; a NaN or infinity raises NumericError and writes nothing."""
     try:
-        text = _json(doc, "")
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"cannot write {path}: {exc}") from exc
     with open(path, "w") as f:

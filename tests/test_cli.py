@@ -1,12 +1,14 @@
 import base64
 import io
 import json
+import re
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multistep import cli, serialize, synth
+from multistep import cli, pipeline, serialize, synth
 from multistep.data import ingest_csv, write_series_csv
 
 
@@ -447,14 +449,14 @@ class TestModelDocumentExitsTwo:
     exit 2 and no report."""
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda d: d.pop("params"), "params must be a base64 string, got NoneType"),
+        (lambda d: d.pop("params"), "keys missing ['params']"),
         (lambda d: d.update(params=[0.5, 1.5]), "params must be a base64 string, got list"),
         (lambda d: d.update(params="not base64!"), "params is not base64"),
         (lambda d: d.update(params=base64.b64encode(_params_bytes(d)[:-8]).decode()),
          "params holds 192 bytes; the layer shapes need 200"),
         (lambda d: d["layers"][1].update(shape=[1, 5]), "layer 1 shape [1, 5] does not take"),
         (lambda d: d["layers"][0].update(shape=[4, 4.0]), "integer shape"),
-        (lambda d: d["layers"][0].pop("shape"), "integer shape"),
+        (lambda d: d["layers"][0].pop("shape"), "layers[0] keys missing ['shape']"),
         (_as_format_1, "unsupported format_version 1"),
     ], ids=["params-missing", "params-not-str", "params-not-base64", "params-short",
             "shapes-do-not-chain", "shape-not-int", "shape-missing", "format-1"])
@@ -465,6 +467,89 @@ class TestModelDocumentExitsTwo:
         serialize.dump_json(doc, model)
         assert evaluate(model, series_csv, report) == 2
         assert not report.exists()
+        assert named in capsys.readouterr().err
+
+
+def _drop(*keys):
+    def edit(doc):
+        for name in keys[:-1]:
+            doc = doc[name]
+        del doc[keys[-1]]
+    return edit
+
+
+def _report():
+    return {"model_tag": "recursive", "overall_mse": 0.5, "overall_mae": 0.25,
+            "per_step_mse": [0.5], "per_step_mae": [0.25], "num_samples": 3,
+            "denormalized": False}
+
+
+def _keep(doc):
+    pass
+
+
+class TestProbesExitTwo:
+    """Inputs that once trained silently on a changed value, ended in a
+    traceback or failed a step later: each is refused with exit 2, naming
+    its key, and nothing is written."""
+
+    @pytest.mark.parametrize("command, edit, flags, named", [
+        ("train", _set([], "seed", 1.5), [], "seed must be an integer >= 0"),
+        ("train", _set([], "seed", True), [], "seed must be an integer >= 0"),
+        ("train", _set([], "seed", 2.0), [], "seed must be an integer >= 0"),
+        ("train", _set([], "seed", "a"), [], "seed must be an integer >= 0"),
+        ("train", _keep, ["--seed", "-1"], "seed must be an integer >= 0"),
+        ("train", _set(["model"], "train", []), [], "model.train"),
+        ("train", _strategy("multi-noise", "noise", interpret_as_stddev="no"), [],
+         "noise.interpret_as_stddev"),
+        ("train", _set(["model", "train"], "learning_rate", "0.001"), [],
+         "model.train.learning_rate"),
+        ("train", _set(["model", "train"], "learning_rate", float("nan")), [],
+         "model.train.learning_rate"),
+        ("train", _set(["model"], "dropout", "0.1"), [], "model.dropout"),
+        ("train", _set(["data", "split"], "train_end", 5), [], "data.split.train_end"),
+        ("train", _set(["data", "split"], "train_end", "yesterday"), [],
+         "data.split.train_end"),
+        ("train", _strategy("multi-noise", "noise", sigma="0.1"), [], "noise.sigma"),
+        ("train", _strategy("multi-cgan", "cgan", lr_generator="1e-4"), [], "cgan.lr_generator"),
+        ("evaluate", _drop("dropout_rate"), [], "dropout_rate"),
+        ("evaluate", _drop("input_dim"), [], "input_dim"),
+        ("evaluate", _drop("output_dim"), [], "output_dim"),
+        ("evaluate", _drop("metadata"), [], "metadata"),
+        ("evaluate", _drop("metadata", "p"), [], "metadata keys missing ['p']"),
+        ("evaluate", _drop("metadata", "q"), [], "metadata keys missing ['q']"),
+        ("evaluate", _drop("metadata", "normalization"), [], "metadata.normalization"),
+        ("evaluate", _set([], "metadata", []), [], "metadata"),
+        ("evaluate", _set(["metadata", "normalization"], "max", "1"), [],
+         "metadata.normalization.max"),
+        ("evaluate", _set([], "dropout_rate", "0.1"), [], "dropout_rate"),
+        ("evaluate", _set(["metadata"], "p", 2.5), [], "metadata.p"),
+        ("compare", _set([], "overall_mse", "0.1"), [], "overall_mse"),
+        ("compare", _set([], "overall_mse", None), [], "overall_mse"),
+        ("compare", _set([], "model_tag", 3), [], "model_tag"),
+    ], ids=["seed-1.5", "seed-true", "seed-2.0", "seed-str", "seed-flag-neg", "train-list",
+            "stddev-str", "lr-str", "lr-nan", "dropout-str", "train-end-int",
+            "train-end-word", "sigma-str", "lr-generator-str", "no-dropout-rate",
+            "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
+            "no-normalization", "metadata-list", "max-str", "dropout-rate-str", "p-2.5",
+            "mse-str", "mse-null", "tag-int"])
+    def test_refused(self, tmp_path, series_csv, model_doc, capsys, command, edit, flags,
+                     named):
+        doc = {"train": base_config(), "evaluate": json.loads(json.dumps(model_doc)),
+               "compare": _report()}[command]
+        edit(doc)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--config", str(path), "--data", str(series_csv), "--out", out],
+            "evaluate": ["evaluate", "--model", str(path), "--data", str(series_csv),
+                         "--report", out],
+            "compare": ["compare", "--reports", str(path), "--baseline", "recursive",
+                        "--out", out],
+        }[command]
+        assert cli.main(argv + flags) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
         assert named in capsys.readouterr().err
 
 
@@ -509,3 +594,64 @@ class TestMalformedJsonExitsTwo:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.json"]
         assert "missing ['num_samples', 'overall_mae'" in capsys.readouterr().err
+
+    def test_compare_refuses_a_bad_report_before_writing(self, tmp_path, capsys):
+        # a report whose model_tag is a number once wrote <out>.json, then
+        # failed rendering the text table
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(_report()))
+        bad.write_text(json.dumps(dict(_report(), model_tag=3)))
+        code = cli.main(["compare", "--reports", str(good), str(bad), "--baseline",
+                         "recursive", "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+        assert "model_tag must be a string" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_reference() -> dict:
+    """{dotted key: (kind, default)} from the README's config reference table."""
+    text = README.read_text().split("Config reference", 1)[1]
+    rows = re.findall(r"^\| `([\w.]+)` \| (.+) \| (.+) \|$", text, re.M)
+    return {key: (kind, default) for key, kind, default in rows}
+
+
+def _flatten(doc, prefix=""):
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+class TestConfigReference:
+    """The README's config reference table says what `resolve_config` does."""
+
+    @pytest.mark.parametrize("strategy", cli.STRATEGIES)
+    def test_keys_and_defaults(self, strategy):
+        split = {"train_end": "2011-01-03T02:00:00", "val_end": "2011-01-03T14:30:00"}
+        given = {"data": {"split": split}, "model": {"strategy": strategy}}
+        filled = _flatten(cli.resolve_config(given))
+        reference = _readme_reference()
+        required = {k for k, (_, default) in reference.items() if default == "required"}
+        assert required == set(_flatten(given))
+        sections = {"seed", "data", "model", pipeline.STRATEGIES[strategy].section}
+        documented = {k: d.strip("`") for k, (_, d) in reference.items()
+                      if k not in required and k.split(".")[0] in sections}
+        assert {k: json.dumps(v) for k, v in filled.items() if k not in required} == documented
+
+    def test_kinds_are_the_config_rows(self):
+        def leaves(table, prefix=""):
+            for key, kind in table.items():
+                if kind.rows is not None:
+                    yield from leaves(kind.rows, f"{prefix}{key}.")
+                else:
+                    yield prefix + key, kind.what + " or null" * (kind.default is None)
+
+        documented = {k: kind for k, (kind, _) in _readme_reference().items()}
+        assert documented == dict(leaves(cli.CONFIG))
+
