@@ -250,11 +250,8 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
         candidates.append(candidate(current))
 
     best_net, best_idx = select_best(candidates, cfg.selection_metric)
-    model = RecursiveModel(
-        best_net, p=p, time_step_augmented=cfg.conditional, max_step=step_scale
-    )
     return MetaTrainResult(
-        best_model=model,
+        best_model=RecursiveModel(best_net, p=p, max_step=step_scale),
         best_iteration=best_idx,
         per_iteration_val_errors=[(mse, mae) for _, mse, mae in candidates],
     )

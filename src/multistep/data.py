@@ -104,6 +104,8 @@ class SplitSpec:
     val_end: datetime
 
     def __post_init__(self):
+        if (self.train_end.tzinfo is None) != (self.val_end.tzinfo is None):
+            raise ConfigError("train_end and val_end must both have or both lack a UTC offset")
         if not self.train_end < self.val_end:
             raise ConfigError("train_end must precede val_end")
 
@@ -140,6 +142,10 @@ def ingest_csv(
                 ts = datetime.fromisoformat(row[0].strip())
             except ValueError as exc:
                 raise IngestError(f"row {lineno}: bad timestamp {row[0]!r}") from exc
+            if rows and (ts.tzinfo is None) != (rows[0][0].tzinfo is None):  # they do not compare
+                has = "lacks" if ts.tzinfo is None else "has"
+                raise IngestError(f"row {lineno}: timestamp {has} a UTC offset, "
+                                  f"unlike row {rows[0][2]}")
             try:
                 value = float(row[1])
             except ValueError as exc:
@@ -236,6 +242,9 @@ def split_by_date(
     """Chronological split: train = (-inf, train_end], val = (train_end,
     val_end], test = (val_end, inf). All three segments must be non-empty."""
     ts = series.timestamps
+    if (spec.train_end.tzinfo is None) != (ts[0].tzinfo is None):
+        raise ConfigError("the split boundaries and the series timestamps must both have "
+                          "or both lack a UTC offset")
     n_train = bisect_right(ts, spec.train_end)
     n_val = bisect_right(ts, spec.val_end) - n_train
     n_test = len(ts) - n_train - n_val

@@ -27,6 +27,8 @@ TRAIN = {
 }
 # a net's hidden layers, as `hidden_dims` and the `model` config section take them
 ARCH = {"hidden_layers": schema.Int(0, default=2), "hidden_units": schema.Int(1, default=150)}
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     # scratch vectors adam_step writes its temporaries into
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -368,21 +367,12 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def init_adam(
-    params: np.ndarray,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
     return AdamState(
         first_moment=np.zeros_like(params),
         second_moment=np.zeros_like(params),
         step_count=0,
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -400,7 +390,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
             f"shape mismatch: param {params.shape}, grad {grad.shape}, moment {m.shape}"
         )
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     step, denom = state.scratch
     m *= b1
     np.multiply(grad, 1.0 - b1, out=step)
@@ -412,7 +402,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     np.divide(m, 1.0 - b1**t, out=step)
     np.divide(v, 1.0 - b2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.epsilon
+    denom += ADAM_EPSILON
     step *= state.learning_rate
     step /= denom
     params -= step

@@ -22,7 +22,7 @@ from . import schema
 from .errors import ConfigError, NumericError
 from .nn import ACTIVATION, DROPOUT, Layer, Mlp
 from .pipeline import STRATEGIES
-from .strategies import DirectModelSet, MultiOutputModel, RecursiveModel
+from .strategies import DirectModelSet, RecursiveModel
 
 FORMAT_VERSION = 2
 
@@ -45,14 +45,14 @@ NETWORK = {
     "metadata": _OBJECT,
     "h": schema.Int(1, default=None),  # the horizon step of a direct or hybrid set's net
 }
-# the metadata of a model document
+# the metadata of a model document; the kind its strategy_tag names requires its own rows
 METADATA = {
     "strategy_tag": schema.OneOf(tuple(STRATEGIES)),
     "p": schema.Int(1),
-    "q": schema.Int(1, default=None),
-    "hybrid": schema.Bool(default=False),
-    "time_step_augmented": schema.Bool(default=False),
-    "max_step": schema.Int(1, default=None),
+    **RecursiveModel.METADATA,
+    **DirectModelSet.METADATA,
+    "q": schema.Int(1, default=None),  # a recursive document may record its served horizon
+    "time_step_augmented": schema.Bool(default=False),  # written as max_step is not null
     # the data recipe and normalizer `multistep train` records, which `evaluate` requires
     "normalization": schema.Table(None, null=True),
     "data": schema.Table(None, null=True),
@@ -109,28 +109,25 @@ def mlp_from_dict(doc: dict, path: str = "") -> Mlp:
 
 
 def model_to_doc(model, metadata: dict) -> dict:
-    """The document of any strategy's model: `metadata` as given (keys outside
-    METADATA are refused on load), plus what `model_from_doc` reads from the
-    model: p, and by kind q, hybrid, or max_step (None for plain DaD). Its
-    `strategy_tag` must name a strategy that trains this kind of model."""
+    """The document of any strategy's model: `metadata` as given, plus p and
+    the fields its kind's METADATA names; ConfigError unless the result fits
+    METADATA. Its `strategy_tag` must name a strategy that trains this kind
+    of model."""
     tag = metadata.get("strategy_tag")
     if MODEL_KINDS.get(tag) is not type(model):
         raise ConfigError(f"strategy_tag {tag!r} does not store a {type(model).__name__}")
-    meta = dict(metadata, p=model.p, time_step_augmented=False)
-    if isinstance(model, DirectModelSet):
-        meta.update(q=model.horizon, hybrid=model.hybrid)
-        return {
-            "format_version": FORMAT_VERSION,
-            "metadata": meta,
-            "models": [
-                dict(mlp_to_dict(net), h=h) for h, net in enumerate(model.models, start=1)
-            ],
-        }
-    if isinstance(model, MultiOutputModel):
-        meta["q"] = model.q
-    elif model.time_step_augmented or STRATEGIES[tag].section == "dad":
-        meta.update(time_step_augmented=model.time_step_augmented, max_step=model.max_step)
-    return mlp_to_dict(model.net, meta)
+    meta = {**metadata, "p": model.p, **{key: getattr(model, key) for key in model.METADATA}}
+    meta["time_step_augmented"] = meta.get("max_step") is not None
+    if not meta["time_step_augmented"] and STRATEGIES[tag].section != "dad":
+        meta.pop("max_step", None)  # only a plain DaD document records it, as null
+    schema.check(meta, METADATA, "metadata")
+    if model.ONE_NET:
+        return mlp_to_dict(model.net, meta)
+    return {
+        "format_version": FORMAT_VERSION,
+        "metadata": meta,
+        "models": [dict(mlp_to_dict(net), h=h) for h, net in enumerate(model.models, start=1)],
+    }
 
 
 def model_from_doc(doc: dict):
@@ -138,19 +135,15 @@ def model_from_doc(doc: dict):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
     meta = schema.check(doc.get("metadata", {}), METADATA, "metadata")
+    if meta["time_step_augmented"] != (meta["max_step"] is not None):
+        raise ConfigError(f"metadata.max_step {meta['max_step']} disagrees with "
+                          f"time_step_augmented {meta['time_step_augmented']}")
     kind = MODEL_KINDS[meta["strategy_tag"]]
-    if kind is DirectModelSet:
-        docs = schema.Seq(_OBJECT, "a list of network documents").check(doc.get("models"), "models")
-        nets = [mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)]
-        return DirectModelSet(nets, horizon=len(nets), p=meta["p"], hybrid=meta["hybrid"])
-    if kind is MultiOutputModel:
-        return MultiOutputModel(mlp_from_dict(doc), p=meta["p"], q=meta["q"])
-    return RecursiveModel(
-        mlp_from_dict(doc),
-        p=meta["p"],
-        time_step_augmented=meta["time_step_augmented"],
-        max_step=meta["max_step"],
-    )
+    own = schema.check({key: meta[key] for key in kind.METADATA}, kind.METADATA, "metadata")
+    if kind.ONE_NET:
+        return kind(mlp_from_dict(doc), p=meta["p"], **own)
+    docs = schema.Seq(_OBJECT, "a list of network documents").check(doc.get("models"), "models")
+    return kind([mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)], p=meta["p"], **own)
 
 
 def dump_json(doc: dict, path) -> None:

@@ -8,14 +8,21 @@ Four families over the same dense-network core:
 * direct — one independent model per horizon step, plus the hybrid
   variant whose step-h model also consumes the predictions of steps 1..h-1;
 * multi-output — one model emitting all q future values at once.
+
+Each model kind serves itself through `predictor(n_steps)`. Its METADATA
+table names the fields, beside its nets and p, that its model document
+records, and ONE_NET says whether that document is one network document
+or keeps one per net under "models".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
+from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
 from .nn import Mlp, TrainConfig, Workspace, fit, forward, hidden_dims, init_mlp
@@ -25,36 +32,72 @@ from .nn import Mlp, TrainConfig, Workspace, fit, forward, hidden_dims, init_mlp
 class RecursiveModel:
     net: Mlp
     p: int
-    time_step_augmented: bool = False
-    max_step: int | None = None  # rollout length the step input was scaled by
+    # with a step input, the rollout depth it was scaled by (the net takes
+    # p + 1 inputs); None without one
+    max_step: int | None = None
+
+    ONE_NET: ClassVar[bool] = True
+    METADATA: ClassVar[dict] = {"max_step": schema.Int(1, default=None)}
 
     def __post_init__(self):
-        expected = self.p + 1 if self.time_step_augmented else self.p
+        schema.check_fields(self, self.METADATA)
+        expected = self.p if self.max_step is None else self.p + 1
         if self.net.input_dim != expected:
             raise ShapeError(
                 f"net input_dim {self.net.input_dim} != expected {expected} "
-                f"(p={self.p}, augmented={self.time_step_augmented})"
+                f"(p={self.p}, max_step={self.max_step})"
             )
         if self.net.output_dim != 1:
             raise ShapeError("recursive model must have a single output")
+
+    def predictor(self, n_steps: int | None = None):
+        """[m, p] histories -> [m, n_steps] rollout predictions."""
+        if n_steps is None:
+            raise ConfigError("recursive predictor needs n_steps")
+        # The step feature was trained on (n-1)/max_step for n <= max_step;
+        # deeper rollouts would feed it values it never saw.
+        if self.max_step is not None and n_steps > self.max_step:
+            raise ConfigError(
+                f"step-augmented model trained to depth {self.max_step} "
+                f"cannot be served {n_steps} steps"
+            )
+        return lambda h: rollout(self.net, h, n_steps, step_scale=self.max_step)
 
 
 @dataclass
 class DirectModelSet:
     models: list[Mlp]
-    horizon: int
+    q: int
     p: int
     hybrid: bool = False
 
+    ONE_NET: ClassVar[bool] = False
+    METADATA: ClassVar[dict] = {"q": schema.Int(1), "hybrid": schema.Bool(default=False)}
+
     def __post_init__(self):
-        if len(self.models) != self.horizon:
-            raise ShapeError(f"{len(self.models)} models for horizon {self.horizon}")
+        if len(self.models) != self.q:
+            raise ShapeError(f"{len(self.models)} models for horizon {self.q}")
         for h, net in enumerate(self.models, start=1):
             expected = self.p + (h - 1) if self.hybrid else self.p
             if net.input_dim != expected:
                 raise ShapeError(f"model {h}: input_dim {net.input_dim} != {expected}")
             if net.output_dim != 1:
                 raise ShapeError(f"model {h}: output_dim must be 1")
+
+    def predictor(self, n_steps: int | None = None):
+        """[m, p] histories -> [m, q] predictions; n_steps is not read."""
+
+        def predict(histories):
+            inputs = np.asarray(histories, dtype=float)
+            preds = np.empty((inputs.shape[0], self.q))
+            for h, net in enumerate(self.models):
+                out, _ = forward(net, inputs, mode="eval")
+                preds[:, h] = out[:, 0]
+                if self.hybrid:
+                    inputs = np.concatenate([inputs, out], axis=1)
+            return preds
+
+        return predict
 
 
 @dataclass
@@ -63,12 +106,19 @@ class MultiOutputModel:
     p: int
     q: int
 
+    ONE_NET: ClassVar[bool] = True
+    METADATA: ClassVar[dict] = {"q": schema.Int(1)}
+
     def __post_init__(self):
         if self.net.input_dim != self.p or self.net.output_dim != self.q:
             raise ShapeError(
                 f"net dims ({self.net.input_dim}, {self.net.output_dim}) != "
                 f"(p={self.p}, q={self.q})"
             )
+
+    def predictor(self, n_steps: int | None = None):
+        """[m, p] histories -> [m, q] predictions; n_steps is not read."""
+        return lambda h: forward(self.net, np.asarray(h, dtype=float), mode="eval")[0]
 
 
 def rollout(
@@ -143,11 +193,10 @@ def train_direct(
     models (not ground truth), so later models see the same error-bearing
     inputs at train and predict time.
     """
-    horizon = data.q
     models: list[Mlp] = []
     extra = np.empty((len(data), 0))
     hidden = hidden_dims(hidden_layers, hidden_units)
-    for h in range(1, horizon + 1):
+    for h in range(1, data.q + 1):
         inputs = np.concatenate([data.histories, extra], axis=1) if hybrid else data.histories
         targets = data.futures[:, h - 1 : h]
         step_data = WindowedDataset(inputs, targets, inputs.shape[1], 1)
@@ -161,23 +210,7 @@ def train_direct(
         if hybrid:
             preds, _ = forward(trained, inputs, mode="eval")
             extra = np.concatenate([extra, preds], axis=1)
-    return DirectModelSet(models, horizon=horizon, p=data.p, hybrid=hybrid)
-
-
-def predict_direct(model_set: DirectModelSet, history: np.ndarray) -> np.ndarray:
-    history = np.asarray(history, dtype=float)
-    single = history.ndim == 1
-    batch = history[None, :] if single else history
-    if batch.shape[1] != model_set.p:
-        raise ShapeError(f"history width {batch.shape[1]} != p={model_set.p}")
-    preds = np.empty((batch.shape[0], model_set.horizon))
-    inputs = batch
-    for h, net in enumerate(model_set.models, start=1):
-        out, _ = forward(net, inputs, mode="eval")
-        preds[:, h - 1] = out[:, 0]
-        if model_set.hybrid:
-            inputs = np.concatenate([inputs, out], axis=1)
-    return preds[0] if single else preds
+    return DirectModelSet(models, q=data.q, p=data.p, hybrid=hybrid)
 
 
 def train_multi_output(
@@ -197,30 +230,6 @@ def train_multi_output(
     return MultiOutputModel(trained, p=data.p, q=data.q)
 
 
-def predict_multi_output(model: MultiOutputModel, history: np.ndarray) -> np.ndarray:
-    history = np.asarray(history, dtype=float)
-    out, _ = forward(model.net, history, mode="eval")
-    return out
-
-
 def batch_predictor(model, n_steps: int | None = None):
     """Uniform [m, p] -> [m, H] predictor for any strategy's model."""
-    if isinstance(model, RecursiveModel):
-        if n_steps is None:
-            raise ConfigError("recursive predictor needs n_steps")
-        scale = None
-        if model.time_step_augmented:
-            # The step feature was trained on (n-1)/max_step for n <= max_step;
-            # deeper rollouts would feed it values it never saw.
-            if model.max_step is None or n_steps > model.max_step:
-                raise ConfigError(
-                    f"step-augmented model trained to depth {model.max_step} "
-                    f"cannot be served {n_steps} steps"
-                )
-            scale = model.max_step
-        return lambda h: rollout(model.net, h, n_steps, step_scale=scale)
-    if isinstance(model, DirectModelSet):
-        return lambda h: predict_direct(model, h)
-    if isinstance(model, MultiOutputModel):
-        return lambda h: predict_multi_output(model, h)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
+    return model.predictor(n_steps)

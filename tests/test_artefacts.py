@@ -1,0 +1,111 @@
+"""Byte pins of what `multistep train` writes, for every strategy.
+
+Each strategy is trained through `cli.main` at one tiny fixed config on a
+`synth-data` series, and the sha256 of its `model.json`, `.config.json`
+and `.log.json` is compared with the digest recorded here. A refactor
+must leave every digest unchanged. The nets are small enough that the
+digests do not depend on the BLAS thread count.
+
+A change that legitimately alters these bytes (a new document key, a new
+RNG order) updates the digests below and lists the old and new values
+in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from multistep import cli
+
+SECTIONS = {
+    "dad": {"dad": {"n_steps": 3, "meta_iterations": 2, "inner_epochs": 1}},
+    "cdad": {"dad": {"n_steps": 3, "meta_iterations": 2, "inner_epochs": 1}},
+    "multi-noise": {"noise": {"sigma": 0.05}},
+    "multi-cgan": {"cgan": {"noise_dim": 2, "epochs": 2, "batch_size": 32}},
+}
+
+DIGESTS = {
+    "recursive": [
+        "19e67d1ee0d5c0edabde6fa4475db4381bba659ea67344c1771d3381a7eb062e",
+        "615bebd9577d623a2b196e564e7c3ff73b2dbb830488f70c9084d5a967d8ac90",
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    ],
+    "dad": [
+        "c942fe4c4c516c7a897c32d735812f5f35a204ad83e9c8f1baba89a33985da0f",
+        "f35c307028624ab6cf0092ca32ade14e18a4da4862bfc33ac5d90b3490204515",
+        "0c177e2f4f8ce6c408d35e80635af1791ee21f1fd98ad03da2fb26a70053c635",
+    ],
+    "cdad": [
+        "3b96037c51d106cf5ea853d2e47fd25608ea88142195bec14b8527938006d68a",
+        "a193a2dc6fba5ac29f070ab08adb51902cfec93eaf2c5492a79fb188cc92fc7b",
+        "4c129543251566216a38abad1dadfd8b41532d0d7c375ccf2e8f0682fbf19d60",
+    ],
+    "direct": [
+        "b8a554a219f9b6ed5728390842850c765f19321923fc813e3939ce93259a6ad6",
+        "1f1546b5b8d43d3623c2aafede646e0e803465167796f458517dfa29cccc39ae",
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    ],
+    "hybrid": [
+        "46f06b039e47dfc9b3adcb0b499f9fa9f636b3e7e9bf69fd7b9a1279687316a6",
+        "597415db4a38fbf784ee6743f7df22bddca1b9830cb32dc662d3f41dfe97fb55",
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    ],
+    "multi": [
+        "c39ae1fea5df4f620fa43b20ea40d35c98bd1b08e8aab5fd95103cc95b1b6a40",
+        "78293337b38d205a0737ff2ee7932170cb84927f638a9f1041066b5f396b9188",
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    ],
+    "multi-noise": [
+        "a3f9e38345be8b5cb701673f8fd697b65544b8ff82680afbf9aedccb3675953d",
+        "d3813b96917ae18f26fad2950c69de622183121d7f58a2f8b3e9258080e387a4",
+        "8fb65fbf24b7a9fffac7a393dda13a1b190f7643e9754a609234c7d282709fa8",
+    ],
+    "multi-cgan": [
+        "cf96d3766347166de5a4db922d0506ac2ccd41f1affab7e6a73915ceae75f475",
+        "b4b8e7336f25b6ebc501eb6bb6c98aab4127b8911e16985e8204e363264d3a94",
+        "66559bdc0013ed08fbe04c5963c380d9912b61c54e38be6510b45787a934611e",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def series_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pin") / "series.csv"
+    assert cli.main(["synth-data", "--points", "240", "--seed", "3", "--output", str(path)]) == 0
+    return path
+
+
+def config(strategy: str) -> dict:
+    # 240 points at 15 min from 2011-01-01: train to index 160, validate to 200
+    return {
+        "seed": 5,
+        "data": {
+            "p": 4,
+            "q": 3,
+            "split": {"train_end": "2011-01-02T16:00:00", "val_end": "2011-01-03T02:00:00"},
+        },
+        "model": {
+            "strategy": strategy,
+            "hidden_layers": 2,
+            "hidden_units": 6,
+            "dropout": 0.1,
+            "train": {"epochs": 2, "batch_size": 16},
+        },
+        **SECTIONS.get(strategy, {}),
+    }
+
+
+def digests(tmp_path, series_csv, strategy: str) -> list[str]:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config(strategy)))
+    out = tmp_path / "model.json"
+    argv = ["train", "--config", str(cfg), "--data", str(series_csv), "--out", str(out)]
+    assert cli.main(argv) == 0
+    return [hashlib.sha256((tmp_path / f"model.json{suffix}").read_bytes()).hexdigest()
+            for suffix in ("", ".config.json", ".log.json")]
+
+
+@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+def test_train_artefacts_are_pinned(tmp_path, series_csv, strategy):
+    assert digests(tmp_path, series_csv, strategy) == DIGESTS[strategy]

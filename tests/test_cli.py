@@ -97,6 +97,14 @@ class TestIngest:
         expected.write("\n")
         assert (tmp_path / "agg.csv.json").read_bytes() == expected.getvalue().encode()
 
+    def test_mixed_utc_offsets_exit_one(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,flow\n2011-01-01T00:00:00,1\n2011-01-01T00:05:00+00:00,2\n")
+        code = cli.main(["ingest", "--input", str(raw), "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.csv"]
+        assert "row 3: timestamp has a UTC offset" in capsys.readouterr().err
+
     def test_missing_input_exits_one(self, tmp_path):
         code = cli.main(
             ["ingest", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "o.csv")]
@@ -512,6 +520,9 @@ class TestProbesExitTwo:
          "data.split.train_end"),
         ("train", _strategy("multi-noise", "noise", sigma="0.1"), [], "noise.sigma"),
         ("train", _strategy("multi-cgan", "cgan", lr_generator="1e-4"), [], "cgan.lr_generator"),
+        ("train", lambda d: d["data"]["split"].update(train_end="2011-01-03T02:00:00+00:00",
+                                                      val_end="2011-01-03T14:30:00+00:00"),
+         [], "the split boundaries and the series timestamps"),
         ("evaluate", _drop("dropout_rate"), [], "dropout_rate"),
         ("evaluate", _drop("input_dim"), [], "input_dim"),
         ("evaluate", _drop("output_dim"), [], "output_dim"),
@@ -524,15 +535,18 @@ class TestProbesExitTwo:
          "metadata.normalization.max"),
         ("evaluate", _set([], "dropout_rate", "0.1"), [], "dropout_rate"),
         ("evaluate", _set(["metadata"], "p", 2.5), [], "metadata.p"),
+        ("evaluate", lambda d: d["metadata"].update(strategy_tag="cdad", max_step=None,
+                                                    time_step_augmented=True),
+         [], "metadata.max_step"),
         ("compare", _set([], "overall_mse", "0.1"), [], "overall_mse"),
         ("compare", _set([], "overall_mse", None), [], "overall_mse"),
         ("compare", _set([], "model_tag", 3), [], "model_tag"),
     ], ids=["seed-1.5", "seed-true", "seed-2.0", "seed-str", "seed-flag-neg", "train-list",
             "stddev-str", "lr-str", "lr-nan", "dropout-str", "train-end-int",
-            "train-end-word", "sigma-str", "lr-generator-str", "no-dropout-rate",
-            "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
+            "train-end-word", "sigma-str", "lr-generator-str", "split-offsets",
+            "no-dropout-rate", "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
             "no-normalization", "metadata-list", "max-str", "dropout-rate-str", "p-2.5",
-            "mse-str", "mse-null", "tag-int"])
+            "cdad-no-depth", "mse-str", "mse-null", "tag-int"])
     def test_refused(self, tmp_path, series_csv, model_doc, capsys, command, edit, flags,
                      named):
         doc = {"train": base_config(), "evaluate": json.loads(json.dumps(model_doc)),

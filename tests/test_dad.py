@@ -274,10 +274,9 @@ class TestMetaTrain:
     def test_model_shapes(self):
         train, val = wave(50), wave(30, seed=1)
         plain = dad.train_dad(train, val, small_cfg()).best_model
-        assert not plain.time_step_augmented
+        assert plain.max_step is None
         assert plain.net.input_dim == 3
         cond = dad.train_cdad(train, val, small_cfg(conditional=True)).best_model
-        assert cond.time_step_augmented
         assert cond.net.input_dim == 4
         assert cond.max_step == 3
 

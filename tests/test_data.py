@@ -1,5 +1,5 @@
 import csv
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +227,15 @@ class TestIngest:
                            "2011-01-01T00:05:00,5", "2011-01-01T00:12:00,5",
                            gap_policy=gap_policy)
         assert msg == "row 4: spacing 0:07:00 is not a multiple of 0:05:00"
+
+    @pytest.mark.parametrize("first, other", [("", "+00:00"), ("+02:00", "")])
+    def test_mixed_utc_offsets_name_row(self, tmp_path, first, other):
+        # rows are out of order and row 5 is bad too; row 4 is the first bad row read
+        msg = ingest_error(tmp_path / "s.csv", f"2011-01-01T00:15:00{first},5",
+                           f"2011-01-01T00:00:00{first},5", f"2011-01-01T00:05:00{other},5",
+                           f"2011-01-01T00:10:00{other},-1")
+        has = "lacks" if first else "has"
+        assert msg == f"row 4: timestamp {has} a UTC offset, unlike row 2"
 
     def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
         # row 2 is later in time than row 3, and both are bad
@@ -493,6 +502,14 @@ class TestSplit:
         s = self.mk()
         with pytest.raises(ConfigError):
             dt.SplitSpec(s.timestamps[5], s.timestamps[5])
+
+    def test_mixed_utc_offsets_rejected(self):
+        s = self.mk()
+        aware = datetime(2011, 1, 1, 0, 30, tzinfo=timezone.utc)
+        with pytest.raises(ConfigError, match="UTC offset"):
+            dt.SplitSpec(s.timestamps[5], aware)
+        with pytest.raises(ConfigError, match="UTC offset"):
+            dt.split_by_date(s, dt.SplitSpec(aware, aware + FIVE_MIN))
 
     def test_empty_validation_rejected(self):
         s = self.mk()

@@ -250,7 +250,7 @@ class TestModelDocument:
         back = serialize.model_from_doc(
             serialize.model_to_doc(models["cdad"], {"strategy_tag": "cdad"})
         )
-        assert back.time_step_augmented and back.max_step == 4
+        assert back.max_step == 4
 
     def test_corrective_documents_record_depth(self, trained):
         _, _, models = trained
@@ -270,6 +270,27 @@ class TestModelDocument:
         with pytest.raises(ConfigError, match="strategy_tag"):
             serialize.model_from_doc(doc)
 
+    def test_metadata_outside_the_table_rejected_on_write(self):
+        model = strategies.MultiOutputModel(nn.init_mlp([2, 3], rng=0), p=2, q=3)
+        with pytest.raises(ConfigError, match=r"unknown \['run'\]"):
+            serialize.model_to_doc(model, {"strategy_tag": "multi", "run": "a"})
+
+    @pytest.mark.parametrize("tag", ["direct", "multi"])
+    def test_output_count_q_required_on_load(self, trained, tag):
+        _, _, models = trained
+        doc = serialize.model_to_doc(models[tag], {"strategy_tag": tag})
+        del doc["metadata"]["q"]
+        with pytest.raises(ConfigError, match="metadata.q must be an integer"):
+            serialize.model_from_doc(doc)
+
+    def test_depth_without_step_input_refused_on_load(self, trained):
+        # the other disagreement, a step input of unknown depth, is a TestRecursiveAug case
+        _, _, models = trained
+        doc = serialize.model_to_doc(models["cdad"], {"strategy_tag": "cdad"})
+        doc["metadata"]["time_step_augmented"] = False
+        with pytest.raises(ConfigError, match="metadata.max_step 4 disagrees"):
+            serialize.model_from_doc(doc)
+
     def test_tag_of_another_kind_rejected_on_write(self):
         model = strategies.MultiOutputModel(nn.init_mlp([2, 3], rng=0), p=2, q=3)
         with pytest.raises(ConfigError, match="strategy_tag"):
@@ -279,7 +300,7 @@ class TestModelDocument:
     def test_unsupported_top_level_version_rejected(self, tag):
         net = nn.init_mlp([2, 1], rng=0)
         if tag == "direct":
-            model = strategies.DirectModelSet([net], horizon=1, p=2)
+            model = strategies.DirectModelSet([net], q=1, p=2)
         else:
             model = strategies.MultiOutputModel(net, p=2, q=1)
         for version in (1, 3):

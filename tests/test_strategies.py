@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistep import dad, nn, strategies as stg
+from multistep import dad, nn, serialize, strategies as stg
 from multistep.data import WindowedDataset, make_windows
 from multistep.errors import ConfigError, ShapeError
 
@@ -129,9 +129,7 @@ class TestRecursiveAug:
                 plain.layers[1].activation,
             ),
         ]
-        aug = stg.RecursiveModel(
-            nn.Mlp(aug_layers), p=p, time_step_augmented=True, max_step=6
-        )
+        aug = stg.RecursiveModel(nn.Mlp(aug_layers), p=p, max_step=6)
         base = stg.RecursiveModel(plain, p=p)
         h = rng.uniform(0, 1, p)
         assert np.array_equal(serve(aug, h, 6), serve(base, h, 6))
@@ -139,25 +137,26 @@ class TestRecursiveAug:
     def test_manual_unrolling_with_step_term(self):
         # f([x, v]) = 0.5 x + 0.1 v with step feature v = (n-1)/max_step = 0, 0.5
         net = linear_net([[0.5, 0.1]])
-        model = stg.RecursiveModel(net, p=1, time_step_augmented=True, max_step=2)
+        model = stg.RecursiveModel(net, p=1, max_step=2)
         assert np.allclose(serve(model, [1.0], 2), [0.5, 0.3])
 
     def test_serves_up_to_its_trained_depth(self):
-        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1,
-                                   time_step_augmented=True, max_step=4)
+        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1, max_step=4)
         assert serve(model, [1.0], 4).shape == (4,)
         assert serve(model, [1.0], 1).shape == (1,)
 
     def test_past_trained_depth_rejected(self):
-        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1,
-                                   time_step_augmented=True, max_step=4)
+        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1, max_step=4)
         with pytest.raises(ConfigError, match="depth 4"):
             stg.batch_predictor(model, 5)
 
     def test_unknown_trained_depth_rejected(self):
-        model = stg.RecursiveModel(linear_net([[0.5, 0.1]]), p=1, time_step_augmented=True)
-        with pytest.raises(ConfigError, match="depth None"):
-            stg.batch_predictor(model, 1)
+        # a step input without the depth it was scaled by is refused on load
+        model = stg.RecursiveModel(linear_net([[0.5]]), p=1)
+        doc = serialize.model_to_doc(model, {"strategy_tag": "cdad"})
+        doc["metadata"]["time_step_augmented"] = True
+        with pytest.raises(ConfigError, match="metadata.max_step None disagrees"):
+            serialize.model_from_doc(doc)
 
 
 def tiny_windows(n=40, p=3, q=4, seed=0):
@@ -172,7 +171,7 @@ class TestDirect:
         cfg = nn.TrainConfig(epochs=3, batch_size=8, seed=1)
         for hybrid in (False, True):
             ms = stg.train_direct(data, cfg, hybrid=hybrid, hidden_layers=1, hidden_units=4)
-            assert ms.horizon == 1
+            assert ms.q == 1
             assert ms.models[0].input_dim == data.p
 
     def test_hybrid_input_dims_grow(self):
@@ -205,29 +204,29 @@ class TestDirect:
 
     def test_zero_models_predict_zero(self):
         nets = [linear_net(np.zeros((1, 3))) for _ in range(4)]
-        ms = stg.DirectModelSet(nets, horizon=4, p=3)
-        assert np.array_equal(stg.predict_direct(ms, np.ones(3)), np.zeros(4))
+        ms = stg.DirectModelSet(nets, q=4, p=3)
+        assert np.array_equal(serve(ms, np.ones(3), None), np.zeros(4))
 
     def test_hybrid_manual_two_stage(self):
         # model1: f1(x) = 2x ; model2: f2(x, p1) = x + 3 p1 -> [2x, 7x]
         m1 = linear_net([[2.0]])
         m2 = linear_net([[1.0, 3.0]])
-        ms = stg.DirectModelSet([m1, m2], horizon=2, p=1, hybrid=True)
-        assert np.allclose(stg.predict_direct(ms, np.array([1.0])), [2.0, 7.0])
-        assert np.allclose(stg.predict_direct(ms, np.array([2.0])), [4.0, 14.0])
+        ms = stg.DirectModelSet([m1, m2], q=2, p=1, hybrid=True)
+        assert np.allclose(serve(ms, [1.0], None), [2.0, 7.0])
+        assert np.allclose(serve(ms, [2.0], None), [4.0, 14.0])
 
 
 class TestMultiOutput:
     def test_zero_net_predicts_zero(self):
         net = nn.Mlp([nn.Layer(np.zeros((4, 3)), np.zeros(4), "linear")])
         model = stg.MultiOutputModel(net, p=3, q=4)
-        assert np.array_equal(stg.predict_multi_output(model, np.ones(3)), np.zeros(4))
+        assert np.array_equal(serve(model, np.ones(3), None), np.zeros(4))
 
     def test_q8_output_length(self):
         data = tiny_windows(n=60, p=5, q=8)
         cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
         model = stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=6)
-        out = stg.predict_multi_output(model, data.histories[0])
+        out = serve(model, data.histories[0], None)
         assert out.shape == (8,)
 
     def test_q_below_two_rejected(self):
@@ -241,9 +240,7 @@ class TestMultiOutput:
         a = stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=5)
         b = stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=5)
         h = data.histories[:7]
-        assert np.array_equal(
-            stg.predict_multi_output(a, h), stg.predict_multi_output(b, h)
-        )
+        assert np.array_equal(a.predictor()(h), b.predictor()(h))
 
 
 class TestShapeLaw:
