@@ -76,8 +76,20 @@ class CganPair:
             raise ShapeError("discriminator output_dim != 1")
 
 
-def _clamp(prob: np.ndarray) -> np.ndarray:
-    return np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
+def _clamp_into(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.clip(prob, PROB_EPS, 1 - PROB_EPS) into out: the same bits, NaN included."""
+    np.maximum(prob, PROB_EPS, out=out)
+    return np.minimum(out, 1.0 - PROB_EPS, out=out)
+
+
+def _log_mean(prob: np.ndarray, numerator: float, grad: np.ndarray) -> np.floating:
+    """np.mean(np.log(prob)) over its b rows, with numerator / (prob * b)
+    into grad; prob is overwritten by its log."""
+    b = len(prob)
+    np.multiply(prob, b, out=grad)
+    np.divide(numerator, grad, out=grad)
+    np.log(prob, out=prob)
+    return np.add.reduce(prob, axis=None) / b  # the sum and division of np.mean
 
 
 def train_cgan(
@@ -112,10 +124,13 @@ def train_cgan(
     pairs = np.concatenate([data.histories, data.futures], axis=1)  # real [h | futures]
     starts = range(0, n, cfg.batch_size)
     # per batch row count: workspaces of G, of D's real pass (reused by the
-    # G-step's eval pass) and of D's fake pass, then the z and input blocks
+    # G-step's eval pass) and of D's fake pass, the z and input blocks, then
+    # [b, 1] columns for the real and fake probabilities (clamped, then their
+    # logs) and their loss gradients, which the G-step reuses
     work = {
         b: (Workspace(gen, b), Workspace(disc, b), Workspace(disc, b),
-            np.empty((b, nd)), np.empty((b, nd + q)), np.empty((b, p + q)), np.empty((b, p + q)))
+            np.empty((b, nd)), np.empty((b, nd + q)), np.empty((b, p + q)), np.empty((b, p + q)),
+            *np.empty((4, b, 1)))
         for b in {min(cfg.batch_size, n), n - starts[-1]}
     }
     log: list[dict] = []
@@ -126,7 +141,7 @@ def train_cgan(
         for start in starts:
             idx = order[start : start + cfg.batch_size]
             b = len(idx)
-            g_ws, real_ws, fake_ws, z, gen_in, real_in, fake_in = work[b]
+            g_ws, real_ws, fake_ws, z, gen_in, real_in, fake_in, pr, pf, grad_r, grad_f = work[b]
             np.take(pairs, idx, axis=0, out=real_in)
             gen_in[:, nd:] = fake_in[:, p:] = real_in[:, p:]
 
@@ -137,15 +152,14 @@ def train_cgan(
             fake_in[:, :p] = fake_h
             d_real, cache_r = forward(disc, real_in, mode="train", rng=rng, workspace=real_ws)
             d_fake, cache_f = forward(disc, fake_in, mode="train", rng=rng, workspace=fake_ws)
-            pr, pf = _clamp(d_real), _clamp(d_fake)
-            d_loss = float(-np.mean(np.log(pr)) - np.mean(np.log(1.0 - pf)))
-            grad_r = -1.0 / (pr * b)
-            grad_f = 1.0 / ((1.0 - pf) * b)
+            real_term = _log_mean(_clamp_into(d_real, pr), -1.0, grad_r)
+            fake_term = _log_mean(np.subtract(1.0, _clamp_into(d_fake, pf), out=pf), 1.0, grad_f)
+            d_loss = float(-real_term - fake_term)
             d_grad = backward(disc, cache_r, grad_r)
             d_grad += backward(disc, cache_f, grad_f)
             adam_step(disc.params, d_grad, d_state)
             # read d_real now: the G-step's eval pass overwrites it
-            acc_hits += int(np.sum(d_real[:, 0] > 0.5)) + int(np.sum(d_fake[:, 0] <= 0.5))
+            acc_hits += np.count_nonzero(d_real > 0.5) + np.count_nonzero(d_fake <= 0.5)
 
             # --- generator update ---
             rng.standard_normal(out=z)
@@ -153,14 +167,12 @@ def train_cgan(
             fake_h, cache_g = forward(gen, gen_in, mode="train", rng=rng, workspace=g_ws)
             fake_in[:, :p] = fake_h
             d_out, cache_d = forward(disc, fake_in, mode="eval", workspace=real_ws)
-            pg = _clamp(d_out)
+            pg = _clamp_into(d_out, pr)
             if cfg.saturating:
-                g_loss = float(np.mean(np.log(1.0 - pg)))
-                grad_out = -1.0 / ((1.0 - pg) * b)
+                g_loss = float(_log_mean(np.subtract(1.0, pg, out=pg), -1.0, grad_r))
             else:
-                g_loss = float(-np.mean(np.log(pg)))
-                grad_out = -1.0 / (pg * b)
-            d_input_grad = input_grad(disc, cache_d, grad_out)
+                g_loss = float(-_log_mean(pg, -1.0, grad_r))
+            d_input_grad = input_grad(disc, cache_d, grad_r)
             adam_step(gen.params, backward(gen, cache_g, d_input_grad[:, :p]), g_state)
 
             d_losses.append(d_loss)

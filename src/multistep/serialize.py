@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from . import schema
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .nn import ACTIVATION, DROPOUT, Layer, Mlp
 from .pipeline import STRATEGIES
 from .strategies import DirectModelSet, RecursiveModel
@@ -117,6 +117,9 @@ def model_to_doc(model, metadata: dict) -> dict:
     if MODEL_KINDS.get(tag) is not type(model):
         raise ConfigError(f"strategy_tag {tag!r} does not store a {type(model).__name__}")
     meta = {**metadata, "p": model.p, **{key: getattr(model, key) for key in model.METADATA}}
+    for key in ("p", "q", "max_step"):  # a NumPy integer as the int json writes
+        if schema.is_int(meta.get(key)):
+            meta[key] = int(meta[key])
     meta["time_step_augmented"] = meta.get("max_step") is not None
     if not meta["time_step_augmented"] and STRATEGIES[tag].section != "dad":
         meta.pop("max_step", None)  # only a plain DaD document records it, as null
@@ -131,7 +134,8 @@ def model_to_doc(model, metadata: dict) -> dict:
 
 
 def model_from_doc(doc: dict):
-    """Rebuild the model a `model_to_doc` document holds; ConfigError unless it fits."""
+    """Rebuild the model a `model_to_doc` document holds; ConfigError unless
+    it fits, its metadata included."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
     meta = schema.check(doc.get("metadata", {}), METADATA, "metadata")
@@ -141,9 +145,17 @@ def model_from_doc(doc: dict):
     kind = MODEL_KINDS[meta["strategy_tag"]]
     own = schema.check({key: meta[key] for key in kind.METADATA}, kind.METADATA, "metadata")
     if kind.ONE_NET:
-        return kind(mlp_from_dict(doc), p=meta["p"], **own)
-    docs = schema.Seq(_OBJECT, "a list of network documents").check(doc.get("models"), "models")
-    return kind([mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)], p=meta["p"], **own)
+        nets = mlp_from_dict(doc)
+    else:
+        docs = schema.Seq(_OBJECT, "a list of network documents").check(
+            doc.get("models"), "models")
+        nets = [mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)]
+    fields = {"p": meta["p"], **own}
+    try:
+        return kind(nets, **fields)
+    except ShapeError as exc:
+        named = ", ".join(f"metadata.{key} {value}" for key, value in fields.items())
+        raise ConfigError(f"{named} do not fit the networks: {exc}") from exc
 
 
 def dump_json(doc: dict, path) -> None:

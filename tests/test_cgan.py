@@ -74,6 +74,31 @@ class TestTraining:
         assert all(0.0 <= e["d_accuracy"] <= 1.0 for e in pair.training_log)
 
 
+class TestLossArithmetic:
+    """The in-place loss helpers give the bits of the textbook expressions."""
+
+    EDGES = [0.0, -0.0, 1e-300, 5e-8, 1e-7, 0.3, 0.5, 1 - 1e-7, 1 - 5e-8, 1.0, 2.0, -1.0,
+             np.inf, -np.inf, np.nan]
+
+    def test_clamp_equals_clip_bitwise_nan_included(self):
+        prob = np.array(self.EDGES + list(np.random.default_rng(0).uniform(-0.5, 1.5, 40)))
+        expected = np.clip(prob, cgan.PROB_EPS, 1.0 - cgan.PROB_EPS)
+        out = np.empty_like(prob)
+        assert cgan._clamp_into(prob, out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("b", [1, 7, 64, 200])
+    @pytest.mark.parametrize("numerator", [-1.0, 1.0])
+    def test_log_mean_equals_mean_of_log_and_its_gradient(self, b, numerator):
+        prob = np.clip(np.random.default_rng(b).uniform(0, 1, (b, 1)), cgan.PROB_EPS,
+                       1.0 - cgan.PROB_EPS)
+        expected_mean, expected_grad = np.mean(np.log(prob)), numerator / (prob * b)
+        grad = np.empty_like(prob)
+        mean = cgan._log_mean(prob, numerator, grad)
+        assert np.float64(mean).tobytes() == np.float64(expected_mean).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+
 class TestGenerate:
     def test_counting_and_range(self):
         data = tiny_data()

@@ -538,6 +538,9 @@ class TestProbesExitTwo:
         ("evaluate", lambda d: d["metadata"].update(strategy_tag="cdad", max_step=None,
                                                     time_step_augmented=True),
          [], "metadata.max_step"),
+        ("evaluate", _set(["metadata"], "p", 3), [], "metadata.p 3, metadata.max_step None do not"),
+        ("evaluate", _set(["metadata"], "strategy_tag", "multi"), [],
+         "metadata.p 4, metadata.q 4 do not fit the networks: net dims (4, 1)"),
         ("compare", _set([], "overall_mse", "0.1"), [], "overall_mse"),
         ("compare", _set([], "overall_mse", None), [], "overall_mse"),
         ("compare", _set([], "model_tag", 3), [], "model_tag"),
@@ -546,7 +549,7 @@ class TestProbesExitTwo:
             "train-end-word", "sigma-str", "lr-generator-str", "split-offsets",
             "no-dropout-rate", "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
             "no-normalization", "metadata-list", "max-str", "dropout-rate-str", "p-2.5",
-            "cdad-no-depth", "mse-str", "mse-null", "tag-int"])
+            "cdad-no-depth", "p-over-net", "multi-q-over-net", "mse-str", "mse-null", "tag-int"])
     def test_refused(self, tmp_path, series_csv, model_doc, capsys, command, edit, flags,
                      named):
         doc = {"train": base_config(), "evaluate": json.loads(json.dumps(model_doc)),

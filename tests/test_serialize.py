@@ -291,6 +291,44 @@ class TestModelDocument:
         with pytest.raises(ConfigError, match="metadata.max_step 4 disagrees"):
             serialize.model_from_doc(doc)
 
+    @pytest.mark.parametrize("tag, q, cause", [
+        ("direct", 3, "2 models for horizon 3"),
+        ("multi", 4, r"net dims \(2, 3\) != \(p=2, q=4\)"),
+    ], ids=["direct", "multi"])
+    def test_output_count_q_that_does_not_fit_the_networks_refused_on_load(self, tag, q, cause):
+        if tag == "direct":
+            model = strategies.DirectModelSet([nn.init_mlp([2, 1], rng=h) for h in (0, 1)], q=2, p=2)
+        else:
+            model = strategies.MultiOutputModel(nn.init_mlp([2, 3], rng=0), p=2, q=3)
+        doc = serialize.model_to_doc(model, {"strategy_tag": tag})
+        doc["metadata"]["q"] = q
+        with pytest.raises(ConfigError, match=f"metadata.q {q}.* do not fit the networks: {cause}"):
+            serialize.model_from_doc(doc)
+
+    def test_numpy_integer_fields_round_trip_as_ints(self, tmp_path):
+        i64 = np.int64
+        cases = [  # tag, model, extra metadata, the integers its document holds
+            ("cdad", strategies.RecursiveModel(nn.init_mlp([3, 1], rng=0), p=i64(2),
+                                               max_step=i64(4)),
+             {"q": i64(4)}, {"p": 2, "q": 4, "max_step": 4}),
+            ("direct", strategies.DirectModelSet([nn.init_mlp([2, 1], rng=h) for h in (0, 1)],
+                                                 q=i64(2), p=i64(2)),
+             {}, {"p": 2, "q": 2}),
+            ("multi", strategies.MultiOutputModel(nn.init_mlp([2, 3], rng=0), p=i64(2),
+                                                  q=np.int32(3)),
+             {}, {"p": 2, "q": 3}),
+        ]
+        for tag, model, extra, ints in cases:
+            path = tmp_path / f"{tag}.json"
+            serialize.dump_json(serialize.model_to_doc(model, {"strategy_tag": tag, **extra}), path)
+            doc = serialize.load_json(path)
+            written = {key: doc["metadata"][key] for key in ints}
+            assert written == ints and {type(v) for v in written.values()} == {int}, tag
+            back = serialize.model_from_doc(doc)
+            assert type(back) is type(model), tag
+            for key in ("p", *model.METADATA):
+                assert getattr(back, key) == getattr(model, key), (tag, key)
+
     def test_tag_of_another_kind_rejected_on_write(self):
         model = strategies.MultiOutputModel(nn.init_mlp([2, 3], rng=0), p=2, q=3)
         with pytest.raises(ConfigError, match="strategy_tag"):

@@ -1,9 +1,11 @@
-"""One forward, one backward and one adam_step call per training minibatch.
+"""A fixed set of nn calls per training minibatch: one forward, one
+backward and one adam_step in `fit`, and a pinned count of each in
+`train_cgan`.
 
 Span tracers (perfbench/tracing.py) count training steps by rebinding
 these module-level functions in every loaded multistep module. These
-tests rebind counting wrappers the same way, so fusing the calls of a
-step into one would fail here instead of silently blinding the tracer.
+tests rebind counting wrappers the same way, so fusing or dropping a
+call of a step would fail here instead of silently blinding the tracer.
 The tracer looks its targets up by name, so a last test checks that
 every one of them still exists.
 """
@@ -23,8 +25,8 @@ from multistep.data import make_windows
 
 
 def count_step_calls(monkeypatch) -> Counter:
-    """Rebind counting wrappers of forward/backward/adam_step wherever a
-    multistep module holds them; returns the live counts."""
+    """Rebind counting wrappers of forward/backward/input_grad/adam_step
+    wherever a multistep module holds them; returns the live counts."""
     counts = Counter()
     modules = [m for name, m in list(sys.modules.items())
                if name == "multistep" or name.startswith("multistep.")]
@@ -39,7 +41,7 @@ def count_step_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    for name in ("forward", "backward", "adam_step"):
+    for name in ("forward", "backward", "input_grad", "adam_step"):
         original = getattr(nn, name)
         wrapper = counting(original, name)
         for module in modules:
@@ -64,15 +66,19 @@ def test_fit_makes_one_call_of_each_per_minibatch(monkeypatch):
     assert counts == Counter(forward_train=6, backward=6, adam_step=6)  # 2 x ceil(130/64)
 
 
-def test_train_cgan_makes_two_adam_steps_per_minibatch(monkeypatch):
+def test_train_cgan_makes_a_fixed_set_of_calls_per_minibatch(monkeypatch):
+    """D-step: G eval, D train on real and on fake, two backward, one
+    adam_step. G-step: G train, D eval, input_grad through D, backward
+    through G, one adam_step."""
     counts = count_step_calls(monkeypatch)
     rng = np.random.default_rng(0)
     data = make_windows(rng.uniform(0, 1, 47), 4, 3)
-    cfg = cgan.CganConfig(noise_dim=3, epochs=3, batch_size=16, seed=0,
-                          hidden_layers=1, hidden_units=5)
+    cfg = cgan.CganConfig(noise_dim=3, epochs=3, batch_size=16, seed=0, hidden_layers=1,
+                          hidden_units=5, dropout=0.2)
     cgan.train_cgan(data, cfg)
-    minibatches = cfg.epochs * math.ceil(len(data) / cfg.batch_size)
-    assert counts["adam_step"] == 2 * minibatches
+    m = cfg.epochs * math.ceil(len(data) / cfg.batch_size)  # 3 x 3, the last batch uneven
+    assert counts == Counter(forward_eval=2 * m, forward_train=3 * m, backward=3 * m,
+                             input_grad=m, adam_step=2 * m)
 
 
 @pytest.mark.parametrize("step_scale", [None, 5])

@@ -5,8 +5,8 @@ allocates nothing of batch size per minibatch step.
 The oracle below is the engine as it was before workspaces: forward,
 backward and input_grad into fresh arrays on every call, and `fit`'s and
 `train_cgan`'s minibatch loops built on them. Of the package it calls
-only `adam_step`, the initialisers, `Mlp.copy`, `cgan._clamp` and, for the
-holdout accuracy, `cgan.discriminator_accuracy`.
+only `adam_step`, the initialisers, `Mlp.copy`, `cgan.PROB_EPS` and, for
+the holdout accuracy, `cgan.discriminator_accuracy`.
 """
 
 import math
@@ -113,7 +113,7 @@ def oracle_train_cgan(data, cfg, holdout=None):
                        final_activation="sigmoid")
     g_state = nn.init_adam(gen.params, learning_rate=cfg.lr_generator)
     d_state = nn.init_adam(disc.params, learning_rate=cfg.lr_discriminator)
-    clamp = cgan._clamp
+    lo, hi = cgan.PROB_EPS, 1 - cgan.PROB_EPS  # np.clip bounds of the probabilities
     n, log = len(data), []
     eval_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x60DA)))
     for _ in range(cfg.epochs):
@@ -131,7 +131,7 @@ def oracle_train_cgan(data, cfg, holdout=None):
             d_fake, cache_f = oracle_forward(
                 disc, np.concatenate([fake_h, futures], axis=1), "train", rng
             )
-            pr, pf = clamp(d_real), clamp(d_fake)
+            pr, pf = np.clip(d_real, lo, hi), np.clip(d_fake, lo, hi)
             d_loss = float(-np.mean(np.log(pr)) - np.mean(np.log(1.0 - pf)))
             d_grad = oracle_backprop(disc, cache_r, -1.0 / (pr * b), True)
             d_grad += oracle_backprop(disc, cache_f, 1.0 / ((1.0 - pf) * b), True)
@@ -141,7 +141,7 @@ def oracle_train_cgan(data, cfg, holdout=None):
                 gen, np.concatenate([z, futures], axis=1), "train", rng
             )
             d_out, cache_d = oracle_forward(disc, np.concatenate([fake_h, futures], axis=1))
-            pg = clamp(d_out)
+            pg = np.clip(d_out, lo, hi)
             if cfg.saturating:
                 g_loss = float(np.mean(np.log(1.0 - pg)))
                 grad_out = -1.0 / ((1.0 - pg) * b)
