@@ -16,8 +16,8 @@ import numpy as np
 from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (Mlp, Workspace, adam_step, backward, forward, hidden_dims, init_adam, init_mlp,
-                 input_grad)
+from .nn import (ARCH, DROPOUT, Mlp, Workspace, adam_step, backward, forward, hidden_dims,
+                 init_adam, init_mlp, input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
 # the `cgan` config section; CganConfig checks the fields it shares with it
@@ -47,7 +47,8 @@ class CganConfig:
     saturating: bool = False  # literal log(1-D) generator objective
 
     def __post_init__(self):
-        schema.check_fields(self, SECTION)
+        schema.check_fields(self, dict(SECTION, **ARCH, seed=schema.Int(0), dropout=DROPOUT,
+                                       saturating=schema.Bool()))
         if self.lr_discriminator < self.lr_generator:
             warnings.warn(
                 "discriminator learning rate below generator's; the "

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from . import schema
-from .data import TimeSeries, WindowedDataset, make_windows
+from .data import WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
-from .nn import TRAIN, Mlp, TrainConfig, fit, hidden_dims, init_mlp
+from .nn import ARCH, TRAIN, Mlp, TrainConfig, fit, hidden_dims, init_mlp
 from .strategies import RecursiveModel, rollout
 
 # the `dad` config section; DadConfig checks the fields it shares with it
@@ -45,7 +45,7 @@ class DadConfig:
     accumulate: bool = False  # keep synthetic rows from earlier iterations
 
     def __post_init__(self):
-        schema.check_fields(self, dict(SECTION, p=schema.Int(1), conditional=schema.Bool()))
+        schema.check_fields(self, dict(SECTION, **ARCH, p=schema.Int(1), conditional=schema.Bool()))
 
 
 @dataclass
@@ -79,12 +79,6 @@ class MetaTrainResult:
             ],
             "best_iteration": self.best_iteration,
         }
-
-
-def _series_values(series) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        return series.values
-    return np.asarray(series, dtype=float)
 
 
 def _sub_seed(seed: int, k: int) -> int:
@@ -141,7 +135,7 @@ def build_augmented_dataset(
     of that block are returned as views: the next write into `out`
     overwrites them.
     """
-    values = _series_values(series)
+    values = np.asarray(series, dtype=float)
     if not schema.is_int(p) or not 1 <= p < len(values):
         raise ConfigError(f"p must be an integer in [1, {len(values)}), got {p!r}")
     starts = np.asarray(starts)
@@ -195,8 +189,8 @@ def select_best(
 
 
 def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
-    train_values = _series_values(train_series)
-    val_values = _series_values(val_series)
+    train_values = np.asarray(train_series, dtype=float)
+    val_values = np.asarray(val_series, dtype=float)
     p, n_steps, big_k = cfg.p, cfg.n_steps, cfg.meta_iterations
     base_cfg = cfg.base_train if cfg.base_train is not None else cfg.inner_train
     seed = cfg.inner_train.seed

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,32 +30,30 @@ RECIPE = {
 
 @dataclass(frozen=True)
 class TimeSeries:
-    timestamps: tuple  # of datetime, strictly increasing, evenly spaced
+    start: datetime  # values[i] is at start + i * resolution, so only ingest checks spacing
     values: np.ndarray  # float64, finite, >= 0
     resolution: timedelta
 
     def __post_init__(self):
         if not self.resolution > timedelta(0):
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.timestamps) != len(self.values):
-            raise IngestError("timestamp/value length mismatch")
-        if len(self.timestamps) == 0:
+        if len(self.values) == 0:
             raise IngestError("no data rows")
         if not np.all(np.isfinite(self.values)):
             raise IngestError("non-finite values")
         if np.any(self.values < 0):
             raise IngestError("negative flow values")
-        deltas = list(map(operator.sub, self.timestamps[1:], self.timestamps))
-        if deltas.count(self.resolution) != len(deltas):
-            i = next(i for i, d in enumerate(deltas) if d != self.resolution)
-            raise IngestError(
-                f"row {i + 1}: spacing {deltas[i]} != resolution {self.resolution}"
-            )
+
+    @property
+    def timestamps(self) -> tuple:
+        return tuple(accumulate(repeat(self.resolution, len(self) - 1), initial=self.start))
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __array__(self, dtype=None, copy=None):  # np.asarray reads a series as its values
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,8 @@ def ingest_csv(
             # a coarser series read at this resolution would be mostly invented points
             raise IngestError(f"no two consecutive rows are {expected_resolution} apart "
                               f"(smallest spacing {min(deltas)}); is the resolution right?")
-        timestamps, values = [timestamps[0]], [values[0]]
-        for (ts, value, lineno), delta in zip(rows[1:], deltas):
+        values = [values[0]]
+        for (_, value, lineno), delta in zip(rows[1:], deltas):
             steps, rem = divmod(delta, expected_resolution)
             if rem:
                 raise IngestError(
@@ -180,12 +178,9 @@ def ingest_csv(
                 if gap_policy == "reject":
                     raise IngestError(f"row {lineno}: gap of {steps - 1} missing intervals")
                 prev = values[-1]
-                for k in range(1, steps):
-                    timestamps.append(timestamps[-1] + expected_resolution)
-                    values.append(prev + (value - prev) * k / steps)
-            timestamps.append(ts)
+                values.extend(prev + (value - prev) * k / steps for k in range(1, steps))
             values.append(value)
-    return TimeSeries(timestamps, np.array(values), expected_resolution)
+    return TimeSeries(timestamps[0], np.array(values), expected_resolution)
 
 
 def write_series_csv(series: TimeSeries, path) -> None:
@@ -208,13 +203,12 @@ def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
         raise ConfigError(f"series length {len(series)} < factor {factor}")
     blocks = series.values[: n * factor].reshape(n, factor)
     values = blocks.sum(axis=1) if how == "sum" else blocks.mean(axis=1)
-    timestamps = series.timestamps[: n * factor : factor]
-    return TimeSeries(timestamps, values, series.resolution * factor)
+    return TimeSeries(series.start, values, series.resolution * factor)
 
 
 def fit_normalizer(series) -> Normalizer:
     """Min-max statistics from a series (fit on the training split only)."""
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+    values = np.asarray(series, dtype=float)
     if values.size < 2:
         raise ConfigError("need at least 2 values to fit a normalizer")
     lo, hi = float(values.min()), float(values.max())
@@ -226,7 +220,7 @@ def fit_normalizer(series) -> Normalizer:
 def make_windows(series, p: int, q: int) -> WindowedDataset:
     """Slice a series into (history, future) pairs: sample i covers
     values[i : i+p] and the q points after it."""
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+    values = np.asarray(series, dtype=float)
     if not (schema.is_int(p) and schema.is_int(q)) or p < 1 or q < 1:
         raise ConfigError(f"p and q must be integers >= 1, got p={p!r}, q={q!r}")
     n = len(values)
@@ -241,13 +235,14 @@ def split_by_date(
 ) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     """Chronological split: train = (-inf, train_end], val = (train_end,
     val_end], test = (val_end, inf). All three segments must be non-empty."""
-    ts = series.timestamps
-    if (spec.train_end.tzinfo is None) != (ts[0].tzinfo is None):
+    start, n = series.start, len(series)
+    if (spec.train_end.tzinfo is None) != (start.tzinfo is None):
         raise ConfigError("the split boundaries and the series timestamps must both have "
                           "or both lack a UTC offset")
-    n_train = bisect_right(ts, spec.train_end)
-    n_val = bisect_right(ts, spec.val_end) - n_train
-    n_test = len(ts) - n_train - n_val
+    n_train, n_until_val = (min(max((t - start) // series.resolution + 1, 0), n)
+                            for t in (spec.train_end, spec.val_end))  # rows at or before t
+    n_val = n_until_val - n_train
+    n_test = n - n_train - n_val
     if n_train == 0:
         raise ConfigError("empty training split")
     if n_val == 0:
@@ -256,10 +251,10 @@ def split_by_date(
         raise ConfigError("empty test split (boundaries beyond series range?)")
 
     def segment(lo, hi):
-        return TimeSeries(ts[lo:hi], series.values[lo:hi], series.resolution)
+        return TimeSeries(start + lo * series.resolution, series.values[lo:hi], series.resolution)
 
     return (
         segment(0, n_train),
         segment(n_train, n_train + n_val),
-        segment(n_train + n_val, len(ts)),
+        segment(n_train + n_val, n),
     )

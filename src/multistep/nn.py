@@ -111,7 +111,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        schema.check_fields(self, dict(TRAIN, dropout_rate=DROPOUT))
+        schema.check_fields(self, dict(TRAIN, dropout_rate=DROPOUT, seed=schema.Int(0)))
 
 
 @dataclass

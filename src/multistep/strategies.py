@@ -40,7 +40,7 @@ class RecursiveModel:
     METADATA: ClassVar[dict] = {"max_step": schema.Int(1, default=None)}
 
     def __post_init__(self):
-        schema.check_fields(self, self.METADATA)
+        schema.check_fields(self, dict(self.METADATA, p=schema.Int(1)))
         expected = self.p if self.max_step is None else self.p + 1
         if self.net.input_dim != expected:
             raise ShapeError(
@@ -75,6 +75,7 @@ class DirectModelSet:
     METADATA: ClassVar[dict] = {"q": schema.Int(1), "hybrid": schema.Bool(default=False)}
 
     def __post_init__(self):
+        schema.check_fields(self, dict(self.METADATA, p=schema.Int(1)))
         if len(self.models) != self.q:
             raise ShapeError(f"{len(self.models)} models for horizon {self.q}")
         for h, net in enumerate(self.models, start=1):
@@ -110,6 +111,7 @@ class MultiOutputModel:
     METADATA: ClassVar[dict] = {"q": schema.Int(1)}
 
     def __post_init__(self):
+        schema.check_fields(self, dict(self.METADATA, p=schema.Int(1)))
         if self.net.input_dim != self.p or self.net.output_dim != self.q:
             raise ShapeError(
                 f"net dims ({self.net.input_dim}, {self.net.output_dim}) != "

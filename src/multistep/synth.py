@@ -37,5 +37,4 @@ def make_synthetic_series(
     noise_scale = 6.0 * (1.0 + 0.6 * daily)
     values = base + rng.normal(0.0, 1.0, n_points) * np.abs(noise_scale)
     values = np.maximum(values, 0.0)
-    timestamps = tuple(start + i * resolution for i in range(n_points))
-    return TimeSeries(timestamps, values, resolution)
+    return TimeSeries(start, values, resolution)

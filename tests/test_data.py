@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from multistep import data as dt
+from multistep import synth
 from multistep.errors import ConfigError, IngestError
 
 FIVE_MIN = timedelta(minutes=5)
@@ -25,8 +26,7 @@ def mk_rows(n, start=datetime(2011, 1, 1), step=FIVE_MIN, values=None):
 
 
 def mk_series(values, start=datetime(2011, 1, 1), step=FIVE_MIN):
-    ts = tuple(start + i * step for i in range(len(values)))
-    return dt.TimeSeries(ts, np.array(values, dtype=float), step)
+    return dt.TimeSeries(start, np.array(values, dtype=float), step)
 
 
 def ingest_error(path, *rows, gap_policy="reject"):
@@ -98,7 +98,9 @@ def loop_ingest_csv(path, expected_resolution, gap_policy="reject"):
                 values.append(prev + (value - prev) * k / steps)
         timestamps.append(ts)
         values.append(value)
-    return dt.TimeSeries(tuple(timestamps), np.array(values), expected_resolution)
+    series = dt.TimeSeries(timestamps[0], np.array(values), expected_resolution)
+    assert series.timestamps == tuple(timestamps)
+    return series
 
 
 def ingest_outcome(ingest, path, gap_policy):
@@ -237,6 +239,19 @@ class TestIngest:
         has = "lacks" if first else "has"
         assert msg == f"row 4: timestamp {has} a UTC offset, unlike row 2"
 
+    def test_offset_change_is_written_in_the_first_rows_offset(self, tmp_path):
+        # a daylight-saving change: 01:55+01:00 and 03:00+02:00 are five minutes apart
+        times = ["2011-03-27T01:50:00+01:00", "2011-03-27T01:55:00+01:00",
+                 "2011-03-27T03:00:00+02:00", "2011-03-27T03:05:00+02:00"]
+        f, out = tmp_path / "s.csv", tmp_path / "out.csv"
+        write_csv(f, [(t, v) for t, v in zip(times, [4.0, 5.0, 6.0, 7.0])])
+        s = dt.ingest_csv(f, FIVE_MIN)
+        assert s.timestamps == tuple(map(datetime.fromisoformat, times))  # the same instants
+        dt.write_series_csv(s, out)
+        assert out.read_text().splitlines() == [
+            "timestamp,flow", "2011-03-27T01:50:00+01:00,4.0", "2011-03-27T01:55:00+01:00,5.0",
+            "2011-03-27T02:00:00+01:00,6.0", "2011-03-27T02:05:00+01:00,7.0"]
+
     def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
         # row 2 is later in time than row 3, and both are bad
         msg = ingest_error(tmp_path / "s.csv", "2011-01-01T00:10:00,abc",
@@ -288,18 +303,23 @@ class TestWriteSeries:
 
 
 class TestTimeSeries:
-    def test_uneven_spacing_names_row(self):
-        ts = [datetime(2011, 1, 1) + m * timedelta(minutes=1) for m in (0, 5, 15, 20)]
-        with pytest.raises(IngestError) as exc:
-            dt.TimeSeries(ts, np.ones(4), FIVE_MIN)
-        assert str(exc.value) == "row 2: spacing 0:10:00 != resolution 0:05:00"
+    def test_timestamps_are_the_tuples_each_producer_built(self, tmp_path):
+        start = datetime(2011, 1, 1, 6)
+        s = synth.make_synthetic_series(30, start=start, resolution=FIVE_MIN)
+        built = tuple(start + i * FIVE_MIN for i in range(30))
+        assert s.timestamps == built
+        assert dt.aggregate(s, 4).timestamps == built[:28:4]
+        spec = dt.SplitSpec(built[9], built[19] + FIVE_MIN / 2)
+        assert [seg.timestamps for seg in dt.split_by_date(s, spec)] == [
+            built[:10], built[10:20], built[20:]]
+        f = tmp_path / "s.csv"
+        write_csv(f, [(built[i].isoformat(), 1) for i in (0, 1, 4)])
+        assert dt.ingest_csv(f, FIVE_MIN, gap_policy="linear").timestamps == built[:5]
 
     @pytest.mark.parametrize("minutes", [0, -5])
     def test_non_positive_resolution(self, minutes):
-        step = timedelta(minutes=minutes)
-        ts = [datetime(2011, 1, 1) + i * step for i in range(3)]  # spaced by it
         with pytest.raises(ConfigError, match="resolution must be positive"):
-            dt.TimeSeries(ts, np.ones(3), step)
+            dt.TimeSeries(datetime(2011, 1, 1), np.ones(3), timedelta(minutes=minutes))
 
     @pytest.mark.parametrize("minutes", [0, -5])
     def test_ingest_refuses_non_positive_resolution_before_reading(self, tmp_path, minutes):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistep import nn
+from multistep import cgan, dad, nn
 from multistep.errors import ConfigError, NumericError, ShapeError
 
 
@@ -579,6 +579,34 @@ class TestIntegerFields:
     def test_hidden_dims_zero_is_no_hidden_layer(self):
         assert nn.hidden_dims(0, 4) == []
         assert nn.hidden_dims(np.int64(2), 4) == [4, 4]
+
+
+def dad_config(**fields):
+    return dad.DadConfig(p=2, n_steps=2, meta_iterations=1, inner_train=nn.TrainConfig(),
+                         **fields)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("build, field, value", [
+        (nn.TrainConfig, "seed", 1.5), (nn.TrainConfig, "seed", -1),
+        (nn.TrainConfig, "seed", True), (nn.TrainConfig, "seed", None),
+        (cgan.CganConfig, "seed", -1), (cgan.CganConfig, "seed", 2.0),
+        (cgan.CganConfig, "saturating", "no"), (cgan.CganConfig, "saturating", 1),
+        (cgan.CganConfig, "dropout", 1.5), (cgan.CganConfig, "dropout", -0.1),
+        (cgan.CganConfig, "hidden_units", 0), (cgan.CganConfig, "hidden_layers", -1),
+        (cgan.CganConfig, "hidden_layers", 1.0),
+        (dad_config, "hidden_units", 0), (dad_config, "hidden_units", True),
+        (dad_config, "hidden_layers", 2.0),
+    ])
+    def test_bad_field_is_named(self, build, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            build(**{field: value})
+
+    def test_valid_fields_build(self):
+        nn.TrainConfig(seed=0)
+        nn.TrainConfig(seed=np.uint32(2**32 - 1))
+        cgan.CganConfig(seed=3, saturating=True, dropout=0.5, hidden_layers=0, hidden_units=1)
+        dad_config(hidden_layers=0, hidden_units=np.int64(3))
 
 
 class TestFit:

@@ -6,8 +6,8 @@ Span tracers (perfbench/tracing.py) count training steps by rebinding
 these module-level functions in every loaded multistep module. These
 tests rebind counting wrappers the same way, so fusing or dropping a
 call of a step would fail here instead of silently blinding the tracer.
-The tracer looks its targets up by name, so a last test checks that
-every one of them still exists.
+The tracer looks its targets up by name, so the last tests check that
+every one of them still exists and that its counters still count.
 """
 
 import importlib
@@ -92,13 +92,33 @@ def test_rollout_makes_one_eval_forward_per_step(monkeypatch, step_scale):
     assert counts == Counter(forward_eval=5)
 
 
-def test_tracer_targets_resolve():
-    """Every function perfbench's tracer rebinds still exists by that name."""
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_resolve():
+    """Every function perfbench's tracer rebinds still exists by that name."""
+    tracing = load_tracing()
     names = [(module, attr) for module, attr, _, _ in tracing.TARGETS]
     names.append(tracing.PREDICTOR[:2])
     for module, attr in names:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_tracer_counts_a_fit_and_a_rollout():
+    """The tracer's counters read package objects (a backward cache's layer
+    inputs, each layer's weights, a rollout's result): renaming one would
+    stop `--trace 1` from counting, which resolving names does not show."""
+    tracer = load_tracing().Tracer()
+    data = make_windows(np.random.default_rng(0).uniform(0, 1, 40), 4, 1)
+    net = nn.init_mlp([4, 6, 1], rng=1)
+    with tracer.installed():
+        trained, _ = nn.fit(net, data, nn.TrainConfig(epochs=2, batch_size=16, seed=0))
+        strategies.rollout(trained, data.histories[:7], 5)
+    assert tracer.counts["nn.train_steps"] == 2 * math.ceil(len(data) / 16)
+    assert tracer.counts["nn.flops"] > 0
+    assert tracer.counts["strategies.rollout.predictions"] == 7 * 5

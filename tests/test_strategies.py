@@ -243,6 +243,30 @@ class TestMultiOutput:
         assert np.array_equal(a.predictor()(h), b.predictor()(h))
 
 
+# a valid set of fields for each model kind, beside its nets
+KIND_FIELDS = {
+    stg.RecursiveModel: lambda: dict(net=linear_net([[0.5, 0.1]]), p=1, max_step=4),
+    stg.DirectModelSet: lambda: dict(models=[linear_net([[0.5]])], q=1, p=1, hybrid=False),
+    stg.MultiOutputModel: lambda: dict(net=linear_net([[0.5], [0.2]]), p=1, q=2),
+}
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("kind, field, value", [
+        (stg.RecursiveModel, "p", 1.0), (stg.RecursiveModel, "p", 0),
+        (stg.RecursiveModel, "p", True), (stg.RecursiveModel, "max_step", 4.0),
+        (stg.RecursiveModel, "max_step", 0),
+        (stg.DirectModelSet, "p", 1.0), (stg.DirectModelSet, "p", "1"),
+        (stg.DirectModelSet, "q", 1.0), (stg.DirectModelSet, "q", True),
+        (stg.DirectModelSet, "hybrid", 1), (stg.DirectModelSet, "hybrid", None),
+        (stg.MultiOutputModel, "p", 1.0), (stg.MultiOutputModel, "p", -1),
+        (stg.MultiOutputModel, "q", 2.0), (stg.MultiOutputModel, "q", None),
+    ])
+    def test_bad_field_is_named(self, kind, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            kind(**dict(KIND_FIELDS[kind](), **{field: value}))
+
+
 class TestShapeLaw:
     def test_every_strategy_emits_h_values(self):
         p = q = 4
