@@ -244,6 +244,9 @@ def main(argv=None) -> int:
     except (MultistepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # NumPy's message names the array it could not make
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

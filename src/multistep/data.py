@@ -35,9 +35,13 @@ class TimeSeries:
     resolution: timedelta
 
     def __post_init__(self):
+        if not isinstance(self.start, datetime):
+            raise ConfigError(f"start must be a datetime, got {type(self.start).__name__}")
         if not self.resolution > timedelta(0):
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim != 1:
+            raise ShapeError(f"values must be one-dimensional, got shape {self.values.shape}")
         if len(self.values) == 0:
             raise IngestError("no data rows")
         if not np.all(np.isfinite(self.values)):

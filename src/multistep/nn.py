@@ -61,7 +61,7 @@ class Mlp:
     params: np.ndarray = field(init=False, repr=False)
     # per layer (weights slice, bias slice) of the flat layout, for backward
     grad_slices: list[tuple[slice, slice]] = field(init=False, repr=False, compare=False)
-    # per layer (W, W.T, bias, activation), planned once for every pass
+    # per layer (W, W.T, bias, activation, product), planned once for every pass
     plan: list[tuple] = field(init=False, repr=False, compare=False)
     input_dim: int = field(init=False, repr=False, compare=False)
     output_dim: int = field(init=False, repr=False, compare=False)
@@ -94,7 +94,15 @@ class Mlp:
             off = b_end
         self.layers = views
         self.grad_slices = slices
-        self.plan = [(l.weights, l.weights.T, l.bias, l.activation) for l in views]
+        # np.dot goes straight to cblas, skipping np.matmul's gufunc dispatch,
+        # and gives np.matmul's bits, save that it multiplies two 1 x 1
+        # operands as scalars: a -0.0 product stays -0.0 where np.matmul's
+        # sum makes it +0.0. So a 1 -> 1 layer keeps np.matmul.
+        self.plan = [
+            (l.weights, l.weights.T, l.bias, l.activation,
+             np.matmul if l.weights.shape == (1, 1) else np.dot)
+            for l in views
+        ]
         self.input_dim = views[0].in_dim
         self.output_dim = views[-1].out_dim
 
@@ -181,7 +189,7 @@ class Workspace:
 
     def __init__(self, net: Mlp, rows: int):
         self.net, self.rows = net, rows
-        self.outputs = [np.empty((rows, wt.shape[1])) for _, wt, _, _ in net.plan]
+        self.outputs = [np.empty((rows, wt.shape[1])) for _, wt, *_ in net.plan]
         # each pass sets layer 0's input; layer i > 0 reads layer i - 1's output
         self.caches = self._layer_caches(self.outputs[:-1], [None] * len(net.plan))
         self.dropout_caches = self.dropped = self.grad = None
@@ -208,7 +216,7 @@ class Workspace:
             self.grad = np.empty_like(self.net.params)
             self.grad_views = [
                 (self.grad[w].reshape(weights.shape), self.grad[b])
-                for (w, b), (weights, _, _, _) in zip(self.net.grad_slices, self.net.plan)
+                for (w, b), (weights, *_) in zip(self.net.grad_slices, self.net.plan)
             ]
         return self.deltas, self.input_grads, self.grad_views
 
@@ -262,8 +270,8 @@ def forward(
         keep = 1.0 - net.dropout_rate
 
     caches[0].inputs = a
-    for i, ((_, wt, bias, act), lc) in enumerate(zip(net.plan, caches)):
-        h = np.matmul(lc.inputs, wt, out=lc.act_out)
+    for i, ((_, wt, bias, act, product), lc) in enumerate(zip(net.plan, caches)):
+        h = product(lc.inputs, wt, out=lc.act_out)
         h += bias
         # each in-place step is one operation of the textbook formula, so
         # the bits equal max(z, 0), 1 / (1 + exp(-z)) and tanh(z)
@@ -301,8 +309,12 @@ def _backprop(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray, params: bool
     if g.shape != (ws.rows, net.output_dim):
         raise ShapeError(f"loss_grad shape {np.shape(loss_grad)} incompatible with output")
     deltas, input_grads, grad_views = ws.backward_arrays()
+    # np.dot's weight gradient differs from np.matmul's when an operand is
+    # strided (neither C- nor F-contiguous), which only the caller's loss
+    # gradient and input can be
+    plain = g.flags.forc and cache.layer_caches[0].inputs.flags.forc
     for i in range(len(net.plan) - 1, -1, -1):
-        weights, _, _, act = net.plan[i]
+        weights, _, _, act, product = net.plan[i]
         lc = cache.layer_caches[i]
         if lc.mask is not None:
             g *= lc.mask  # g is input_grads[i + 1]: the final layer has no mask
@@ -322,11 +334,11 @@ def _backprop(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray, params: bool
             g = d
         if params:
             dw, db = grad_views[i]
-            np.matmul(g.T, lc.inputs, out=dw)
+            (product if plain else np.matmul)(g.T, lc.inputs, out=dw)
             np.add.reduce(g, axis=0, out=db)
             if i == 0:
                 break
-        g = np.matmul(g, weights, out=input_grads[i])
+        g = product(g, weights, out=input_grads[i])
     return g
 
 

@@ -570,6 +570,17 @@ class TestProbesExitTwo:
         assert named in capsys.readouterr().err
 
 
+def test_allocation_beyond_the_address_space_exits_one(tmp_path, series_csv, capsys):
+    # 10**15 hidden units ask for petabytes, so the allocation fails at
+    # once and nothing is allocated
+    doc = base_config()
+    doc["model"]["hidden_units"] = 10**15
+    assert run_train(tmp_path, series_csv, doc)[0] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 class TestMalformedJsonExitsTwo:
     """A JSON input that does not parse, or is not an object, is a ConfigError."""
 

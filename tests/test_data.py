@@ -1,5 +1,5 @@
 import csv
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from multistep import data as dt
 from multistep import synth
-from multistep.errors import ConfigError, IngestError
+from multistep.errors import ConfigError, IngestError, ShapeError
 
 FIVE_MIN = timedelta(minutes=5)
 
@@ -320,6 +320,18 @@ class TestTimeSeries:
     def test_non_positive_resolution(self, minutes):
         with pytest.raises(ConfigError, match="resolution must be positive"):
             dt.TimeSeries(datetime(2011, 1, 1), np.ones(3), timedelta(minutes=minutes))
+
+    @pytest.mark.parametrize("values", [np.ones((3, 2)), np.ones((3, 1)), np.float64(1.0)],
+                             ids=["3x2", "3x1", "scalar"])
+    def test_values_must_be_one_dimensional(self, values):
+        with pytest.raises(ShapeError, match="one-dimensional"):
+            dt.TimeSeries(datetime(2011, 1, 1), values, FIVE_MIN)
+
+    @pytest.mark.parametrize("start", ["2011-01-01", date(2011, 1, 1), 0, None],
+                             ids=["iso-string", "date", "int", "none"])
+    def test_start_must_be_a_datetime(self, start):
+        with pytest.raises(ConfigError, match="start must be a datetime"):
+            dt.TimeSeries(start, np.ones(3), FIVE_MIN)
 
     @pytest.mark.parametrize("minutes", [0, -5])
     def test_ingest_refuses_non_positive_resolution_before_reading(self, tmp_path, minutes):

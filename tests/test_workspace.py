@@ -6,7 +6,9 @@ The oracle below is the engine as it was before workspaces: forward,
 backward and input_grad into fresh arrays on every call, and `fit`'s and
 `train_cgan`'s minibatch loops built on them. Of the package it calls
 only `adam_step`, the initialisers, `Mlp.copy`, `cgan.PROB_EPS` and, for
-the holdout accuracy, `cgan.discriminator_accuracy`.
+the holdout accuracy, `cgan.discriminator_accuracy`. It forms every
+product with np.matmul, so it also checks that the engine's np.dot
+calls keep np.matmul's bits.
 """
 
 import math
@@ -230,6 +232,63 @@ def test_train_cgan_leaves_dataset_alone():
     cgan.train_cgan(data, cfg)
     assert np.array_equal(data.histories, before[0])
     assert np.array_equal(data.futures, before[1])
+
+
+def _same_bits(a, b):
+    """Equal to the last bit, the sign of a zero included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _laid_out(a, layout):
+    """`a`'s values in C order, Fortran order or as a column slice."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    wide = np.zeros((a.shape[0], a.shape[1] + 3))
+    wide[:, 2 : 2 + a.shape[1]] = a
+    return wide[:, 2 : 2 + a.shape[1]]
+
+
+class TestProductsEqualMatmulOracle:
+    """forward, backward and input_grad give the bits of the np.matmul
+    oracle whatever the layout of the input and of the loss gradient: C
+    order, Fortran order, or a column slice as train_cgan passes the
+    generator's gradient. Widths of 1 and 1-row batches are where BLAS
+    takes its vector paths."""
+
+    @pytest.mark.parametrize("hidden", [[], [5], [4, 1]], ids=["0-hidden", "1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("in_dim, out_dim", [(1, 1), (3, 1), (7, 3)])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("x_layout", ["C", "F", "slice"])
+    @pytest.mark.parametrize("g_layout", ["C", "slice"])
+    @pytest.mark.parametrize("last", ["linear", "sigmoid"])
+    def test_bits(self, hidden, in_dim, out_dim, rows, x_layout, g_layout, last):
+        rng = np.random.default_rng([rows, in_dim, out_dim, len(hidden)])
+        net = nn.init_mlp([in_dim, *hidden, out_dim], rng=rng, final_activation=last,
+                          hidden_activation="tanh")
+        x, g = rng.uniform(-1, 1, (rows, in_dim)), rng.uniform(-1, 1, (rows, out_dim))
+        x[0, 0], g[0, 0] = 0.0, -0.0  # products of signed zeros
+        x, g = _laid_out(x, x_layout), _laid_out(g, g_layout)
+        want_out, caches = oracle_forward(net, x)
+        out, cache = nn.forward(net, x)
+        assert _same_bits(out, want_out)
+        assert _same_bits(nn.backward(net, cache, g), oracle_backprop(net, caches, g, True))
+        assert _same_bits(nn.input_grad(net, cache, g), oracle_backprop(net, caches, g, False))
+
+    @pytest.mark.parametrize("p, q, noise_dim", [(1, 2, 1), (1, 1, 3), (3, 2, 2)])
+    @pytest.mark.parametrize("batch", [1, 5, 16])
+    def test_train_cgan_without_hidden_layers(self, p, q, noise_dim, batch):
+        """With no hidden layer the generator's weight gradient is the
+        sliced loss gradient against its narrow [z | futures] input."""
+        data = make_windows(np.random.default_rng(p).uniform(0, 1, 40), p, q)
+        cfg = cgan.CganConfig(noise_dim=noise_dim, epochs=2, batch_size=batch, seed=3,
+                              hidden_layers=0, hidden_units=4)
+        pair = cgan.train_cgan(data, cfg)
+        gen, disc, log = oracle_train_cgan(data, cfg)
+        assert _same_bits(pair.generator.params, gen.params)
+        assert _same_bits(pair.discriminator.params, disc.params)
+        assert pair.training_log == log
 
 
 class TestRefusals:
