@@ -11,63 +11,30 @@ from __future__ import annotations
 
 import argparse
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from multistep import cgan, evaluation, nn, pipeline, strategies, synth
-from multistep.data import fit_normalizer, make_windows
+from multistep import evaluation, nn, pipeline, synth
 
 P = 8
 HORIZON = 8
 
 
-def splits(seed: int, n_train: int, n_val: int = 300, n_test: int = 300):
-    series = synth.make_synthetic_series(n_train + n_val + n_test, seed=1000 + seed)
-    norm = fit_normalizer(series.values[:n_train])
-    v = norm.apply(series.values)
-    return v[:n_train], v[n_train : n_train + n_val], v[n_train + n_val :]
-
-
 def run_seed(seed: int, args) -> dict[str, evaluation.MetricsReport]:
-    train, val, test = splits(seed, args.train_points)
-    # The slow-discriminator warning is expected: on this small benchmark a
-    # faster discriminator wins outright and the generator never catches up.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gan_cfg = cgan.CganConfig(
-            noise_dim=8,
-            epochs=args.gan_epochs,
-            batch_size=64,
-            seed=seed,
-            hidden_layers=2,
-            hidden_units=64,
-            lr_generator=2e-3,
-            lr_discriminator=2e-4,
-        )
     spec = pipeline.TrainSpec(
         p=P,
         q=HORIZON,
         train=nn.TrainConfig(epochs=args.epochs, batch_size=64, seed=seed),
         hidden_layers=args.hidden_layers,
         hidden_units=args.hidden_units,
-        dad=dict(
-            n_steps=HORIZON,
-            meta_iterations=args.meta_iterations,
-            inner_epochs=max(1, args.epochs // 2),
-        ),
+        dad=dict(n_steps=HORIZON, meta_iterations=args.meta_iterations,
+                 inner_epochs=max(1, args.epochs // 2)),
         noise=dict(sigma=args.noise_sigma),
-        cgan=gan_cfg,
+        cgan=synth.benchmark_gan_config(seed, args.gan_epochs),
     )
-    test_windows = make_windows(test, P, HORIZON)
-    reports = {}
-    for tag in pipeline.STRATEGIES:
-        model, _ = pipeline.train(tag, train, val, spec)
-        reports[tag] = evaluation.evaluate(
-            strategies.batch_predictor(model, HORIZON), test_windows, model_tag=tag
-        )
-    return reports
+    reports = synth.run_seeds(pipeline.STRATEGIES, [seed], lambda _: spec, args.train_points)
+    return {tag: rs[0] for tag, rs in reports.items()}
 
 
 def median_reports(per_seed: list[dict]) -> list[evaluation.MetricsReport]:

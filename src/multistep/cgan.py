@@ -109,6 +109,9 @@ def train_cgan(
     if len(data) == 0:
         raise ConfigError("empty dataset")
     p, q = data.p, data.q
+    if holdout is not None and (len(holdout) == 0 or (holdout.p, holdout.q) != (p, q)):
+        raise ConfigError(f"holdout must hold windows of p={p}, q={q}, got {len(holdout)} "
+                          f"of p={holdout.p}, q={holdout.q}")
     rng = np.random.default_rng(cfg.seed)
     hidden = hidden_dims(cfg.hidden_layers, cfg.hidden_units)
     gen = init_mlp([cfg.noise_dim + q, *hidden, p], dropout_rate=cfg.dropout, rng=rng)

@@ -37,8 +37,8 @@ class TimeSeries:
     def __post_init__(self):
         if not isinstance(self.start, datetime):
             raise ConfigError(f"start must be a datetime, got {type(self.start).__name__}")
-        if not self.resolution > timedelta(0):
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        if not (isinstance(self.resolution, timedelta) and self.resolution > timedelta(0)):
+            raise ConfigError(f"resolution must be a timedelta > 0, got {self.resolution}")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise ShapeError(f"values must be one-dimensional, got shape {self.values.shape}")
@@ -125,8 +125,8 @@ def ingest_csv(
     loop runs only when some spacing differs from the resolution.
     """
     RECIPE["gap_policy"].check(gap_policy, "gap_policy")
-    if not expected_resolution > timedelta(0):
-        raise ConfigError(f"resolution must be positive, got {expected_resolution}")
+    if not (isinstance(expected_resolution, timedelta) and expected_resolution > timedelta(0)):
+        raise ConfigError(f"resolution must be a timedelta > 0, got {expected_resolution}")
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")

@@ -7,13 +7,12 @@ non-redistributable dataset.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from multistep import cgan, cli, evaluation, nn, pipeline, serialize, strategies, synth
-from multistep.data import WindowedDataset, fit_normalizer, make_windows
+from multistep.data import WindowedDataset, make_windows
 
 SEEDS = range(5)
 P = 8
@@ -30,34 +29,6 @@ def announce(capsys):
         assert ok, f"criterion {num} ({name}) failed{suffix}"
 
     return _announce
-
-
-def benchmark_splits(seed, n_train=2000, n_val=300, n_test=300):
-    """Normalized train/val/test slices of the seeded synthetic series."""
-    series = synth.make_synthetic_series(n_train + n_val + n_test, seed=1000 + seed)
-    norm = fit_normalizer(series.values[:n_train])
-    v = norm.apply(series.values)
-    return v[:n_train], v[n_train : n_train + n_val], v[n_train + n_val :]
-
-
-def held_out_report(model, test_values):
-    windows = make_windows(test_values, P, HORIZON)
-    report = evaluation.evaluate(
-        strategies.batch_predictor(model, HORIZON), windows
-    )
-    return report
-
-
-def family_reports(tags, spec_for, n_train=2000):
-    """Held-out reports of each tag over SEEDS, trained through the pipeline."""
-    out = {tag: [] for tag in tags}
-    for seed in SEEDS:
-        train, val, test = benchmark_splits(seed, n_train=n_train)
-        spec = spec_for(seed)
-        for tag in tags:
-            model, _ = pipeline.train(tag, train, val, spec)
-            out[tag].append(held_out_report(model, test))
-    return out
 
 
 def predictor_spec(seed, epochs, **sections):
@@ -79,12 +50,9 @@ def median_mse(reports, step=None):
 @pytest.fixture(scope="session")
 def recursive_family():
     """Vanilla recursive vs corrective retraining vs its conditioned variant."""
-    reports = family_reports(
-        ("recursive", "dad", "cdad"),
-        lambda seed: predictor_spec(
-            seed, 20, dad=dict(n_steps=HORIZON, meta_iterations=15, inner_epochs=10)
-        ),
-    )
+    dad = dict(n_steps=HORIZON, meta_iterations=15, inner_epochs=10)
+    reports = synth.run_seeds(("recursive", "dad", "cdad"), SEEDS,
+                              lambda seed: predictor_spec(seed, 20, dad=dad), n_train=2000)
     medians = {tag: median_mse(rs) for tag, rs in reports.items()}
     for tag in ("recursive", "cdad"):
         medians[f"{tag}_s8"] = median_mse(reports[tag], step=-1)
@@ -93,41 +61,20 @@ def recursive_family():
 
 @pytest.fixture(scope="session")
 def direct_family(recursive_family):
-    reports = family_reports(("direct", "hybrid"), lambda seed: predictor_spec(seed, 30))
+    reports = synth.run_seeds(("direct", "hybrid"), SEEDS,
+                              lambda seed: predictor_spec(seed, 30), n_train=2000)
     medians = {tag: median_mse(rs) for tag, rs in reports.items()}
     medians["recursive"] = recursive_family["recursive"]
     return medians
-
-
-def gan_config(seed, epochs):
-    # The discriminator deliberately learns slower than the generator
-    # here; otherwise it wins outright on these small benchmarks and its
-    # accuracy never falls back toward chance.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return cgan.CganConfig(
-            noise_dim=8,
-            epochs=epochs,
-            batch_size=64,
-            seed=seed,
-            hidden_layers=2,
-            hidden_units=64,
-            lr_generator=2e-3,
-            lr_discriminator=2e-4,
-        )
 
 
 @pytest.fixture(scope="session")
 def multi_family():
     """Multi-output vs its noise- and generator-augmented variants on a
     deliberately small training split (500 points)."""
-    reports = family_reports(
-        ("multi", "multi-noise", "multi-cgan"),
-        lambda seed: predictor_spec(
-            seed, 100, noise=dict(sigma=0.05), cgan=gan_config(seed, epochs=500)
-        ),
-        n_train=500,
-    )
+    reports = synth.run_seeds(("multi", "multi-noise", "multi-cgan"), SEEDS, lambda seed: (
+        predictor_spec(seed, 100, noise=dict(sigma=0.05),
+                       cgan=synth.benchmark_gan_config(seed, epochs=500))), n_train=500)
     return {tag: median_mse(rs) for tag, rs in reports.items()}
 
 
@@ -219,7 +166,7 @@ def test_criterion_06_gan_convergence(announce):
     holdout = WindowedDataset(hold_f[:, ::-1].copy(), hold_f, q, q)
     tails, finite = [], True
     for seed in SEEDS:
-        pair = cgan.train_cgan(data, gan_config(seed, epochs=400), holdout=holdout)
+        pair = cgan.train_cgan(data, synth.benchmark_gan_config(seed, epochs=400), holdout=holdout)
         accs = [e["d_accuracy"] for e in pair.training_log]
         finite = finite and all(
             np.isfinite(e["d_loss"]) and np.isfinite(e["g_loss"])

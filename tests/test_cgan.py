@@ -67,6 +67,14 @@ class TestTraining:
         with pytest.raises(ConfigError):
             cgan.train_cgan(empty, tiny_cfg())
 
+    @pytest.mark.parametrize("holdout", [
+        WindowedDataset(np.empty((0, 4)), np.empty((0, 3)), 4, 3), tiny_data(p=5), tiny_data(q=2)
+    ], ids=["empty", "wrong-p", "wrong-q"])
+    def test_bad_holdout_refused_before_the_first_step(self, monkeypatch, holdout):
+        monkeypatch.setattr(cgan, "forward", None)  # a training step would call it
+        with pytest.raises(ConfigError, match="holdout must hold windows of p=4, q=3, got"):
+            cgan.train_cgan(tiny_data(), tiny_cfg(), holdout=holdout)
+
     def test_holdout_accuracy_logged(self):
         data = tiny_data()
         holdout = tiny_data(seed=9)

@@ -544,16 +544,18 @@ class TestProbesExitTwo:
         ("compare", _set([], "overall_mse", "0.1"), [], "overall_mse"),
         ("compare", _set([], "overall_mse", None), [], "overall_mse"),
         ("compare", _set([], "model_tag", 3), [], "model_tag"),
+        ("synth-data", _keep, ["--points", "10", "--seed", "-1"], "seed must be an integer >= 0"),
     ], ids=["seed-1.5", "seed-true", "seed-2.0", "seed-str", "seed-flag-neg", "train-list",
             "stddev-str", "lr-str", "lr-nan", "dropout-str", "train-end-int",
             "train-end-word", "sigma-str", "lr-generator-str", "split-offsets",
             "no-dropout-rate", "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
             "no-normalization", "metadata-list", "max-str", "dropout-rate-str", "p-2.5",
-            "cdad-no-depth", "p-over-net", "multi-q-over-net", "mse-str", "mse-null", "tag-int"])
+            "cdad-no-depth", "p-over-net", "multi-q-over-net", "mse-str", "mse-null", "tag-int",
+            "synth-seed-neg"])
     def test_refused(self, tmp_path, series_csv, model_doc, capsys, command, edit, flags,
                      named):
         doc = {"train": base_config(), "evaluate": json.loads(json.dumps(model_doc)),
-               "compare": _report()}[command]
+               "compare": _report(), "synth-data": {}}[command]
         edit(doc)
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
@@ -564,6 +566,7 @@ class TestProbesExitTwo:
                          "--report", out],
             "compare": ["compare", "--reports", str(path), "--baseline", "recursive",
                         "--out", out],
+            "synth-data": ["synth-data", "--output", out],
         }[command]
         assert cli.main(argv + flags) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["input.json"]

@@ -316,10 +316,13 @@ class TestTimeSeries:
         write_csv(f, [(built[i].isoformat(), 1) for i in (0, 1, 4)])
         assert dt.ingest_csv(f, FIVE_MIN, gap_policy="linear").timestamps == built[:5]
 
-    @pytest.mark.parametrize("minutes", [0, -5])
-    def test_non_positive_resolution(self, minutes):
-        with pytest.raises(ConfigError, match="resolution must be positive"):
-            dt.TimeSeries(datetime(2011, 1, 1), np.ones(3), timedelta(minutes=minutes))
+    BAD_RESOLUTIONS = pytest.mark.parametrize(
+        "resolution", [timedelta(0), timedelta(minutes=-5), 5], ids=["0", "-5", "int"])
+
+    @BAD_RESOLUTIONS
+    def test_non_positive_resolution(self, resolution):
+        with pytest.raises(ConfigError, match="resolution must be a timedelta > 0"):
+            dt.TimeSeries(datetime(2011, 1, 1), np.ones(3), resolution)
 
     @pytest.mark.parametrize("values", [np.ones((3, 2)), np.ones((3, 1)), np.float64(1.0)],
                              ids=["3x2", "3x1", "scalar"])
@@ -333,11 +336,11 @@ class TestTimeSeries:
         with pytest.raises(ConfigError, match="start must be a datetime"):
             dt.TimeSeries(start, np.ones(3), FIVE_MIN)
 
-    @pytest.mark.parametrize("minutes", [0, -5])
-    def test_ingest_refuses_non_positive_resolution_before_reading(self, tmp_path, minutes):
+    @BAD_RESOLUTIONS
+    def test_ingest_refuses_non_positive_resolution_before_reading(self, tmp_path, resolution):
         # a missing file would be an IngestError: the resolution is checked first
-        with pytest.raises(ConfigError, match="resolution must be positive"):
-            dt.ingest_csv(tmp_path / "absent.csv", timedelta(minutes=minutes))
+        with pytest.raises(ConfigError, match="resolution must be a timedelta > 0"):
+            dt.ingest_csv(tmp_path / "absent.csv", resolution)
 
 
 class TestAggregate:

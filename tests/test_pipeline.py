@@ -1,5 +1,6 @@
 """The strategy table: same bits as the hand-written dispatch it replaced,
-each strategy reaching exactly its trainers, and one list of tags."""
+each strategy reaching exactly its trainers, and one list of tags; the
+seeded benchmark loop: same bits as the loop written out by hand."""
 
 from collections import Counter
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from multistep import cgan, cli, dad, pipeline, serialize, strategies
+from multistep import cgan, cli, dad, evaluation, pipeline, serialize, strategies, synth
 from multistep.data import WindowedDataset, make_windows
 from multistep.errors import ConfigError
 from multistep.nn import TrainConfig
@@ -102,6 +103,19 @@ def test_table_equals_hand_dispatch_bitwise(tag):
     meta = {"strategy_tag": tag}
     assert serialize.model_to_doc(model, meta) == serialize.model_to_doc(ref_model, meta)
     assert log == ref_log
+
+
+def test_run_seeds_equals_the_hand_loop_bitwise():
+    tags = ("cdad", "multi-cgan")
+    specs = {seed: replace(SPEC, train=replace(SPEC.train, seed=seed)) for seed in (0, 1)}
+    got = synth.run_seeds(tags, specs, specs.get, n_train=60)
+    for i, (seed, spec) in enumerate(specs.items()):
+        train, val, test = synth.benchmark_splits(seed, 60)
+        for tag in tags:
+            model, _ = pipeline.train(tag, train, val, spec)
+            ref = evaluation.evaluate(strategies.batch_predictor(model, spec.q),
+                                      make_windows(test, spec.p, spec.q), model_tag=tag)
+            assert got[tag][i] == ref
 
 
 TRAINERS = {
