@@ -46,8 +46,8 @@ def median_reports(per_seed: list[dict]) -> list[evaluation.MetricsReport]:
                 model_tag=tag,
                 overall_mse=float(np.median([r.overall_mse for r in rs])),
                 overall_mae=float(np.median([r.overall_mae for r in rs])),
-                per_step_mse=list(np.median([r.per_step_mse for r in rs], axis=0)),
-                per_step_mae=list(np.median([r.per_step_mae for r in rs], axis=0)),
+                per_step_mse=np.median([r.per_step_mse for r in rs], axis=0).tolist(),
+                per_step_mae=np.median([r.per_step_mae for r in rs], axis=0).tolist(),
                 num_samples=rs[0].num_samples,
             )
         )

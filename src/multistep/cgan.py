@@ -16,8 +16,8 @@ import numpy as np
 from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (ARCH, DROPOUT, Mlp, Workspace, adam_step, backward, forward, hidden_dims,
-                 init_adam, init_mlp, input_grad)
+from .nn import (ARCH, DROPOUT, Mlp, Workspace, adam_step, backward, batches, forward,
+                 hidden_dims, init_adam, init_mlp, input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
 # the `cgan` config section; CganConfig checks the fields it shares with it
@@ -44,11 +44,9 @@ class CganConfig:
     hidden_layers: int = 2
     hidden_units: int = 150
     dropout: float = 0.0
-    saturating: bool = False  # literal log(1-D) generator objective
 
     def __post_init__(self):
-        schema.check_fields(self, dict(SECTION, **ARCH, seed=schema.Int(0), dropout=DROPOUT,
-                                       saturating=schema.Bool()))
+        schema.check_fields(self, dict(SECTION, **ARCH, seed=schema.Int(0), dropout=DROPOUT))
         if self.lr_discriminator < self.lr_generator:
             warnings.warn(
                 "discriminator learning rate below generator's; the "
@@ -99,8 +97,9 @@ def train_cgan(
     """Alternating discriminator/generator updates on (history, future) pairs.
 
     Discriminator: binary cross-entropy on real pairs vs generated ones.
-    Generator: non-saturating -log D(G(z, y), y) by default. Fresh standard
-    normal z per sample. Deterministic given cfg.seed.
+    Generator: the non-saturating -log D(G(z, y), y) of Goodfellow et al.
+    (arXiv 1406.2661). Fresh standard normal z per sample. Deterministic
+    given cfg.seed.
 
     With `holdout` given, the per-epoch d_accuracy in the training log is
     computed on that set (plus an equal number of generated fakes) instead
@@ -126,17 +125,14 @@ def train_cgan(
 
     n, nd = len(data), cfg.noise_dim
     pairs = np.concatenate([data.histories, data.futures], axis=1)  # real [h | futures]
-    starts = range(0, n, cfg.batch_size)
     # per batch row count: workspaces of G, of D's real pass (reused by the
     # G-step's eval pass) and of D's fake pass, the z and input blocks, then
     # [b, 1] columns for the real and fake probabilities (clamped, then their
     # logs) and their loss gradients, which the G-step reuses
-    work = {
-        b: (Workspace(gen, b), Workspace(disc, b), Workspace(disc, b),
-            np.empty((b, nd)), np.empty((b, nd + q)), np.empty((b, p + q)), np.empty((b, p + q)),
-            *np.empty((4, b, 1)))
-        for b in {min(cfg.batch_size, n), n - starts[-1]}
-    }
+    starts, work = batches(n, cfg.batch_size, lambda b: (
+        Workspace(gen, b), Workspace(disc, b), Workspace(disc, b),
+        np.empty((b, nd)), np.empty((b, nd + q)), np.empty((b, p + q)), np.empty((b, p + q)),
+        *np.empty((4, b, 1))))
     log: list[dict] = []
     eval_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x60DA)))
     for _ in range(cfg.epochs):
@@ -171,11 +167,7 @@ def train_cgan(
             fake_h, cache_g = forward(gen, gen_in, mode="train", rng=rng, workspace=g_ws)
             fake_in[:, :p] = fake_h
             d_out, cache_d = forward(disc, fake_in, mode="eval", workspace=real_ws)
-            pg = _clamp_into(d_out, pr)
-            if cfg.saturating:
-                g_loss = float(_log_mean(np.subtract(1.0, pg, out=pg), -1.0, grad_r))
-            else:
-                g_loss = float(-_log_mean(pg, -1.0, grad_r))
+            g_loss = float(-_log_mean(_clamp_into(d_out, pr), -1.0, grad_r))
             d_input_grad = input_grad(disc, cache_d, grad_r)
             adam_step(gen.params, backward(gen, cache_g, d_input_grad[:, :p]), g_state)
 

@@ -49,6 +49,18 @@ class Layer:
         return self.weights.shape[0]
 
 
+def layer_slices(shapes) -> list[tuple[slice, slice]]:
+    """Per layer (weights slice, bias slice) of the flat layout W0, b0, W1,
+    b1, ... of layers whose weights have `shapes` [out_dim, in_dim]; the
+    last bias slice ends at the layout's size."""
+    slices, off = [], 0
+    for out_dim, in_dim in shapes:
+        w_end = off + out_dim * in_dim
+        slices.append((slice(off, w_end), slice(w_end, w_end + out_dim)))
+        off = w_end + out_dim
+    return slices
+
+
 @dataclass
 class Mlp:
     """A dense network whose parameters live in one flat float64 vector,
@@ -57,9 +69,8 @@ class Mlp:
 
     layers: list[Layer]
     dropout_rate: float = 0.0
-    metadata: dict = field(default_factory=dict)
     params: np.ndarray = field(init=False, repr=False)
-    # per layer (weights slice, bias slice) of the flat layout, for backward
+    # per layer (weights slice, bias slice) of the flat layout, from layer_slices
     grad_slices: list[tuple[slice, slice]] = field(init=False, repr=False, compare=False)
     # per layer (W, W.T, bias, activation, product), planned once for every pass
     plan: list[tuple] = field(init=False, repr=False, compare=False)
@@ -84,16 +95,11 @@ class Mlp:
         self.params = np.concatenate(
             [a.ravel() for l in self.layers for a in (l.weights, l.bias)], dtype=float
         )
-        views, slices, off = [], [], 0
-        for layer in self.layers:
-            w_end = off + layer.weights.size
-            b_end = w_end + layer.out_dim
-            w = self.params[off:w_end].reshape(layer.weights.shape)
-            views.append(Layer(w, self.params[w_end:b_end], layer.activation))
-            slices.append((slice(off, w_end), slice(w_end, b_end)))
-            off = b_end
-        self.layers = views
-        self.grad_slices = slices
+        self.grad_slices = layer_slices([l.weights.shape for l in self.layers])
+        self.layers = [
+            Layer(self.params[w].reshape(l.weights.shape), self.params[b], l.activation)
+            for (w, b), l in zip(self.grad_slices, self.layers)
+        ]
         # np.dot goes straight to cblas, skipping np.matmul's gufunc dispatch,
         # and gives np.matmul's bits, save that it multiplies two 1 x 1
         # operands as scalars: a -0.0 product stays -0.0 where np.matmul's
@@ -101,13 +107,13 @@ class Mlp:
         self.plan = [
             (l.weights, l.weights.T, l.bias, l.activation,
              np.matmul if l.weights.shape == (1, 1) else np.dot)
-            for l in views
+            for l in self.layers
         ]
-        self.input_dim = views[0].in_dim
-        self.output_dim = views[-1].out_dim
+        self.input_dim = self.layers[0].in_dim
+        self.output_dim = self.layers[-1].out_dim
 
     def copy(self) -> "Mlp":
-        return Mlp(list(self.layers), self.dropout_rate, dict(self.metadata))
+        return Mlp(list(self.layers), self.dropout_rate)
 
 
 @dataclass
@@ -173,26 +179,29 @@ class LayerCache:
 
 
 class Workspace:
-    """Every array that passes of `net` over `rows` rows write.
+    """Every array that passes of `net` over `rows` rows write, and the
+    cache of the last pass: its layer caches and whether its input was a
+    1-D vector, which `backward` and `input_grad` read.
 
     The layer outputs and their layer caches are made at construction;
     the dropout masks and dropped outputs by the first train-mode pass
     with dropout; the deltas, input gradients and flat parameter gradient
     by the first backward walk. So an eval-only workspace holds the layer
-    outputs alone. `forward`'s output and cache, `backward`'s gradient
-    and `input_grad`'s result alias these arrays: the next pass through
-    the workspace overwrites them.
+    outputs alone. `forward`'s output, `backward`'s gradient and
+    `input_grad`'s result alias these arrays: the next pass through the
+    workspace overwrites them.
     """
 
     __slots__ = ("net", "rows", "outputs", "caches", "dropout_caches", "dropped", "deltas",
-                 "input_grads", "grad", "grad_views")
+                 "input_grads", "grad", "grad_views", "layer_caches", "single")
 
     def __init__(self, net: Mlp, rows: int):
         self.net, self.rows = net, rows
         self.outputs = [np.empty((rows, wt.shape[1])) for _, wt, *_ in net.plan]
         # each pass sets layer 0's input; layer i > 0 reads layer i - 1's output
         self.caches = self._layer_caches(self.outputs[:-1], [None] * len(net.plan))
-        self.dropout_caches = self.dropped = self.grad = None
+        self.dropout_caches = self.dropped = self.grad = self.layer_caches = None
+        self.single = False
 
     def _layer_caches(self, inputs, masks) -> list[LayerCache]:
         return [LayerCache(*c) for c in zip([None, *inputs], self.outputs, masks)]
@@ -221,21 +230,13 @@ class Workspace:
         return self.deltas, self.input_grads, self.grad_views
 
 
-@dataclass(slots=True)
-class ForwardCache:
-    layer_caches: list[LayerCache]
-    single: bool  # input was a 1-D vector
-    net: Mlp  # the network that made the pass
-    workspace: Workspace  # where the pass wrote, and backward writes
-
-
 def forward(
     net: Mlp,
     x: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     workspace: Workspace | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, Workspace]:
     """Run the network. Accepts a single vector or a [batch, in_dim] matrix.
 
     Dropout (train mode only) uses inverted scaling and is applied to
@@ -245,8 +246,9 @@ def forward(
 
     Every layer writes into `workspace`, made for this net and row count
     (a fresh one if None); a workspace of another net or row count raises
-    ShapeError before anything is written. The output and the cache alias
-    the workspace: the next pass through it overwrites them.
+    ShapeError before anything is written. The workspace, which records
+    the pass, is returned as the cache; the output aliases it: the next
+    pass through it overwrites both.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -290,11 +292,12 @@ def forward(
             np.less(mask, keep, out=mask)
             mask /= keep
             np.multiply(h, mask, out=workspace.dropped[i])
-    return (h[0] if single else h), ForwardCache(caches, single, net, workspace)
+    workspace.layer_caches, workspace.single = caches, single
+    return (h[0] if single else h), workspace
 
 
-def _backprop(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray, params: bool) -> np.ndarray:
-    """The one backward walk, writing into the cache's workspace.
+def _backprop(net: Mlp, cache: Workspace, loss_grad: np.ndarray, params: bool) -> np.ndarray:
+    """The one backward walk of the cache's last pass, writing into it.
 
     With `params`, it forms every layer's parameter gradient and stops at
     layer 0; without, it carries the gradient through layer 0 to the
@@ -302,13 +305,14 @@ def _backprop(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray, params: bool
     """
     if cache.net is not net:
         raise ShapeError("cache was made by a pass of another network")
+    if cache.layer_caches is None:
+        raise ShapeError("cache is a workspace that no forward pass has written")
     g = np.asarray(loss_grad, dtype=float)
     if cache.single:
         g = g[None, :]
-    ws = cache.workspace
-    if g.shape != (ws.rows, net.output_dim):
+    if g.shape != (cache.rows, net.output_dim):
         raise ShapeError(f"loss_grad shape {np.shape(loss_grad)} incompatible with output")
-    deltas, input_grads, grad_views = ws.backward_arrays()
+    deltas, input_grads, grad_views = cache.backward_arrays()
     # np.dot's weight gradient differs from np.matmul's when an operand is
     # strided (neither C- nor F-contiguous), which only the caller's loss
     # gradient and input can be
@@ -342,26 +346,27 @@ def _backprop(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray, params: bool
     return g
 
 
-def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
+def backward(net: Mlp, cache: Workspace, loss_grad: np.ndarray) -> np.ndarray:
     """Backpropagate loss_grad (d loss / d output) through the cached pass.
 
     Returns the parameter gradient as one flat vector in the layout of
     net.params. Batch inputs are summed, so scale loss_grad by 1/batch
     for a mean loss. `input_grad` gives the gradient w.r.t. the input.
-    The vector aliases the cache's workspace: the next backward through
-    it overwrites it. A cache made by another network raises ShapeError.
+    The vector aliases the cache, the workspace `forward` returned: the
+    next backward through it overwrites it. The workspace of another
+    network, or one that no pass has written, raises ShapeError.
     """
     _backprop(net, cache, loss_grad, params=True)
-    return cache.workspace.grad
+    return cache.grad
 
 
-def input_grad(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
+def input_grad(net: Mlp, cache: Workspace, loss_grad: np.ndarray) -> np.ndarray:
     """Backpropagate loss_grad to the network input: d loss / d x.
 
     This is what chains networks (a generator trained through a
     discriminator); no parameter gradient is formed. The result has the
     shape of the input the cached pass was run on and, like `backward`'s,
-    aliases the cache's workspace.
+    aliases the cache.
     """
     g = _backprop(net, cache, loss_grad, params=False)
     return g[0] if cache.single else g
@@ -421,6 +426,13 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     state.step_count = t
 
 
+def batches(n: int, batch_size: int, make) -> tuple[range, dict]:
+    """The starts of `n` rows' minibatches of `batch_size`, and `make(rows)`
+    for each of their row counts: the full batch and the remainder."""
+    starts = range(0, n, batch_size)
+    return starts, {rows: make(rows) for rows in {min(batch_size, n), n - starts[-1]}}
+
+
 def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
     """Mini-batch Adam training on (histories, futures) pairs.
 
@@ -452,13 +464,10 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(trained.params, learning_rate=cfg.learning_rate)
     n, bs, q = x.shape[0], cfg.batch_size, y.shape[1]
-    starts = range(0, n, bs)
-    # a workspace and the loss's diff and square buffers per batch row
-    # count: the full batch and the remainder
-    work = {
-        rows: (Workspace(trained, rows), np.empty((rows, q)), np.empty((rows, q)))
-        for rows in {min(bs, n), n - starts[-1]}
-    }
+    # a workspace and the loss's diff and square buffers per batch row count
+    starts, work = batches(
+        n, bs, lambda rows: (Workspace(trained, rows), np.empty((rows, q)), np.empty((rows, q)))
+    )
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)

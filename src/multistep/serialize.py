@@ -20,7 +20,7 @@ import numpy as np
 
 from . import schema
 from .errors import ConfigError, NumericError, ShapeError
-from .nn import ACTIVATION, DROPOUT, Layer, Mlp
+from .nn import ACTIVATION, DROPOUT, Layer, Mlp, layer_slices
 from .pipeline import STRATEGIES
 from .strategies import DirectModelSet, RecursiveModel
 
@@ -60,12 +60,10 @@ METADATA = {
 
 
 def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
-    """The network document of `net`; NumericError if a parameter is not finite."""
+    """The network document of `net`, holding `metadata` (none if None);
+    NumericError if a parameter is not finite."""
     if not np.isfinite(net.params).all():
         raise NumericError("cannot store a network with non-finite parameters")
-    meta = dict(net.metadata)
-    if metadata:
-        meta.update(metadata)
     return {
         "format_version": FORMAT_VERSION,
         "input_dim": net.input_dim,
@@ -76,7 +74,7 @@ def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
             for layer in net.layers
         ],
         "params": base64.b64encode(net.params.astype("<f8", copy=False).tobytes()).decode(),
-        "metadata": meta,
+        "metadata": dict(metadata or {}),
     }
 
 
@@ -92,17 +90,14 @@ def mlp_from_dict(doc: dict, path: str = "") -> Mlp:
         raw = base64.b64decode(doc["params"], validate=True)
     except binascii.Error as exc:
         raise ConfigError(f"params is not base64: {exc}") from exc
-    size = sum(out * (inp + 1) for out, inp in (ld["shape"] for ld in specs))
+    slices = layer_slices([ld["shape"] for ld in specs])
+    size = slices[-1][1].stop if slices else 0
     if len(raw) != 8 * size:
         raise ConfigError(f"params holds {len(raw)} bytes; the layer shapes need {8 * size}")
-    flat, layers, off = np.frombuffer(raw, "<f8"), [], 0
-    for ld in specs:
-        out, inp = ld["shape"]
-        w_end = off + out * inp
-        layers.append(Layer(flat[off:w_end].reshape(out, inp), flat[w_end:w_end + out],
-                            ld["activation"]))
-        off = w_end + out
-    net = Mlp(layers, dropout_rate=doc["dropout_rate"], metadata=dict(doc["metadata"]))
+    flat = np.frombuffer(raw, "<f8")
+    layers = [Layer(flat[w].reshape(ld["shape"]), flat[b], ld["activation"])
+              for (w, b), ld in zip(slices, specs)]
+    net = Mlp(layers, dropout_rate=doc["dropout_rate"])
     if net.input_dim != doc["input_dim"] or net.output_dim != doc["output_dim"]:
         raise ConfigError("declared dims disagree with layer shapes")
     return net

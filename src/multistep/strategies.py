@@ -140,8 +140,8 @@ def rollout(
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 2 or histories.shape[1] < 1:
         raise ShapeError(f"histories must be [m, p] with p >= 1, got {histories.shape}")
-    if n_steps < 1:
-        raise ConfigError("n_steps must be >= 1")
+    schema.Int(1).check(n_steps, "n_steps")
+    schema.Int(1, default=None).check(step_scale, "step_scale")
     m, p = histories.shape
     width = p if step_scale is None else p + 1
     if width != net.input_dim or net.output_dim != 1:

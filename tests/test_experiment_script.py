@@ -45,6 +45,8 @@ def test_main_exports_the_medians_of_every_strategy(tmp_path, monkeypatch):
     runpy.run_path(str(SCRIPT), run_name="__main__")
     rows = list(csv.reader((tmp_path / "step_curves.csv").open()))
     assert len(rows) == 1 + 8 * 8 and [row[0] for row in rows[1::8]] == tags
+    for row in rows[1:]:  # plain float literals, not np.float64(...) reprs
+        assert all(np.isfinite(float(cell)) for cell in row[2:])
     table = (tmp_path / "comparison.txt").read_text().splitlines()
     assert [line.split()[0] for line in table[2:]] == tags
     for tag in tags:

@@ -365,8 +365,8 @@ class TestInPlaceForward:
             if lc.mask is not None:
                 assert np.array_equal(lc.mask, ref.mask)
         assert any(lc.mask is not None for lc in cache.layer_caches) == (mode == "train")
-        assert cache.net is net and cache.workspace is workspace
-        assert fresh_cache.workspace is not workspace
+        assert cache.net is net and cache is workspace
+        assert fresh_cache is not workspace
         for lc, buf in zip(cache.layer_caches, workspace.outputs):
             assert lc.act_out is buf
         # the outputs alias the workspace: the next pass through it overwrites them
@@ -547,6 +547,31 @@ class TestFlatParameters:
         with pytest.raises(dataclasses.FrozenInstanceError):
             net.layers[0].weights = np.zeros((1, 2))
 
+    def test_layer_slices_walk_the_flat_layout(self):
+        assert nn.layer_slices([(5, 3), (4, 5), (2, 4)]) == [
+            (slice(0, 15), slice(15, 20)), (slice(20, 40), slice(40, 44)),
+            (slice(44, 52), slice(52, 54)),
+        ]
+        net = nn.init_mlp([3, 5, 4, 2], rng=0)
+        assert net.grad_slices == nn.layer_slices([(5, 3), (4, 5), (2, 4)])
+        assert net.grad_slices[-1][1].stop == net.params.size
+
+
+class TestBatches:
+    @pytest.mark.parametrize("n, batch_size, starts, rows", [
+        (5, 8, [0], [5]),  # n < batch: one short batch
+        (12, 4, [0, 4, 8], [4]),  # n = k * batch: no remainder
+        (14, 4, [0, 4, 8, 12], [4, 2]),  # n = k * batch + r
+        (1, 1, [0], [1]),
+    ])
+    def test_starts_and_one_make_per_row_count(self, n, batch_size, starts, rows):
+        made = []
+        got, work = nn.batches(n, batch_size, lambda r: made.append(r) or ("work", r))
+        assert list(got) == starts
+        assert sorted(work) == sorted(made) == sorted(rows)
+        assert all(work[r] == ("work", r) for r in rows)
+        assert all(min(batch_size, n - s) in work for s in got)
+
 
 class _Pairs:
     def __init__(self, x, y):
@@ -591,7 +616,6 @@ class TestConfigFields:
         (nn.TrainConfig, "seed", 1.5), (nn.TrainConfig, "seed", -1),
         (nn.TrainConfig, "seed", True), (nn.TrainConfig, "seed", None),
         (cgan.CganConfig, "seed", -1), (cgan.CganConfig, "seed", 2.0),
-        (cgan.CganConfig, "saturating", "no"), (cgan.CganConfig, "saturating", 1),
         (cgan.CganConfig, "dropout", 1.5), (cgan.CganConfig, "dropout", -0.1),
         (cgan.CganConfig, "hidden_units", 0), (cgan.CganConfig, "hidden_layers", -1),
         (cgan.CganConfig, "hidden_layers", 1.0),
@@ -605,7 +629,7 @@ class TestConfigFields:
     def test_valid_fields_build(self):
         nn.TrainConfig(seed=0)
         nn.TrainConfig(seed=np.uint32(2**32 - 1))
-        cgan.CganConfig(seed=3, saturating=True, dropout=0.5, hidden_layers=0, hidden_units=1)
+        cgan.CganConfig(seed=3, dropout=0.5, hidden_layers=0, hidden_units=1)
         dad_config(hidden_layers=0, hidden_units=np.int64(3))
 
 

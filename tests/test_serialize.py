@@ -20,9 +20,10 @@ class TestRoundTrip:
         )
         path = tmp_path / "model.json"
         serialize.dump_json(serialize.mlp_to_dict(net, {"tag": "t"}), path)
-        back = serialize.mlp_from_dict(serialize.load_json(path))
+        doc = serialize.load_json(path)
+        assert doc["metadata"] == {"tag": "t"}
+        back = serialize.mlp_from_dict(doc)
         assert back.dropout_rate == net.dropout_rate
-        assert back.metadata["tag"] == "t"
         for la, lb in zip(net.layers, back.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
@@ -57,6 +58,16 @@ class TestValidation:
         doc = serialize.mlp_to_dict(nn.init_mlp([2, 1], rng=0))
         doc["format_version"] = 99
         with pytest.raises(ConfigError, match="format_version"):
+            serialize.mlp_from_dict(doc)
+
+    @pytest.mark.parametrize("cut", [-8, 8], ids=["short", "long"])
+    def test_params_of_the_wrong_length_named(self, cut):
+        net = nn.init_mlp([3, 4, 2], rng=0)  # 3 * 4 + 4 + 4 * 2 + 2 = 26 values
+        doc = serialize.mlp_to_dict(net)
+        raw = base64.b64decode(doc["params"])
+        doc["params"] = base64.b64encode(raw[:cut] if cut < 0 else raw + raw[:cut]).decode()
+        with pytest.raises(ConfigError, match=f"^params holds {208 + cut} bytes; "
+                                              "the layer shapes need 208$"):
             serialize.mlp_from_dict(doc)
 
     def test_declared_dims_checked(self):

@@ -112,8 +112,10 @@ def test_tracer_targets_resolve():
 def test_tracer_counts_a_fit_and_a_rollout():
     """The tracer's counters read package objects (a backward cache's layer
     inputs, each layer's weights, a rollout's result): renaming one would
-    stop `--trace 1` from counting, which resolving names does not show."""
-    tracer = load_tracing().Tracer()
+    stop `--trace 1` from counting, which resolving names does not show.
+    `train_cgan` passes `backward` the workspaces it keeps per batch size."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
     data = make_windows(np.random.default_rng(0).uniform(0, 1, 40), 4, 1)
     net = nn.init_mlp([4, 6, 1], rng=1)
     with tracer.installed():
@@ -122,3 +124,12 @@ def test_tracer_counts_a_fit_and_a_rollout():
     assert tracer.counts["nn.train_steps"] == 2 * math.ceil(len(data) / 16)
     assert tracer.counts["nn.flops"] > 0
     assert tracer.counts["strategies.rollout.predictions"] == 7 * 5
+
+    tracer = tracing.Tracer()
+    cfg = cgan.CganConfig(noise_dim=2, epochs=2, batch_size=16, seed=0, hidden_layers=1,
+                          hidden_units=4)
+    with tracer.installed():
+        cgan.train_cgan(data, cfg)
+    batches = cfg.epochs * math.ceil(len(data) / cfg.batch_size)
+    assert tracer.counts["cgan.gan_steps"] == tracer.counts["nn.train_steps"] == 2 * batches
+    assert tracer.counts["nn.flops"] > 0

@@ -83,6 +83,16 @@ class TestRollout:
         with pytest.raises(ShapeError, match="dims"):
             stg.rollout(linear_net(np.ones((2, 2))), np.ones((3, 2)), 1)
 
+    @pytest.mark.parametrize("n_steps, step_scale, name", [
+        (0, None, "n_steps"), (2.5, None, "n_steps"), ("3", None, "n_steps"),
+        (True, None, "n_steps"), (2, 0, "step_scale"), (2, 1.5, "step_scale"),
+        (2, -1, "step_scale"),
+    ])
+    def test_bad_step_argument_is_named(self, n_steps, step_scale, name):
+        net = linear_net([[0.5, 0.1]])  # input_dim 2: a rollout of width 1 + step
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 1"):
+            stg.rollout(net, np.ones((3, 1)), n_steps, step_scale)
+
 
 class TestRecursive:
     def test_identity_on_last_is_fixed_point(self):

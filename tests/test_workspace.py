@@ -144,13 +144,8 @@ def oracle_train_cgan(data, cfg, holdout=None):
             )
             d_out, cache_d = oracle_forward(disc, np.concatenate([fake_h, futures], axis=1))
             pg = np.clip(d_out, lo, hi)
-            if cfg.saturating:
-                g_loss = float(np.mean(np.log(1.0 - pg)))
-                grad_out = -1.0 / ((1.0 - pg) * b)
-            else:
-                g_loss = float(-np.mean(np.log(pg)))
-                grad_out = -1.0 / (pg * b)
-            dx = oracle_backprop(disc, cache_d, grad_out, False)
+            g_loss = float(-np.mean(np.log(pg)))
+            dx = oracle_backprop(disc, cache_d, -1.0 / (pg * b), False)
             nn.adam_step(gen.params, oracle_backprop(gen, cache_g, dx[:, :p], True), g_state)
             d_losses.append(d_loss)
             g_losses.append(g_loss)
@@ -204,19 +199,17 @@ def test_fit_equals_fresh_array_loop_bitwise(dims, acts, dropout, n, batch, epoc
     batch=st.integers(1, 16),
     length=st.integers(8, 40),
     dropout=st.sampled_from([0.0, 0.25]),
-    saturating=st.booleans(),
     with_holdout=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_train_cgan_equals_fresh_array_loop_bitwise(
-    p, q, noise_dim, hidden_layers, hidden_units, batch, length, dropout, saturating,
-    with_holdout, seed,
+    p, q, noise_dim, hidden_layers, hidden_units, batch, length, dropout, with_holdout, seed,
 ):
     data = make_windows(np.random.default_rng(seed).uniform(0, 1, length + p + q), p, q)
     holdout = make_windows(np.linspace(0.1, 0.9, p + q + 3), p, q) if with_holdout else None
     cfg = cgan.CganConfig(noise_dim=noise_dim, lr_discriminator=2e-3, lr_generator=1e-3,
                           epochs=2, batch_size=batch, seed=seed, hidden_layers=hidden_layers,
-                          hidden_units=hidden_units, dropout=dropout, saturating=saturating)
+                          hidden_units=hidden_units, dropout=dropout)
     pair = cgan.train_cgan(data, cfg, holdout=holdout)
     gen, disc, log = oracle_train_cgan(data, cfg, holdout=holdout)
     assert np.array_equal(pair.generator.params, gen.params)
@@ -302,7 +295,15 @@ class TestRefusals:
         _, cache = nn.forward(net, np.ones((5, 3)))
         with pytest.raises(ShapeError, match="another network"):
             grad_fn(other(net), cache, np.zeros((5, 2)))
-        assert cache.workspace.grad is None  # nothing was made or written
+        assert cache.grad is None  # nothing was made or written
+
+    @pytest.mark.parametrize("grad_fn", [nn.backward, nn.input_grad])
+    def test_workspace_without_a_pass(self, grad_fn):
+        net = nn.init_mlp([3, 4, 2], rng=0)
+        workspace = nn.Workspace(net, 5)
+        with pytest.raises(ShapeError, match="no forward pass"):
+            grad_fn(net, workspace, np.zeros((5, 2)))
+        assert workspace.grad is None
 
     def test_train_mode_workspace_of_another_row_count(self):
         net = nn.init_mlp([3, 4, 2], dropout_rate=0.5, rng=0)
@@ -323,6 +324,26 @@ class TestWorkspaceArrays:
         assert out is workspace.outputs[-1]
         assert workspace.dropout_caches is None and workspace.grad is None
         assert cache.layer_caches is workspace.caches
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_forward_returns_its_workspace_as_the_cache(self, mode):
+        net = nn.init_mlp([3, 5, 2], dropout_rate=0.3, rng=0)
+        workspace = nn.Workspace(net, 4)
+        _, cache = nn.forward(net, np.ones((4, 3)), mode=mode, rng=np.random.default_rng(0),
+                              workspace=workspace)
+        assert cache is workspace and not cache.single
+        _, fresh = nn.forward(net, np.ones(3), mode=mode, rng=np.random.default_rng(0))
+        assert isinstance(fresh, nn.Workspace) and fresh.net is net
+        assert fresh.rows == 1 and fresh.single
+
+    def test_train_pass_with_dropout_caches_the_dropout_layers(self):
+        net = nn.init_mlp([3, 5, 4, 2], dropout_rate=0.3, rng=0)
+        workspace = nn.Workspace(net, 6)
+        _, cache = nn.forward(net, np.ones((6, 3)), mode="train", rng=np.random.default_rng(0),
+                              workspace=workspace)
+        assert cache.layer_caches is workspace.dropout_caches
+        _, cache = nn.forward(net, np.ones((6, 3)), workspace=workspace)
+        assert cache.layer_caches is workspace.caches  # the next pass is eval: its own
 
     def test_backward_arrays_are_made_once(self):
         net = nn.init_mlp([3, 5, 2], dropout_rate=0.3, rng=0)
