@@ -227,7 +227,7 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     current = fitted(base_net, one_step, base_cfg, 1)
     if cfg.conditional:
         # CDaD's M_0 is trained from scratch (its input width differs) on the
-        # base model's rollout, so it gets the base training budget.
+        # base model's rollout: base_train's budget, inner_train's dropout rate.
         m0 = init_mlp(
             [p + 1, *hidden, 1],
             dropout_rate=cfg.inner_train.dropout_rate,

@@ -121,7 +121,7 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     seed: int = 0
-    dropout_rate: float = 0.0
+    dropout_rate: float = 0.0  # what the trainers build nets with; `fit` never reads it
     learning_rate: float = 1e-3
 
     def __post_init__(self):
@@ -180,8 +180,8 @@ class LayerCache:
 
 class Workspace:
     """Every array that passes of `net` over `rows` rows write, and the
-    cache of the last pass: its layer caches and whether its input was a
-    1-D vector, which `backward` and `input_grad` read.
+    cache of the last pass: its layer caches, which `backward` and
+    `input_grad` read.
 
     The layer outputs and their layer caches are made at construction;
     the dropout masks and dropped outputs by the first train-mode pass
@@ -193,7 +193,7 @@ class Workspace:
     """
 
     __slots__ = ("net", "rows", "outputs", "caches", "dropout_caches", "dropped", "deltas",
-                 "input_grads", "grad", "grad_views", "layer_caches", "single")
+                 "input_grads", "grad", "grad_views", "layer_caches")
 
     def __init__(self, net: Mlp, rows: int):
         self.net, self.rows = net, rows
@@ -201,7 +201,6 @@ class Workspace:
         # each pass sets layer 0's input; layer i > 0 reads layer i - 1's output
         self.caches = self._layer_caches(self.outputs[:-1], [None] * len(net.plan))
         self.dropout_caches = self.dropped = self.grad = self.layer_caches = None
-        self.single = False
 
     def _layer_caches(self, inputs, masks) -> list[LayerCache]:
         return [LayerCache(*c) for c in zip([None, *inputs], self.outputs, masks)]
@@ -237,7 +236,8 @@ def forward(
     rng: np.random.Generator | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, Workspace]:
-    """Run the network. Accepts a single vector or a [batch, in_dim] matrix.
+    """Run the network on a [rows, in_dim] batch; any other shape, a 1-D
+    vector included, raises ShapeError. One input is a one-row batch.
 
     Dropout (train mode only) uses inverted scaling and is applied to
     hidden-layer outputs, never to the input or the final layer. Each
@@ -253,16 +253,14 @@ def forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise ShapeError(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    rows = a.shape[0]
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ShapeError(f"input shape {x.shape} is not [rows, input_dim {net.input_dim}]")
+    rows = x.shape[0]
     if workspace is None:
         workspace = Workspace(net, rows)
     elif workspace.net is not net or workspace.rows != rows:
         raise ShapeError(f"workspace is not one of this network over {rows} rows")
-    if not np.isfinite(a).all():
+    if not np.isfinite(x).all():
         raise NumericError("non-finite input")
     caches = workspace.caches
     if mode == "train" and net.dropout_rate > 0.0:
@@ -271,7 +269,7 @@ def forward(
         caches = workspace.dropout_layer_caches()
         keep = 1.0 - net.dropout_rate
 
-    caches[0].inputs = a
+    caches[0].inputs = x
     for i, ((_, wt, bias, act, product), lc) in enumerate(zip(net.plan, caches)):
         h = product(lc.inputs, wt, out=lc.act_out)
         h += bias
@@ -292,8 +290,8 @@ def forward(
             np.less(mask, keep, out=mask)
             mask /= keep
             np.multiply(h, mask, out=workspace.dropped[i])
-    workspace.layer_caches, workspace.single = caches, single
-    return (h[0] if single else h), workspace
+    workspace.layer_caches = caches
+    return h, workspace
 
 
 def _backprop(net: Mlp, cache: Workspace, loss_grad: np.ndarray, params: bool) -> np.ndarray:
@@ -308,8 +306,6 @@ def _backprop(net: Mlp, cache: Workspace, loss_grad: np.ndarray, params: bool) -
     if cache.layer_caches is None:
         raise ShapeError("cache is a workspace that no forward pass has written")
     g = np.asarray(loss_grad, dtype=float)
-    if cache.single:
-        g = g[None, :]
     if g.shape != (cache.rows, net.output_dim):
         raise ShapeError(f"loss_grad shape {np.shape(loss_grad)} incompatible with output")
     deltas, input_grads, grad_views = cache.backward_arrays()
@@ -364,16 +360,15 @@ def input_grad(net: Mlp, cache: Workspace, loss_grad: np.ndarray) -> np.ndarray:
     """Backpropagate loss_grad to the network input: d loss / d x.
 
     This is what chains networks (a generator trained through a
-    discriminator); no parameter gradient is formed. The result has the
-    shape of the input the cached pass was run on and, like `backward`'s,
-    aliases the cache.
+    discriminator); no parameter gradient is formed. The result is a
+    [rows, input_dim] matrix, the shape of the cached pass's input, and,
+    like `backward`'s, aliases the cache.
     """
-    g = _backprop(net, cache, loss_grad, params=False)
-    return g[0] if cache.single else g
+    return _backprop(net, cache, loss_grad, params=False)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over one vector; grad = 2*(pred-target)/len."""
+    """Mean squared error over every entry of pred; grad = 2*(pred-target)/size."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
@@ -438,9 +433,10 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
 
     `dataset` is anything exposing float matrices `histories` [n, input_dim]
     and `futures` [n, output_dim]. Deterministic given cfg.seed; the input
-    net is left untouched and a trained copy is returned. Raises
-    NumericError before training when a dataset value is not finite,
-    and at the first batch whose loss is not finite.
+    net is left untouched and a trained copy is returned. It trains at
+    net.dropout_rate, never reading cfg.dropout_rate. Raises NumericError
+    before training when a dataset value is not finite, and at the first
+    batch whose loss is not finite.
     """
     x = np.asarray(dataset.histories, dtype=float)
     y = np.asarray(dataset.futures, dtype=float)

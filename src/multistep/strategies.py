@@ -9,10 +9,11 @@ Four families over the same dense-network core:
   variant whose step-h model also consumes the predictions of steps 1..h-1;
 * multi-output — one model emitting all q future values at once.
 
-Each model kind serves itself through `predictor(n_steps)`. Its METADATA
-table names the fields, beside its nets and p, that its model document
-records, and ONE_NET says whether that document is one network document
-or keeps one per net under "models".
+Each model kind serves itself through `predictor(n_steps)`: [m, p]
+histories in, [m, H] predictions out, and any other input shape raises
+ShapeError. Its METADATA table names the fields, beside its nets and p,
+that its model document records, and ONE_NET says whether that document
+is one network document or keeps one per net under "models".
 """
 
 from __future__ import annotations
@@ -89,14 +90,13 @@ class DirectModelSet:
         """[m, p] histories -> [m, q] predictions; n_steps is not read."""
 
         def predict(histories):
-            inputs = np.asarray(histories, dtype=float)
-            preds = np.empty((inputs.shape[0], self.q))
-            for h, net in enumerate(self.models):
+            inputs, outs = histories, []
+            for net in self.models:
                 out, _ = forward(net, inputs, mode="eval")
-                preds[:, h] = out[:, 0]
+                outs.append(out)
                 if self.hybrid:
                     inputs = np.concatenate([inputs, out], axis=1)
-            return preds
+            return np.concatenate(outs, axis=1)
 
         return predict
 
@@ -120,7 +120,7 @@ class MultiOutputModel:
 
     def predictor(self, n_steps: int | None = None):
         """[m, p] histories -> [m, q] predictions; n_steps is not read."""
-        return lambda h: forward(self.net, np.asarray(h, dtype=float), mode="eval")[0]
+        return lambda h: forward(self.net, h, mode="eval")[0]
 
 
 def rollout(

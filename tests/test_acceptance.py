@@ -14,6 +14,8 @@ import pytest
 from multistep import cgan, cli, evaluation, nn, pipeline, serialize, strategies, synth
 from multistep.data import WindowedDataset, make_windows
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = range(5)
 P = 8
 HORIZON = 8
@@ -85,8 +87,8 @@ def test_criterion_01_gradient_correctness(announce):
         dims = [6, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 4]
         act = str(rng.choice(["relu", "sigmoid", "tanh"]))
         net = nn.init_mlp(dims, rng=rng, hidden_activation=act)
-        x = rng.standard_normal(dims[0])
-        y = rng.standard_normal(dims[-1])
+        x = rng.standard_normal(dims[0])[None, :]
+        y = rng.standard_normal(dims[-1])[None, :]
         pred, cache = nn.forward(net, x)
         _, lg = nn.mse_loss(pred, y)
         analytic = nn.backward(net, cache, lg)
@@ -118,9 +120,9 @@ def test_criterion_02_recursive_oracle_equivalence(announce):
         got = strategies.batch_predictor(model, n_steps)(history[None, :])[0]
         window = list(history)
         for n in range(n_steps):
-            out, _ = nn.forward(net, np.array(window))
-            ok = ok and got[n] == out[0]
-            window = window[1:] + [out[0]]
+            out, _ = nn.forward(net, np.array([window]))
+            ok = ok and got[n] == out[0, 0]
+            window = window[1:] + [out[0, 0]]
     announce(2, "recursive-oracle-equivalence", ok)
 
 

@@ -61,7 +61,7 @@ def reference_preact(layer, lc):
 def reference_backward_pairs(net, cache, loss_grad):
     """Per-layer (g.T @ inputs, g.sum(0)) pairs, computed layer by layer
     into fresh arrays: the reference for backward's flat gradient."""
-    g = np.atleast_2d(loss_grad)
+    g = loss_grad
     pairs = []
     for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
         if lc.mask is not None:
@@ -76,12 +76,12 @@ def reference_backward_pairs(net, cache, loss_grad):
 def reference_input_grad(net, cache, loss_grad):
     """The chain g = (g * mask * act_grad) @ W over every layer, with full
     mask and activation-gradient arrays: the reference for input_grad."""
-    g = np.atleast_2d(loss_grad)
+    g = loss_grad
     for layer, lc in zip(reversed(net.layers), reversed(cache.layer_caches)):
         mask = lc.mask if lc.mask is not None else np.ones_like(g)
         z = reference_preact(layer, lc)
         g = (g * mask * activation_grad(layer.activation, z, lc.act_out)) @ layer.weights
-    return g[0] if cache.single else g
+    return g
 
 
 def finite_difference_input_grad(net, x, y, mode="eval", seed=None, h=1e-6):
@@ -132,25 +132,25 @@ class TestForward:
         net = nn.init_mlp([3, 4, 2], rng=0)
         for layer in net.layers:
             layer.weights[:] = 0.0
-        out, _ = nn.forward(net, np.array([1.0, -2.0, 3.0]))
-        assert np.array_equal(out, np.zeros(2))
+        out, _ = nn.forward(net, np.array([[1.0, -2.0, 3.0]]))
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_single_layer(self):
         net = nn.Mlp([nn.Layer(np.eye(2), np.zeros(2), "linear")])
-        out, _ = nn.forward(net, np.array([1.5, -2.0]))
-        assert np.array_equal(out, [1.5, -2.0])
+        out, _ = nn.forward(net, np.array([[1.5, -2.0]]))
+        assert np.array_equal(out, [[1.5, -2.0]])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_matrix_chain_oracle(self, seed):
         rng = np.random.default_rng(seed)
         net = nn.init_mlp([4, 7, 3], rng=rng)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         out, _ = nn.forward(net, x)
-        assert np.array_equal(out, matrix_chain_oracle(net, x))
+        assert np.array_equal(out[0], matrix_chain_oracle(net, x[0]))
 
     def test_eval_is_pure(self):
         net = nn.init_mlp([3, 5, 2], rng=1)
-        x = np.array([0.3, -0.1, 0.7])
+        x = np.array([[0.3, -0.1, 0.7]])
         before = [l.weights.copy() for l in net.layers]
         a, _ = nn.forward(net, x)
         b, _ = nn.forward(net, x)
@@ -161,21 +161,28 @@ class TestForward:
     def test_shape_and_numeric_errors(self):
         net = nn.init_mlp([3, 2], rng=0)
         with pytest.raises(ShapeError):
-            nn.forward(net, np.zeros(4))
+            nn.forward(net, np.zeros((1, 4)))
+        # every pass is a batch: a 1-D vector is refused, and a workspace
+        # given with it is left unwritten
+        workspace = filled_workspace(net, 1, fill=7.0)
+        for ws in (None, workspace):
+            with pytest.raises(ShapeError, match=r"input shape \(3,\)"):
+                nn.forward(net, np.zeros(3), workspace=ws)
+        assert np.all(workspace.outputs[-1] == 7.0) and workspace.layer_caches is None
         with pytest.raises(NumericError):
-            nn.forward(net, np.array([1.0, np.nan, 0.0]))
+            nn.forward(net, np.array([[1.0, np.nan, 0.0]]))
 
     def test_train_mode_needs_rng_when_dropping(self):
         net = nn.init_mlp([3, 5, 2], dropout_rate=0.5, rng=0)
         with pytest.raises(ConfigError):
-            nn.forward(net, np.zeros(3), mode="train")
+            nn.forward(net, np.zeros((1, 3)), mode="train")
 
     def test_dropout_expectation_matches_eval_for_linear_net(self):
         # Inverted dropout: E over masks of train output == eval output.
         rng = np.random.default_rng(7)
         net = nn.init_mlp([3, 6, 2], dropout_rate=0.4, rng=rng,
                           hidden_activation="linear")
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
         eval_out, _ = nn.forward(net, x)
         samples = np.array(
             [nn.forward(net, x, mode="train", rng=rng)[0] for _ in range(10_000)]
@@ -188,9 +195,9 @@ class TestForward:
 class TestBackward:
     def test_zero_loss_grad_gives_zero_grads(self):
         net = nn.init_mlp([3, 4, 2], rng=0)
-        out, cache = nn.forward(net, np.array([0.1, 0.2, 0.3]))
-        grad = nn.backward(net, cache, np.zeros(2))
-        dx = nn.input_grad(net, cache, np.zeros(2))
+        out, cache = nn.forward(net, np.array([[0.1, 0.2, 0.3]]))
+        grad = nn.backward(net, cache, np.zeros((1, 2)))
+        dx = nn.input_grad(net, cache, np.zeros((1, 2)))
         assert grad.shape == net.params.shape
         assert np.all(grad == 0)
         assert np.all(dx == 0)
@@ -198,22 +205,22 @@ class TestBackward:
     def test_one_layer_linear_hand_arithmetic(self):
         # d loss / d w = 2*(pred - y)*x / out_dim for a 1-output linear layer.
         net = nn.Mlp([nn.Layer(np.array([[0.5, -1.0]]), np.array([0.25]), "linear")])
-        x = np.array([2.0, 3.0])
-        y = np.array([1.0])
+        x = np.array([[2.0, 3.0]])
+        y = np.array([[1.0]])
         pred, cache = nn.forward(net, x)
         loss, lg = nn.mse_loss(pred, y)
         grad = nn.backward(net, cache, lg)
         dw, db = split_like_layers(grad, net)
-        expected = 2.0 * (pred[0] - y[0]) * x
+        expected = 2.0 * (pred[0, 0] - y[0, 0]) * x
         assert np.allclose(dw[0], expected)
-        assert np.allclose(db[0], 2.0 * (pred[0] - y[0]))
+        assert np.allclose(db[0], 2.0 * (pred[0, 0] - y[0, 0]))
 
     @pytest.mark.parametrize("hidden_act", ["relu", "sigmoid", "tanh", "linear"])
     def test_matches_finite_differences(self, hidden_act):
         rng = np.random.default_rng(42)
         net = nn.init_mlp([3, 5, 2], rng=rng, hidden_activation=hidden_act)
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(2)
+        x = rng.standard_normal((1, 3))
+        y = rng.standard_normal((1, 2))
         pred, cache = nn.forward(net, x)
         _, lg = nn.mse_loss(pred, y)
         analytic = nn.backward(net, cache, lg)
@@ -224,9 +231,11 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         small = nn.init_mlp([3, 4, 2], rng=0)
         other = nn.init_mlp([3, 6, 2], rng=0)
-        _, cache = nn.forward(small, np.zeros(3))
+        _, cache = nn.forward(small, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
-            nn.backward(other, cache, np.zeros(2))
+            nn.backward(other, cache, np.zeros((1, 2)))
+        with pytest.raises(ShapeError, match="loss_grad"):  # a 1-D loss gradient
+            nn.backward(small, cache, np.zeros(2))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_flat_gradient_equals_per_layer_reference(self, seed):
@@ -264,17 +273,6 @@ class TestInputGrad:
         scale = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
-    def test_single_vector_input(self):
-        net = nn.init_mlp([3, 5, 2], rng=2, hidden_activation="tanh")
-        x = np.array([0.3, -0.8, 0.5])
-        y = np.array([0.1, 0.2])
-        pred, cache = nn.forward(net, x)
-        _, lg = nn.mse_loss(pred, y)
-        analytic = nn.input_grad(net, cache, lg)
-        assert analytic.shape == (3,)
-        numeric = finite_difference_input_grad(net, x, y)
-        assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)) < 1e-4
-
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_per_layer_chain_bitwise(self, seed):
         rng = np.random.default_rng(seed)
@@ -290,18 +288,20 @@ class TestInputGrad:
     def test_stale_cache_rejected(self):
         small = nn.init_mlp([3, 4, 2], rng=0)
         other = nn.init_mlp([3, 6, 2], rng=0)
-        _, cache = nn.forward(small, np.zeros(3))
+        _, cache = nn.forward(small, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
-            nn.input_grad(other, cache, np.zeros(2))
+            nn.input_grad(other, cache, np.zeros((1, 2)))
         with pytest.raises(ShapeError):
-            nn.input_grad(small, cache, np.zeros(3))
+            nn.input_grad(small, cache, np.zeros((1, 3)))
+        with pytest.raises(ShapeError, match="loss_grad"):  # a 1-D loss gradient
+            nn.input_grad(small, cache, np.zeros(2))
 
 
 def textbook_layers(net, x):
     """Each layer's activated output from z = x @ W.T + b and the textbook
     activation formulas, into fresh arrays: the reference for the in-place
     activations of an eval-mode forward."""
-    a, outs = np.atleast_2d(np.asarray(x, dtype=float)), []
+    a, outs = np.asarray(x, dtype=float), []
     for layer in net.layers:
         z = a @ layer.weights.T + layer.bias
         if layer.activation == "relu":
@@ -376,13 +376,6 @@ class TestInPlaceForward:
             assert out is again is workspace.outputs[-1]
         assert np.array_equal(again, nn.forward(net, -x, mode=mode,
                                                 rng=np.random.default_rng(9))[0])
-
-    def test_single_vector_with_buffers(self):
-        net = nn.init_mlp([3, 5, 2], rng=2, hidden_activation="tanh")
-        x = np.array([0.3, -0.8, 0.5])
-        out, _ = nn.forward(net, x, workspace=filled_workspace(net, 1))
-        assert out.shape == (2,)
-        assert np.array_equal(out, nn.forward(net, x)[0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_from_buffered_cache_equal_reference(self, seed):
@@ -704,8 +697,8 @@ def test_gradcheck_random_nets(seed):
     dims = [3, int(rng.integers(2, 6)), 2]
     act = str(rng.choice(["relu", "sigmoid", "tanh"]))
     net = nn.init_mlp(dims, rng=rng, hidden_activation=act)
-    x = rng.standard_normal(dims[0])
-    y = rng.standard_normal(dims[-1])
+    x = rng.standard_normal((1, dims[0]))
+    y = rng.standard_normal((1, dims[-1]))
     pred, cache = nn.forward(net, x)
     _, lg = nn.mse_loss(pred, y)
     analytic = nn.backward(net, cache, lg)

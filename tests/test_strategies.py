@@ -115,9 +115,9 @@ class TestRecursive:
         window = list(history)
         expected = []
         for _ in range(n_steps):
-            out, _ = nn.forward(net, np.array(window))
-            expected.append(out[0])
-            window = window[1:] + [out[0]]
+            out, _ = nn.forward(net, np.array([window]))
+            expected.append(out[0, 0])
+            window = window[1:] + [out[0, 0]]
         assert np.array_equal(got, expected)
 
 
@@ -277,7 +277,27 @@ class TestFieldChecks:
             kind(**dict(KIND_FIELDS[kind](), **{field: value}))
 
 
+# one served model of each kind, p = 3 and q = 2
+SERVED = {
+    "recursive": lambda: stg.RecursiveModel(linear_net(np.ones((1, 3))), p=3),
+    "direct": lambda: stg.DirectModelSet([linear_net(np.ones((1, 3)))] * 2, q=2, p=3),
+    "hybrid": lambda: stg.DirectModelSet(
+        [linear_net(np.ones((1, 3 + h))) for h in range(2)], q=2, p=3, hybrid=True
+    ),
+    "multi-output": lambda: stg.MultiOutputModel(linear_net(np.ones((2, 3))), p=3, q=2),
+}
+
+
 class TestShapeLaw:
+    @pytest.mark.parametrize("kind", SERVED)
+    def test_only_a_history_matrix_is_served(self, kind):
+        predict = SERVED[kind]().predictor(2)
+        assert predict(np.ones((5, 3))).shape == (5, 2)
+        # a 1-D history, a scalar and a 3-D block are all refused
+        for history in (np.ones(3), np.float64(1.0), np.ones((1, 1, 3))):
+            with pytest.raises(ShapeError):
+                predict(history)
+
     def test_every_strategy_emits_h_values(self):
         p = q = 4
         data = tiny_windows(n=60, p=p, q=q)

@@ -331,10 +331,11 @@ class TestWorkspaceArrays:
         workspace = nn.Workspace(net, 4)
         _, cache = nn.forward(net, np.ones((4, 3)), mode=mode, rng=np.random.default_rng(0),
                               workspace=workspace)
-        assert cache is workspace and not cache.single
-        _, fresh = nn.forward(net, np.ones(3), mode=mode, rng=np.random.default_rng(0))
-        assert isinstance(fresh, nn.Workspace) and fresh.net is net
-        assert fresh.rows == 1 and fresh.single
+        assert cache is workspace
+        _, fresh = nn.forward(net, np.ones((1, 3)), mode=mode, rng=np.random.default_rng(0))
+        assert isinstance(fresh, nn.Workspace) and fresh.net is net and fresh.rows == 1
+        with pytest.raises(ShapeError, match="input shape"):  # every pass is a batch
+            nn.forward(net, np.ones(3), mode=mode, rng=np.random.default_rng(0))
 
     def test_train_pass_with_dropout_caches_the_dropout_layers(self):
         net = nn.init_mlp([3, 5, 4, 2], dropout_rate=0.3, rng=0)
