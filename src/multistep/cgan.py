@@ -16,8 +16,8 @@ import numpy as np
 from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (ARCH, DROPOUT, Mlp, Workspace, adam_step, backward, batches, forward,
-                 hidden_dims, init_adam, init_mlp, input_grad)
+from .nn import (ARCH, Mlp, Workspace, adam_step, backward, batches, forward, init_adam,
+                 init_net, input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
 # the `cgan` config section; CganConfig checks the fields it shares with it
@@ -46,7 +46,7 @@ class CganConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        schema.check_fields(self, dict(SECTION, **ARCH, seed=schema.Int(0), dropout=DROPOUT))
+        schema.check_fields(self, dict(SECTION, **ARCH, seed=schema.Int(0)))
         if self.lr_discriminator < self.lr_generator:
             warnings.warn(
                 "discriminator learning rate below generator's; the "
@@ -112,14 +112,9 @@ def train_cgan(
         raise ConfigError(f"holdout must hold windows of p={p}, q={q}, got {len(holdout)} "
                           f"of p={holdout.p}, q={holdout.q}")
     rng = np.random.default_rng(cfg.seed)
-    hidden = hidden_dims(cfg.hidden_layers, cfg.hidden_units)
-    gen = init_mlp([cfg.noise_dim + q, *hidden, p], dropout_rate=cfg.dropout, rng=rng)
-    disc = init_mlp(
-        [p + q, *hidden, 1],
-        dropout_rate=cfg.dropout,
-        rng=rng,
-        final_activation="sigmoid",
-    )
+    arch = {k: getattr(cfg, k) for k in ARCH}
+    gen = init_net(cfg.noise_dim + q, p, rng, **arch)
+    disc = init_net(p + q, 1, rng, **arch, final_activation="sigmoid")
     g_state = init_adam(gen.params, learning_rate=cfg.lr_generator)
     d_state = init_adam(disc.params, learning_rate=cfg.lr_discriminator)
 

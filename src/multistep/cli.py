@@ -40,7 +40,6 @@ CONFIG = {
     "model": schema.Table({
         "strategy": schema.OneOf(STRATEGIES),
         **nn.ARCH,
-        "dropout": replace(nn.DROPOUT, default=0.1),
         "train": schema.Table(nn.TRAIN),
     }),
     "dad": schema.Table(dad.SECTION),
@@ -119,19 +118,18 @@ def cmd_train(args) -> int:
 
     model_cfg = cfg["model"]
     strategy = model_cfg["strategy"]
-    arch = {k: model_cfg[k] for k in ("hidden_layers", "hidden_units")}
+    arch = {k: model_cfg[k] for k in nn.ARCH}
     gan = dict(cfg.get("cgan", {}))
     synthetic_count = gan.pop("synthetic_count", None)
     spec = pipeline.TrainSpec(
         p=data_cfg["p"],
         q=data_cfg["q"],
-        train=nn.TrainConfig(
-            seed=cfg["seed"], dropout_rate=model_cfg["dropout"], **model_cfg["train"]
-        ),
+        train=nn.TrainConfig(seed=cfg["seed"], **model_cfg["train"]),
         **arch,
         dad=cfg.get("dad"),
         noise=cfg.get("noise"),
-        cgan=cgan.CganConfig(seed=cfg["seed"], **arch, **gan) if gan else None,
+        # the C-GAN's nets take the predictor's layers and units, without dropout
+        cgan=cgan.CganConfig(seed=cfg["seed"], **dict(arch, dropout=0.0), **gan) if gan else None,
         synthetic_count=synthetic_count,
     )
     model, training_log = pipeline.train(strategy, train_values, val_values, spec)

@@ -18,7 +18,7 @@ import numpy as np
 from . import schema
 from .data import WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
-from .nn import ARCH, TRAIN, Mlp, TrainConfig, fit, hidden_dims, init_mlp
+from .nn import ARCH, TRAIN, Mlp, TrainConfig, fit, init_net
 from .strategies import RecursiveModel, rollout
 
 # the `dad` config section; DadConfig checks the fields it shares with it
@@ -41,6 +41,7 @@ class DadConfig:
     selection_metric: str = "mse"
     hidden_layers: int = 2
     hidden_units: int = 150
+    dropout: float = 0.0  # of the base net and CDaD's M_0, which later iterates keep
     base_train: TrainConfig | None = None
     accumulate: bool = False  # keep synthetic rows from earlier iterations
 
@@ -183,6 +184,7 @@ def select_best(
     """Argmin by validation metric; ties break toward the earliest index."""
     if not results:
         raise ConfigError("no candidates to select from")
+    SECTION["selection_metric"].check(metric, "selection_metric")
     col = 1 if metric == "mse" else 2
     best = min(range(len(results)), key=lambda i: results[i][col])
     return results[best][0], best
@@ -194,7 +196,7 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     p, n_steps, big_k = cfg.p, cfg.n_steps, cfg.meta_iterations
     base_cfg = cfg.base_train if cfg.base_train is not None else cfg.inner_train
     seed = cfg.inner_train.seed
-    hidden = hidden_dims(cfg.hidden_layers, cfg.hidden_units)
+    arch = {k: getattr(cfg, k) for k in ARCH}
     step_scale = n_steps if cfg.conditional else None
 
     one_step = make_windows(train_values, p, 1)
@@ -219,20 +221,12 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
         preds = rollout(net, val_windows.histories, n_steps, step_scale)
         return (net, *_score(preds, val_windows.futures))
 
-    base_net = init_mlp(
-        [p, *hidden, 1],
-        dropout_rate=base_cfg.dropout_rate,
-        rng=np.random.default_rng(_sub_seed(seed, 0)),
-    )
+    base_net = init_net(p, 1, _sub_seed(seed, 0), **arch)
     current = fitted(base_net, one_step, base_cfg, 1)
     if cfg.conditional:
         # CDaD's M_0 is trained from scratch (its input width differs) on the
-        # base model's rollout: base_train's budget, inner_train's dropout rate.
-        m0 = init_mlp(
-            [p + 1, *hidden, 1],
-            dropout_rate=cfg.inner_train.dropout_rate,
-            rng=np.random.default_rng(_sub_seed(seed, 2)),
-        )
+        # base model's rollout, at base_train's budget.
+        m0 = init_net(p + 1, 1, _sub_seed(seed, 2), **arch)
         preds = rollout(current, roll_windows.histories, n_steps)
         current = fitted(m0, build(preds, 0), base_cfg, 10)
 

@@ -8,7 +8,7 @@ against finite differences in the test suite instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,12 @@ TRAIN = {
     "batch_size": schema.Int(1, default=64),
     "learning_rate": schema.Real(gt=0, default=1e-3),
 }
-# a net's hidden layers, as `hidden_dims` and the `model` config section take them
-ARCH = {"hidden_layers": schema.Int(0, default=2), "hidden_units": schema.Int(1, default=150)}
+# a net's architecture, as `init_net` and the `model` config section take it
+ARCH = {
+    "hidden_layers": schema.Int(0, default=2),
+    "hidden_units": schema.Int(1, default=150),
+    "dropout": replace(DROPOUT, default=0.1),
+}
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
@@ -121,11 +125,10 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     seed: int = 0
-    dropout_rate: float = 0.0  # what the trainers build nets with; `fit` never reads it
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        schema.check_fields(self, dict(TRAIN, dropout_rate=DROPOUT, seed=schema.Int(0)))
+        schema.check_fields(self, dict(TRAIN, seed=schema.Int(0)))
 
 
 @dataclass
@@ -165,10 +168,21 @@ def init_mlp(
     return Mlp(layers, dropout_rate=dropout_rate)
 
 
-def hidden_dims(hidden_layers: int, hidden_units: int) -> list[int]:
-    """The hidden widths of `hidden_layers` layers (0: none) of `hidden_units`."""
+def init_net(
+    in_dim: int,
+    out_dim: int,
+    rng: np.random.Generator | int | tuple,
+    hidden_layers: int = 2,
+    hidden_units: int = 150,
+    dropout: float = 0.0,
+    final_activation: str = "linear",
+) -> Mlp:
+    """The one architecture of every model: in_dim -> `hidden_layers` relu
+    layers (0: none) of `hidden_units` -> out_dim, at dropout rate `dropout`,
+    drawn from `rng` (a Generator, or a seed of one)."""
     ARCH["hidden_layers"].check(hidden_layers, "hidden_layers")
-    return [hidden_units] * hidden_layers
+    dims = [in_dim, *[hidden_units] * hidden_layers, out_dim]
+    return init_mlp(dims, dropout, rng, final_activation)
 
 
 @dataclass(slots=True)
@@ -433,10 +447,9 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
 
     `dataset` is anything exposing float matrices `histories` [n, input_dim]
     and `futures` [n, output_dim]. Deterministic given cfg.seed; the input
-    net is left untouched and a trained copy is returned. It trains at
-    net.dropout_rate, never reading cfg.dropout_rate. Raises NumericError
-    before training when a dataset value is not finite, and at the first
-    batch whose loss is not finite.
+    net is left untouched and a trained copy is returned, trained at
+    net.dropout_rate. Raises NumericError before training when a dataset
+    value is not finite, and at the first batch whose loss is not finite.
     """
     x = np.asarray(dataset.histories, dtype=float)
     y = np.asarray(dataset.futures, dtype=float)

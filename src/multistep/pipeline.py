@@ -18,7 +18,7 @@ from . import cgan, dad, strategies
 from .cgan import CganConfig
 from .data import WindowedDataset, make_windows
 from .errors import ConfigError
-from .nn import TrainConfig
+from .nn import ARCH, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,17 @@ class TrainSpec:
     p: int
     q: int
     train: TrainConfig  # the predictor's budget
-    hidden_layers: int
+    hidden_layers: int  # the predictor's architecture: these two and dropout
     hidden_units: int
+    dropout: float = 0.0
     dad: dict | None = None  # n_steps, meta_iterations, inner_epochs[, DadConfig fields]
     noise: dict | None = None  # sigma[, interpret_as_stddev]
-    cgan: CganConfig | None = None  # with the GAN's own width and seed
+    cgan: CganConfig | None = None  # with the GAN's own architecture and seed
     synthetic_count: int | None = None  # C-GAN rows to add; None: one per real window
 
 
 def _arch(spec: TrainSpec) -> dict:
-    return dict(hidden_layers=spec.hidden_layers, hidden_units=spec.hidden_units)
+    return {k: getattr(spec, k) for k in ARCH}
 
 
 def _recursive(train_values, val_values, spec):

@@ -11,9 +11,11 @@ Four families over the same dense-network core:
 
 Each model kind serves itself through `predictor(n_steps)`: [m, p]
 histories in, [m, H] predictions out, and any other input shape raises
-ShapeError. Its METADATA table names the fields, beside its nets and p,
-that its model document records, and ONE_NET says whether that document
-is one network document or keeps one per net under "models".
+ShapeError. A recursive model serves H = n_steps; the direct, hybrid and
+multi-output models serve H = q, for n_steps None or q. Each kind's
+METADATA table names the fields, beside its nets and p, that its model
+document records, and ONE_NET says whether that document is one network
+document or keeps one per net under "models".
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import Mlp, TrainConfig, Workspace, fit, forward, hidden_dims, init_mlp
+from .nn import Mlp, TrainConfig, Workspace, fit, forward, init_net
 
 
 @dataclass
@@ -87,7 +89,8 @@ class DirectModelSet:
                 raise ShapeError(f"model {h}: output_dim must be 1")
 
     def predictor(self, n_steps: int | None = None):
-        """[m, p] histories -> [m, q] predictions; n_steps is not read."""
+        """[m, p] histories -> [m, q] predictions; n_steps must be None or q."""
+        _check_horizon(n_steps, self.q)
 
         def predict(histories):
             inputs, outs = histories, []
@@ -119,8 +122,15 @@ class MultiOutputModel:
             )
 
     def predictor(self, n_steps: int | None = None):
-        """[m, p] histories -> [m, q] predictions; n_steps is not read."""
+        """[m, p] histories -> [m, q] predictions; n_steps must be None or q."""
+        _check_horizon(n_steps, self.q)
         return lambda h: forward(self.net, h, mode="eval")[0]
+
+
+def _check_horizon(n_steps, q: int) -> None:
+    """ConfigError unless a model of horizon q can serve n_steps."""
+    if n_steps is not None and n_steps != q:
+        raise ConfigError(f"a model of horizon q={q} cannot be served n_steps={n_steps}")
 
 
 def rollout(
@@ -163,30 +173,18 @@ def rollout(
     return preds
 
 
-def train_recursive(
-    data: WindowedDataset,
-    cfg: TrainConfig,
-    hidden_layers: int = 2,
-    hidden_units: int = 150,
-) -> RecursiveModel:
-    """Vanilla one-step model on (p-history, next-value) pairs (q must be 1)."""
+def train_recursive(data: WindowedDataset, cfg: TrainConfig, **arch) -> RecursiveModel:
+    """Vanilla one-step model on (p-history, next-value) pairs (q must be 1);
+    `arch` is `init_net`'s architecture, as in every trainer here."""
     if data.q != 1:
         raise ConfigError(f"recursive training needs q == 1 windows, got q={data.q}")
-    net = init_mlp(
-        [data.p, *hidden_dims(hidden_layers, hidden_units), 1],
-        dropout_rate=cfg.dropout_rate,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    net = init_net(data.p, 1, cfg.seed, **arch)
     trained, _ = fit(net, data, cfg)
     return RecursiveModel(trained, p=data.p)
 
 
 def train_direct(
-    data: WindowedDataset,
-    cfg: TrainConfig,
-    hybrid: bool = False,
-    hidden_layers: int = 2,
-    hidden_units: int = 150,
+    data: WindowedDataset, cfg: TrainConfig, hybrid: bool = False, **arch
 ) -> DirectModelSet:
     """One model per horizon step.
 
@@ -197,16 +195,11 @@ def train_direct(
     """
     models: list[Mlp] = []
     extra = np.empty((len(data), 0))
-    hidden = hidden_dims(hidden_layers, hidden_units)
     for h in range(1, data.q + 1):
         inputs = np.concatenate([data.histories, extra], axis=1) if hybrid else data.histories
         targets = data.futures[:, h - 1 : h]
         step_data = WindowedDataset(inputs, targets, inputs.shape[1], 1)
-        net = init_mlp(
-            [inputs.shape[1], *hidden, 1],
-            dropout_rate=cfg.dropout_rate,
-            rng=np.random.default_rng((cfg.seed, h)),
-        )
+        net = init_net(inputs.shape[1], 1, (cfg.seed, h), **arch)
         trained, _ = fit(net, step_data, replace(cfg, seed=cfg.seed + h))
         models.append(trained)
         if hybrid:
@@ -215,19 +208,10 @@ def train_direct(
     return DirectModelSet(models, q=data.q, p=data.p, hybrid=hybrid)
 
 
-def train_multi_output(
-    data: WindowedDataset,
-    cfg: TrainConfig,
-    hidden_layers: int = 2,
-    hidden_units: int = 150,
-) -> MultiOutputModel:
+def train_multi_output(data: WindowedDataset, cfg: TrainConfig, **arch) -> MultiOutputModel:
     if data.q < 2:
         raise ConfigError("q < 2: use the recursive or direct path for single-step")
-    net = init_mlp(
-        [data.p, *hidden_dims(hidden_layers, hidden_units), data.q],
-        dropout_rate=cfg.dropout_rate,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    net = init_net(data.p, data.q, cfg.seed, **arch)
     trained, _ = fit(net, data, cfg)
     return MultiOutputModel(trained, p=data.p, q=data.q)
 

@@ -257,6 +257,11 @@ class TestSelectBest:
         with pytest.raises(ConfigError):
             dad.select_best([])
 
+    @pytest.mark.parametrize("metric", ["rmse", "MSE", None])
+    def test_unknown_metric_rejected(self, metric):
+        with pytest.raises(ConfigError, match="^selection_metric must be one of"):
+            dad.select_best([("a", 1.0, 2.0), ("b", 2.0, 1.0)], metric)
+
 
 class TestMetaTrain:
     def test_candidate_count_is_iterations_plus_one(self):

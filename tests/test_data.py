@@ -470,6 +470,15 @@ class TestWindows:
         with pytest.raises(ConfigError, match="p and q must be integers >= 1"):
             dt.make_windows(np.arange(10.0), p, q)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", True), ("p", 1.5), ("p", 2.0), ("p", 0), ("p", "2"),
+        ("q", False), ("q", 1.0), ("q", -1), ("q", None),
+    ])
+    def test_dataset_refuses_a_bad_p_or_q_by_name(self, field, value):
+        widths = {"p": 2, "q": 1, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1"):
+            dt.WindowedDataset(np.zeros((3, 2)), np.zeros((3, 1)), **widths)
+
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(6, 30))
     def test_stride_one_reconstruction(self, p, q, n):
         if n < p + q:

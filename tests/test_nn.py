@@ -1,11 +1,12 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistep import cgan, dad, nn
+from multistep import cgan, cli, dad, nn, pipeline
 from multistep.errors import ConfigError, NumericError, ShapeError
 
 
@@ -592,11 +593,23 @@ class TestIntegerFields:
     @pytest.mark.parametrize("layers", [1.5, -1, 2.0, True, "2"])
     def test_hidden_dims_refuses_bad_layer_counts(self, layers):
         with pytest.raises(ConfigError, match="hidden_layers must be an integer >= 0"):
-            nn.hidden_dims(layers, 4)
+            nn.init_net(3, 1, 0, hidden_layers=layers, hidden_units=4)
 
     def test_hidden_dims_zero_is_no_hidden_layer(self):
-        assert nn.hidden_dims(0, 4) == []
-        assert nn.hidden_dims(np.int64(2), 4) == [4, 4]
+        def dims(net):
+            return [net.input_dim] + [layer.out_dim for layer in net.layers]
+
+        assert dims(nn.init_net(3, 1, 0, hidden_layers=0, hidden_units=4)) == [3, 1]
+        two = nn.init_net(3, 1, 0, hidden_layers=np.int64(2), hidden_units=4)
+        assert dims(two) == [3, 4, 4, 1]
+
+    def test_init_net_is_init_mlp_of_its_widths(self):
+        net = nn.init_net(3, 2, (7, 1), hidden_layers=2, hidden_units=5, dropout=0.3,
+                          final_activation="sigmoid")
+        ref = nn.init_mlp([3, 5, 5, 2], dropout_rate=0.3, rng=np.random.default_rng((7, 1)),
+                          final_activation="sigmoid")
+        assert np.array_equal(net.params, ref.params) and net.dropout_rate == 0.3
+        assert [l.activation for l in net.layers] == [l.activation for l in ref.layers]
 
 
 def dad_config(**fields):
@@ -626,6 +639,20 @@ class TestConfigFields:
         dad_config(hidden_layers=0, hidden_units=np.int64(3))
 
 
+class TestOneArchitecture:
+    """Every config field is one that the config file can set and a reader reads."""
+
+    def test_train_config_is_the_budget_alone(self):
+        assert {f.name for f in dataclasses.fields(nn.TrainConfig)} == set(nn.TRAIN) | {"seed"}
+
+    @pytest.mark.parametrize("key", nn.ARCH)
+    def test_every_arch_key_is_configured_and_built(self, key):
+        for holder in (dad.DadConfig, cgan.CganConfig, pipeline.TrainSpec):
+            assert key in {f.name for f in dataclasses.fields(holder)}
+        assert key in cli.CONFIG["model"].rows
+        assert key in inspect.signature(nn.init_net).parameters
+
+
 class TestFit:
     def test_zero_epochs_returns_net_unchanged(self):
         net = nn.init_mlp([2, 3, 1], rng=0)
@@ -650,7 +677,7 @@ class TestFit:
         x = rng.uniform(0, 1, size=(60, 3))
         data = _Pairs(x, x[:, :1] + x[:, 1:2])
         net = nn.init_mlp([3, 8, 1], dropout_rate=0.1, rng=4)
-        cfg = nn.TrainConfig(epochs=5, batch_size=8, seed=5, dropout_rate=0.1)
+        cfg = nn.TrainConfig(epochs=5, batch_size=8, seed=5)
         a, _ = nn.fit(net, data, cfg)
         b, _ = nn.fit(net, data, cfg)
         for la, lb in zip(a.layers, b.layers):

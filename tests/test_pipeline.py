@@ -18,9 +18,10 @@ TRAIN, VAL = RNG.uniform(0, 1, 80), RNG.uniform(0, 1, 40)
 SPEC = pipeline.TrainSpec(
     p=4,
     q=4,
-    train=TrainConfig(epochs=2, batch_size=16, seed=3, dropout_rate=0.1),
+    train=TrainConfig(epochs=2, batch_size=16, seed=3),
     hidden_layers=1,
     hidden_units=4,
+    dropout=0.1,
     dad={"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
          "selection_metric": "mae", "accumulate": True},
     noise={"sigma": 0.01, "interpret_as_stddev": False},
@@ -34,7 +35,8 @@ def hand_dispatch(strategy, train_values, val_values, spec):
     """The per-strategy sequence `multistep train` ran before the table,
     kept as the reference."""
     p, q, tc, seed = spec.p, spec.q, spec.train, spec.train.seed
-    arch = {"hidden_layers": spec.hidden_layers, "hidden_units": spec.hidden_units}
+    arch = {"hidden_layers": spec.hidden_layers, "hidden_units": spec.hidden_units,
+            "dropout": spec.dropout}
     log = {}
     if strategy == "recursive":
         model = strategies.train_recursive(make_windows(train_values, p, 1), tc, **arch)
@@ -103,6 +105,12 @@ def test_table_equals_hand_dispatch_bitwise(tag):
     meta = {"strategy_tag": tag}
     assert serialize.model_to_doc(model, meta) == serialize.model_to_doc(ref_model, meta)
     assert log == ref_log
+
+
+@pytest.mark.parametrize("tag", pipeline.STRATEGIES)
+def test_dropout_reaches_every_predictor_net(tag):
+    model, _ = pipeline.train(tag, TRAIN, VAL, SPEC)
+    assert [net.dropout_rate for net in nets(model)] == [SPEC.dropout] * len(nets(model))
 
 
 def test_run_seeds_equals_the_hand_loop_bitwise():

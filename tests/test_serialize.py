@@ -230,8 +230,8 @@ def trained():
     p = q = 4
     windows = make_windows(rng.uniform(0, 1, 60), p, q)
     one_step = make_windows(rng.uniform(0, 1, 60), p, 1)
-    cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0, dropout_rate=0.1)
-    arch = dict(hidden_layers=1, hidden_units=5)
+    cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
+    arch = dict(hidden_layers=1, hidden_units=5, dropout=0.1)
     train, val = rng.uniform(0, 1, 60), rng.uniform(0, 1, 40)
     dcfg = dict(p=p, n_steps=q, meta_iterations=1, inner_train=cfg, **arch)
     return windows.histories[:6], q, {

@@ -62,7 +62,7 @@ def test_fit_makes_one_call_of_each_per_minibatch(monkeypatch):
     rng = np.random.default_rng(0)
     data = _Pairs(rng.uniform(0, 1, (130, 4)), rng.uniform(0, 1, (130, 1)))
     net = nn.init_mlp([4, 8, 1], dropout_rate=0.2, rng=1)
-    nn.fit(net, data, nn.TrainConfig(epochs=2, batch_size=64, seed=2, dropout_rate=0.2))
+    nn.fit(net, data, nn.TrainConfig(epochs=2, batch_size=64, seed=2))
     assert counts == Counter(forward_train=6, backward=6, adam_step=6)  # 2 x ceil(130/64)
 
 

@@ -298,6 +298,15 @@ class TestShapeLaw:
             with pytest.raises(ShapeError):
                 predict(history)
 
+    @pytest.mark.parametrize("kind", [kind for kind in SERVED if kind != "recursive"])
+    def test_a_q_step_model_serves_q_steps_alone(self, kind):
+        model = SERVED[kind]()  # q = 2
+        for n_steps in (None, 2):
+            assert model.predictor(n_steps)(np.ones((5, 3))).shape == (5, 2)
+        for n_steps in (1, 3, 8):
+            with pytest.raises(ConfigError, match=f"q=2 cannot be served n_steps={n_steps}$"):
+                model.predictor(n_steps)
+
     def test_every_strategy_emits_h_values(self):
         p = q = 4
         data = tiny_windows(n=60, p=p, q=q)

@@ -182,7 +182,7 @@ def test_fit_equals_fresh_array_loop_bitwise(dims, acts, dropout, n, batch, epoc
               for i, o, act in zip(dims[:-1], dims[1:], acts)]
     net = nn.Mlp(layers, dropout_rate=dropout)
     x, y = rng.uniform(-1, 1, (n, dims[0])), rng.uniform(-1, 1, (n, dims[-1]))
-    cfg = nn.TrainConfig(epochs=epochs, batch_size=batch, seed=seed, dropout_rate=dropout)
+    cfg = nn.TrainConfig(epochs=epochs, batch_size=batch, seed=seed)
     trained, history = nn.fit(net, _Pairs(x, y), cfg)
     expected, expected_history = oracle_fit(net, x, y, cfg)
     assert np.array_equal(trained.params, expected.params)
@@ -385,7 +385,7 @@ def test_fit_step_allocates_no_batch_by_width_array(monkeypatch):
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        nn.fit(net, data, nn.TrainConfig(epochs=3, batch_size=batch, seed=0, dropout_rate=0.2))
+        nn.fit(net, data, nn.TrainConfig(epochs=3, batch_size=batch, seed=0))
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
