@@ -40,6 +40,7 @@ class CganConfig:
     lr_generator: float = 1e-4
     epochs: int = 200
     batch_size: int = 64
+    synthetic_count: int | None = None  # rows `multi-cgan` adds; None: one per real window
     seed: int = 0
     hidden_layers: int = 2
     hidden_units: int = 150

@@ -119,8 +119,7 @@ def cmd_train(args) -> int:
     model_cfg = cfg["model"]
     strategy = model_cfg["strategy"]
     arch = {k: model_cfg[k] for k in nn.ARCH}
-    gan = dict(cfg.get("cgan", {}))
-    synthetic_count = gan.pop("synthetic_count", None)
+    gan = cfg.get("cgan", {})
     spec = pipeline.TrainSpec(
         p=data_cfg["p"],
         q=data_cfg["q"],
@@ -130,7 +129,6 @@ def cmd_train(args) -> int:
         noise=cfg.get("noise"),
         # the C-GAN's nets take the predictor's layers and units, without dropout
         cgan=cgan.CganConfig(seed=cfg["seed"], **dict(arch, dropout=0.0), **gan) if gan else None,
-        synthetic_count=synthetic_count,
     )
     model, training_log = pipeline.train(strategy, train_values, val_values, spec)
     meta = {
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # NumPy's message names the array it could not make
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import schema
-from .data import WindowedDataset, make_windows
+from .data import make_windows
 from .errors import AlignmentError, ConfigError
 from .nn import ARCH, TRAIN, Mlp, TrainConfig, fit, init_net
 from .strategies import RecursiveModel, rollout
@@ -51,19 +51,13 @@ class DadConfig:
 
 @dataclass
 class AugmentedDataset:
-    inputs: np.ndarray  # [m, p] or [m, p+1] when conditional
-    targets: np.ndarray  # [m]
+    histories: np.ndarray  # [m, p], or [m, p+1] with the step feature
+    futures: np.ndarray  # [m, 1]
     tags: np.ndarray  # [m] ints; 0 = original ground-truth pair
-    conditional: bool
-    layout: tuple[int, int, int, int]  # series length, p, n_steps, rollout count
-
-    def to_windowed(self) -> WindowedDataset:
-        return WindowedDataset(
-            self.inputs, self.targets[:, None], self.inputs.shape[1], 1
-        )
+    layout: tuple[int, int, int, int]  # one-step rows, p, n_steps, rollout count
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.histories.shape[0]
 
 
 @dataclass
@@ -91,86 +85,64 @@ def _sub_seed(seed: int, k: int) -> int:
 _rollout_aug = rollout
 
 
-def _allocate_augmented(values, p, starts, conditional, n_steps, blocks) -> AugmentedDataset:
-    """A set of the one-step rows then `blocks` synthetic blocks, with every
-    entry written except the rollout predictions.
+def augmented_set(series, p: int, starts, n_steps: int, conditional: bool,
+                  blocks: int = 1) -> AugmentedDataset:
+    """The one-step pairs of `series` (tag 0), then `blocks` synthetic
+    blocks with every entry written but the rollout predictions, which
+    `build_augmented_dataset` writes.
 
-    A block holds, by depth n in 1..n_steps-1 and then by start, the window
-    ending in the n-th prediction paired with the true next value; the
-    window's true history is its first p-n columns. The window ending in the
-    final prediction has no ground-truth successor inside the rollout span.
-    """
-    m0 = len(values) - p
-    depth = np.repeat(np.arange(1, n_steps), len(starts))
-    at = (np.arange(1, n_steps)[:, None] + starts.astype(int)).ravel()
-    index = np.concatenate([np.arange(m0), np.tile(at, blocks)])
-    tags = np.concatenate([np.zeros(m0, dtype=int), np.tile(depth, blocks)])
-    inputs = np.empty((len(index), p + 1 if conditional else p))
-    inputs[:, :p] = np.lib.stride_tricks.sliding_window_view(values, p)[index]
-    if conditional:
-        inputs[:, p] = tags / n_steps
-    layout = (len(values), p, n_steps, len(starts))
-    return AugmentedDataset(inputs, values[index + p], tags, conditional, layout)
-
-
-def build_augmented_dataset(
-    series,
-    p: int,
-    starts: np.ndarray,
-    preds: np.ndarray,
-    conditional: bool,
-    n_steps: int,
-    out: AugmentedDataset | None = None,
-    block: int = 0,
-) -> AugmentedDataset:
-    """Original one-step pairs (tag 0) plus rollout-derived synthetic pairs.
-
-    preds[i] is the n_steps-long rollout from the window at position
-    starts[i], which must have n_steps true successors in the series.
-    When conditional, each row gains the step feature tag/n_steps, the
-    value the rollout feeds alongside the (tag+1)-th prediction.
-
-    Without `out` the set is built fresh. With `out`, a set built for the
-    same series, p, starts, n_steps and `conditional`, only the predictions
-    of its synthetic block `block` are written, and its rows up to the end
-    of that block are returned as views: the next write into `out`
-    overwrites them.
+    A block belongs to n_steps-long rollouts from the windows at `starts`,
+    each of which must have n_steps true successors in the series. It
+    holds, by depth n in 1..n_steps-1 and then by start, the window ending
+    in the n-th prediction paired with the true next value; the window's
+    true history is its first p-n columns. The window ending in the final
+    prediction has no ground-truth successor inside the rollout span. When
+    `conditional`, each row gains the step feature tag/n_steps, the value
+    the rollout feeds alongside the (tag+1)-th prediction.
     """
     values = np.asarray(series, dtype=float)
     if not schema.is_int(p) or not 1 <= p < len(values):
         raise ConfigError(f"p must be an integer in [1, {len(values)}), got {p!r}")
+    SECTION["n_steps"].check(n_steps, "n_steps")
+    schema.Int(0).check(blocks, "blocks")
     starts = np.asarray(starts)
-    preds = np.asarray(preds, dtype=float)
-    if starts.ndim != 1 or preds.ndim != 2 or preds.shape[0] != len(starts):
-        raise AlignmentError(
-            f"starts {starts.shape} and preds {preds.shape} are not one rollout per start"
-        )
-    if preds.shape[1] != n_steps:
-        raise AlignmentError(f"trajectory length {preds.shape[1]} != n_steps {n_steps}")
+    if starts.ndim != 1:
+        raise AlignmentError(f"starts must be one-dimensional, got shape {starts.shape}")
     if len(starts):
         if starts.dtype.kind not in "iu":
             raise AlignmentError(f"start indices must be integers, got {starts.dtype}")
         if starts.min() < 0 or starts.max() + p + n_steps > len(values):
             raise AlignmentError("trajectory start index out of range for the series")
-    layout = (len(values), p, n_steps, len(starts))
-    if out is None:
-        out = _allocate_augmented(values, p, starts, conditional, n_steps, blocks=1)
-    elif (out.layout, out.conditional) != (layout, conditional):
-        raise AlignmentError(
-            f"out holds (series length, p, n_steps, rollouts) {out.layout} and "
-            f"conditional={out.conditional}, not {layout} and conditional={conditional}"
-        )
-    s = len(starts)
-    first = len(values) - p + block * (n_steps - 1) * s
+    m0 = len(values) - p
+    depth = np.repeat(np.arange(1, n_steps), len(starts))
+    at = (np.arange(1, n_steps)[:, None] + starts.astype(int)).ravel()
+    index = np.concatenate([np.arange(m0), np.tile(at, blocks)])
+    tags = np.concatenate([np.zeros(m0, dtype=int), np.tile(depth, blocks)])
+    histories = np.empty((len(index), p + 1 if conditional else p))
+    histories[:, :p] = np.lib.stride_tricks.sliding_window_view(values, p)[index]
+    if conditional:
+        histories[:, p] = tags / n_steps
+    futures = values[index + p][:, None]
+    return AugmentedDataset(histories, futures, tags, (m0, p, n_steps, len(starts)))
+
+
+def build_augmented_dataset(aug: AugmentedDataset, preds, block: int = 0) -> AugmentedDataset:
+    """Write one rollout's predictions, preds[i] the rollout from starts[i],
+    into synthetic block `block` of `aug`, and return the rows of `aug` up
+    to the end of that block as views: the next write into `aug`
+    overwrites them."""
+    m0, p, n_steps, s = aug.layout
+    preds = np.asarray(preds, dtype=float)
+    if preds.shape != (s, n_steps):
+        raise AlignmentError(f"preds {preds.shape} are not {s} rollouts of {n_steps} steps")
+    first = m0 + block * (n_steps - 1) * s
     end = first + (n_steps - 1) * s
-    if block < 0 or end > len(out):
-        raise AlignmentError(f"block {block} is outside the {len(out)} rows of out")
+    if not schema.is_int(block) or block < 0 or end > len(aug):
+        raise AlignmentError(f"block {block!r} is outside the {len(aug)} rows of the set")
     for n in range(1, n_steps):
-        rows = out.inputs[first + (n - 1) * s : first + n * s]
+        rows = aug.histories[first + (n - 1) * s : first + n * s]
         rows[:, max(0, p - n) : p] = preds[:, max(0, n - p) : n]
-    return AugmentedDataset(
-        out.inputs[:end], out.targets[:end], out.tags[:end], conditional, layout
-    )
+    return AugmentedDataset(aug.histories[:end], aug.futures[:end], aug.tags[:end], aug.layout)
 
 
 def _score(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
@@ -202,19 +174,14 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     one_step = make_windows(train_values, p, 1)
     roll_windows = make_windows(train_values, p, n_steps)
     val_windows = make_windows(val_values, p, n_steps)
-    starts = np.arange(len(roll_windows))
     # Only the rollout predictions change between rebuilds, so the set is
-    # built once; under `accumulate` each rebuild fills the next block.
+    # allocated once; under `accumulate` each rebuild fills the next block.
     blocks = big_k + int(cfg.conditional) if cfg.accumulate else 1
-    buffer = _allocate_augmented(train_values, p, starts, cfg.conditional, n_steps, blocks)
+    allocated = augmented_set(
+        train_values, p, np.arange(len(roll_windows)), n_steps, cfg.conditional, blocks
+    )
 
-    def build(preds: np.ndarray, block: int) -> WindowedDataset:
-        return build_augmented_dataset(
-            train_values, p, starts, preds, cfg.conditional, n_steps,
-            out=buffer, block=block if cfg.accumulate else 0,
-        ).to_windowed()
-
-    def fitted(net: Mlp, data: WindowedDataset, train: TrainConfig, k: int) -> Mlp:
+    def fitted(net: Mlp, data, train: TrainConfig, k: int) -> Mlp:
         return fit(net, data, replace(train, seed=_sub_seed(seed, k)))[0]
 
     def candidate(net: Mlp) -> tuple[Mlp, float, float]:
@@ -228,12 +195,13 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
         # base model's rollout, at base_train's budget.
         m0 = init_net(p + 1, 1, _sub_seed(seed, 2), **arch)
         preds = rollout(current, roll_windows.histories, n_steps)
-        current = fitted(m0, build(preds, 0), base_cfg, 10)
+        current = fitted(m0, build_augmented_dataset(allocated, preds), base_cfg, 10)
 
     candidates = [candidate(current)]
     for k in range(1, big_k + 1):
         preds = rollout(current, roll_windows.histories, n_steps, step_scale)
-        aug = build(preds, k - 1 + int(cfg.conditional))
+        block = k - 1 + int(cfg.conditional) if cfg.accumulate else 0
+        aug = build_augmented_dataset(allocated, preds, block)
         current = fitted(current, aug, cfg.inner_train, 10 + k)
         candidates.append(candidate(current))
 

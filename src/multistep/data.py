@@ -76,6 +76,9 @@ class Normalizer:
         return np.asarray(values, dtype=float) * (self.max - self.min) + self.min
 
 
+WIDTHS = {"p": schema.Int(1), "q": schema.Int(1)}  # a window's history and future lengths
+
+
 @dataclass(frozen=True)
 class WindowedDataset:
     histories: np.ndarray  # [num_samples, p]
@@ -89,7 +92,7 @@ class WindowedDataset:
         h, f = self.histories, self.futures
         if h.ndim != 2 or f.ndim != 2 or h.shape[0] != f.shape[0]:
             raise ShapeError(f"bad window shapes {h.shape}, {f.shape}")
-        schema.check_fields(self, {"p": schema.Int(1), "q": schema.Int(1)})
+        schema.check_fields(self, WIDTHS)
         if h.shape[1] != self.p or f.shape[1] != self.q:
             raise ShapeError(
                 f"window widths ({h.shape[1]}, {f.shape[1]}) != (p={self.p}, q={self.q})"
@@ -224,8 +227,7 @@ def make_windows(series, p: int, q: int) -> WindowedDataset:
     """Slice a series into (history, future) pairs: sample i covers
     values[i : i+p] and the q points after it."""
     values = np.asarray(series, dtype=float)
-    if not (schema.is_int(p) and schema.is_int(q)) or p < 1 or q < 1:
-        raise ConfigError(f"p and q must be integers >= 1, got p={p!r}, q={q!r}")
+    schema.check({"p": p, "q": q}, WIDTHS)
     n = len(values)
     if n < p + q:
         raise ConfigError(f"series length {n} < p + q = {p + q}")

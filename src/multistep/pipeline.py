@@ -35,8 +35,7 @@ class TrainSpec:
     dropout: float = 0.0
     dad: dict | None = None  # n_steps, meta_iterations, inner_epochs[, DadConfig fields]
     noise: dict | None = None  # sigma[, interpret_as_stddev]
-    cgan: CganConfig | None = None  # with the GAN's own architecture and seed
-    synthetic_count: int | None = None  # C-GAN rows to add; None: one per real window
+    cgan: CganConfig | None = None  # with the GAN's own architecture, seed and row count
 
 
 def _arch(spec: TrainSpec) -> dict:
@@ -85,7 +84,7 @@ def _noise(windows, spec, log):
 
 def _gan(windows, spec, log):
     pair = cgan.train_cgan(windows, spec.cgan)
-    count = len(windows) if spec.synthetic_count is None else spec.synthetic_count
+    count = len(windows) if spec.cgan.synthetic_count is None else spec.cgan.synthetic_count
     rng = np.random.default_rng((spec.train.seed, 2))
     synthetic = cgan.generate_pairs(pair, cgan.resample_futures(windows, count, rng), rng)
     log.update(cgan_log=pair.training_log, synthetic_rows=len(synthetic))

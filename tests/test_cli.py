@@ -584,6 +584,17 @@ def test_allocation_beyond_the_address_space_exits_one(tmp_path, series_csv, cap
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+def test_memory_error_without_text_exits_one(tmp_path, series_csv, capsys, monkeypatch):
+    # `[hidden_units] * hidden_layers` raises a MemoryError with no message
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(pipeline, "train", out_of_memory)
+    assert run_train(tmp_path, series_csv, base_config())[0] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestMalformedJsonExitsTwo:
     """A JSON input that does not parse, or is not an object, is a ConfigError."""
 

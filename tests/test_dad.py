@@ -55,9 +55,16 @@ class TestConfig:
             dad.train_cdad(series, val, small_cfg(conditional=False))
 
 
+def built(values, p, starts, preds, conditional, n_steps):
+    """A set allocated for one rollout, with that rollout's predictions written."""
+    return dad.build_augmented_dataset(
+        dad.augmented_set(values, p, starts, n_steps, conditional), preds
+    )
+
+
 def loop_augmented(values, p, starts, preds, n_steps, conditional):
-    """build_augmented_dataset as per-row loops, the reference the
-    vectorised builder must equal bitwise."""
+    """The allocator and builder as per-row loops, the reference the
+    vectorised pair must equal bitwise."""
     xs = [values[i : i + p] for i in range(len(values) - p)]
     ys = [values[i + p] for i in range(len(values) - p)]
     tags = [0] * len(xs)
@@ -89,34 +96,31 @@ class TestAugmentedDataset:
         starts = np.sort(rng.choice(positions, size=rng.integers(1, extra + 2), replace=False))
         preds = rng.uniform(0, 1, (len(starts), n_steps))
         for conditional in (False, True):
-            aug = dad.build_augmented_dataset(values, p, starts, preds, conditional, n_steps)
-            # the same set rebuilt in place over another rollout's predictions
-            stale = dad.build_augmented_dataset(
-                values, p, starts, rng.uniform(0, 1, preds.shape), conditional, n_steps
-            )
-            rebuilt = dad.build_augmented_dataset(
-                values, p, starts, preds, conditional, n_steps, out=stale
-            )
-            assert np.shares_memory(rebuilt.inputs, stale.inputs)
+            aug = built(values, p, starts, preds, conditional, n_steps)
+            # a set rebuilt in place after another rollout's predictions
+            allocated = dad.augmented_set(values, p, starts, n_steps, conditional)
+            dad.build_augmented_dataset(allocated, rng.uniform(0, 1, preds.shape))
+            rebuilt = dad.build_augmented_dataset(allocated, preds)
+            assert np.shares_memory(rebuilt.histories, allocated.histories)
             inputs, targets, tags = loop_augmented(
                 values, p, starts, preds, n_steps, conditional
             )
-            for built in (aug, rebuilt):
-                assert np.array_equal(built.inputs, inputs)
-                assert np.array_equal(built.targets, targets)
-                assert np.array_equal(built.tags, tags)
+            for each in (aug, rebuilt):
+                assert np.array_equal(each.histories, inputs)
+                assert np.array_equal(each.futures, targets[:, None])
+                assert np.array_equal(each.tags, tags)
 
     def test_three_point_enumeration(self):
         # Series [1, 2, 3], p=1, rollout depth 2, one trajectory starting
         # at index 0 whose first prediction was 0.9. Exactly three rows:
         # the two ground-truth pairs plus one synthetic pair targeting the
         # true value two steps out.
-        aug = dad.build_augmented_dataset(
+        aug = built(
             np.array([1.0, 2.0, 3.0]), p=1, starts=np.array([0]),
             preds=np.array([[0.9, 0.7]]), conditional=False, n_steps=2,
         )
-        assert aug.inputs.tolist() == [[1.0], [2.0], [0.9]]
-        assert aug.targets.tolist() == [2.0, 3.0, 3.0]
+        assert aug.histories.tolist() == [[1.0], [2.0], [0.9]]
+        assert aug.futures.tolist() == [[2.0], [3.0], [3.0]]
         assert aug.tags.tolist() == [0, 0, 1]
 
     def test_row_counting_oracle(self):
@@ -129,7 +133,7 @@ class TestAugmentedDataset:
         net = nn.init_mlp([p, 3, 1], rng=0)
         starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps)
-        aug = dad.build_augmented_dataset(values, p, starts, preds, False, n_steps)
+        aug = built(values, p, starts, preds, False, n_steps)
         n = len(values)
         expected = (n - p) + (n_steps - 1) * (n - p - n_steps + 1)
         assert len(aug) == expected
@@ -137,11 +141,9 @@ class TestAugmentedDataset:
     def test_ground_truth_rows_preserved_bit_exact(self):
         values = wave(12)
         one_step = make_windows(values, 3, 1)
-        aug = dad.build_augmented_dataset(
-            values, 3, np.empty(0, dtype=int), np.empty((0, 2)), False, n_steps=2
-        )
-        assert np.array_equal(aug.inputs, one_step.histories)
-        assert np.array_equal(aug.targets, one_step.futures[:, 0])
+        aug = built(values, 3, np.empty(0, dtype=int), np.empty((0, 2)), False, n_steps=2)
+        assert np.array_equal(aug.histories, one_step.histories)
+        assert np.array_equal(aug.futures, one_step.futures)
 
     def test_perfect_model_reproduces_true_windows(self):
         # f(x) = 0.5 x is exact on the geometric series 0.5^i, so every
@@ -152,20 +154,20 @@ class TestAugmentedDataset:
         roll = make_windows(values, p, n_steps)
         starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps)
-        aug = dad.build_augmented_dataset(values, p, starts, preds, False, n_steps)
-        for x, y, tag in zip(aug.inputs, aug.targets, aug.tags):
+        aug = built(values, p, starts, preds, False, n_steps)
+        for x, y, tag in zip(aug.histories, aug.futures[:, 0], aug.tags):
             # every row, synthetic or not, is a true (value, next value) pair
             i = int(np.argmin(np.abs(values - x[0])))
             assert np.isclose(x[0], values[i])
             assert np.isclose(y, values[i + 1])
 
     def test_conditional_appends_scaled_tag_column(self):
-        aug = dad.build_augmented_dataset(
+        aug = built(
             np.array([1.0, 2.0, 3.0]), 1, np.array([0]), np.array([[0.9, 0.7]]),
             conditional=True, n_steps=2,
         )
-        assert aug.inputs.shape == (3, 2)
-        assert aug.inputs[:, 1].tolist() == [0.0, 0.0, 0.5]  # tag / n_steps
+        assert aug.histories.shape == (3, 2)
+        assert aug.histories[:, 1].tolist() == [0.0, 0.0, 0.5]  # tag / n_steps
 
     def test_tag_range(self):
         values = wave(14)
@@ -174,76 +176,62 @@ class TestAugmentedDataset:
         net = nn.init_mlp([p, 3, 1], rng=1)
         starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps)
-        aug = dad.build_augmented_dataset(values, p, starts, preds, False, n_steps)
+        aug = built(values, p, starts, preds, False, n_steps)
         assert aug.tags.min() == 0
         assert aug.tags.max() == n_steps - 1
 
     def test_depth_one_gives_no_synthetic_rows(self):
-        aug = dad.build_augmented_dataset(
-            np.array([1.0, 2.0]), 1, np.array([0]), np.array([[0.4]]), False, 1
-        )
+        aug = built(np.array([1.0, 2.0]), 1, np.array([0]), np.array([[0.4]]), False, 1)
         assert len(aug) == 1
         assert aug.tags.tolist() == [0]
 
     def test_misaligned_trajectory_rejected(self):
         values = np.array([1.0, 2.0, 3.0])
-        short = np.array([[0.9]])
-        with pytest.raises(AlignmentError):
-            dad.build_augmented_dataset(values, 1, np.array([0]), short, False, 2)
+        aug = dad.augmented_set(values, 1, np.array([0]), 2, False)
+        for bad in ([[0.9]], [0.9, 0.7], [[0.9, 0.7, 0.5]]):  # short, 1-D, long
+            with pytest.raises(AlignmentError):
+                dad.build_augmented_dataset(aug, np.array(bad))
         with pytest.raises(AlignmentError):  # start 5 has no two true successors
-            dad.build_augmented_dataset(
-                values, 1, np.array([5]), np.array([[0.9, 0.7]]), False, 2
-            )
+            dad.augmented_set(values, 1, np.array([5]), 2, False)
 
     def test_starts_and_preds_must_pair_up(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         preds = np.array([[0.9, 0.7]])
+        two_starts = dad.augmented_set(values, 1, np.array([0, 1]), 2, False)
         with pytest.raises(AlignmentError):  # two starts, one rollout
-            dad.build_augmented_dataset(values, 1, np.array([0, 1]), preds, False, 2)
-        with pytest.raises(AlignmentError):  # fractional start index
-            dad.build_augmented_dataset(values, 1, np.array([0.5]), preds, False, 2)
-
+            dad.build_augmented_dataset(two_starts, preds)
+        for bad in ([0.5], [-1], [[0]]):  # fractional, negative, not one-dimensional
+            with pytest.raises(AlignmentError):
+                dad.augmented_set(values, 1, np.array(bad), 2, False)
 
     @pytest.mark.parametrize("p", [0, 3, 4, 2.0], ids=["zero", "series-length", "past-end", "float"])
     def test_window_length_the_series_cannot_fill_rejected(self, p):
         with pytest.raises(ConfigError):
-            dad.build_augmented_dataset(
-                np.array([1.0, 2.0, 3.0]), p, np.empty(0, dtype=int), np.empty((0, 1)), False, 1
-            )
+            dad.augmented_set(np.array([1.0, 2.0, 3.0]), p, np.empty(0, dtype=int), 1, False)
+
+    @pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_steps", 2.5), ("n_steps", True),
+                                              ("blocks", -1), ("blocks", 2.5)])
+    def test_depth_and_block_count_are_integers(self, field, value):
+        sizes = {"n_steps": 2, "blocks": 1, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= "):
+            dad.augmented_set(np.arange(6.0), 1, np.array([0]), conditional=False, **sizes)
 
 
 class TestReusedSet:
-    """A set passed as `out` must be one built for the same series length,
-    p, n_steps and step flag, and must have room for the block asked for."""
+    """A rebuild writes only into a synthetic block the set was allocated with."""
 
     values, p, n_steps = wave(20), 3, 3
     starts = np.arange(10)
     preds = np.random.default_rng(0).uniform(0, 1, (10, 3))
 
-    def built(self):
-        return dad.build_augmented_dataset(
-            self.values, self.p, self.starts, self.preds, False, self.n_steps
-        )
-
-    @pytest.mark.parametrize("mismatch", [
-        dict(values=wave(22)),
-        dict(p=2),
-        dict(n_steps=2, preds=preds[:, :2] * 2),
-        dict(conditional=True),
-        dict(block=1),
-        dict(block=-1),
-    ], ids=["series-length", "p", "n_steps", "conditional", "block-past-end", "block-negative"])
-    def test_mismatch_raises_before_writing(self, mismatch):
-        out = self.built()
-        before = [out.inputs.copy(), out.targets.copy(), out.tags.copy()]
-        args = dict(values=self.values, p=self.p, preds=self.preds * 2,
-                    conditional=False, n_steps=self.n_steps, block=0) | mismatch
+    @pytest.mark.parametrize("block", [1, -1, 0.0], ids=["block-past-end", "block-negative",
+                                                         "block-float"])
+    def test_mismatch_raises_before_writing(self, block):
+        out = built(self.values, self.p, self.starts, self.preds, False, self.n_steps)
+        before = [out.histories.copy(), out.futures.copy(), out.tags.copy()]
         with pytest.raises(AlignmentError):
-            dad.build_augmented_dataset(
-                args["values"], args["p"], self.starts, args["preds"], args["conditional"],
-                args["n_steps"], out=out, block=args["block"],
-            )
-        for kept, now in zip(before, (out.inputs, out.targets, out.tags)):
+            dad.build_augmented_dataset(out, self.preds * 2, block)
+        for kept, now in zip(before, (out.histories, out.futures, out.tags)):
             assert np.array_equal(kept, now)
 
 
@@ -300,14 +288,12 @@ class TestMetaTrain:
         values, p, n_steps = wave(50), 3, 3
         roll = make_windows(values, p, n_steps)
         preds = stg.rollout(nn.init_mlp([p, 4, 1], rng=3), roll.histories, n_steps)
-        aug = dad.build_augmented_dataset(
-            values, p, np.arange(len(roll)), preds, True, n_steps
-        )
-        assert aug.inputs[:, -1].max() > 0
-        aug.inputs[:, -1] = 0.0
+        aug = built(values, p, np.arange(len(roll)), preds, True, n_steps)
+        assert aug.histories[:, -1].max() > 0
+        aug.histories[:, -1] = 0.0
         m0 = nn.init_mlp([p + 1, 4, 1], rng=np.random.default_rng(7))
         column_before = m0.layers[0].weights[:, -1].copy()
-        trained, _ = nn.fit(m0, aug.to_windowed(), small_cfg().inner_train)
+        trained, _ = nn.fit(m0, aug, small_cfg().inner_train)
         assert not np.array_equal(trained.layers[0].weights[:, :-1], m0.layers[0].weights[:, :-1])
         assert np.array_equal(trained.layers[0].weights[:, -1], column_before)
 
@@ -358,15 +344,18 @@ class TestAccumulate:
         assert acc.per_iteration_val_errors[same:] != plain.per_iteration_val_errors[same:]
 
 
-def concatenating_builder(accumulate):
+def concatenating_builder(accumulate, values):
     """The builder the in-place one replaced, as the bitwise oracle of the
-    meta loop: every call builds the whole set afresh by concatenation and,
-    under `accumulate`, appends its synthetic rows to a bank that the
-    returned set carries in full. `out` and `block` are ignored."""
+    meta loop on `values`: every call builds the whole set afresh by
+    concatenation and, under `accumulate`, appends its synthetic rows to a
+    bank that the returned set carries in full. Of the set it is given it
+    reads only p, n_steps and the step flag; `block` is ignored."""
     bank = []
 
-    def build(series, p, starts, preds, conditional, n_steps, out=None, block=0):
-        values = np.asarray(series, dtype=float)
+    def build(allocated, preds, block=0):
+        _, p, n_steps, rollouts = allocated.layout
+        conditional = allocated.histories.shape[1] == p + 1
+        starts = np.arange(rollouts)
         one_step = make_windows(values, p, 1)
         xs, ys = [one_step.histories], [one_step.futures[:, 0]]
         ts = [np.zeros(len(one_step), dtype=int)]
@@ -387,13 +376,16 @@ def concatenating_builder(accumulate):
             inputs = np.concatenate([inputs[~mask]] + [b[0] for b in bank])
             targets = np.concatenate([targets[~mask]] + [b[1] for b in bank])
             tags = np.concatenate([tags[~mask]] + [b[2] for b in bank])
-        return dad.AugmentedDataset(inputs, targets, tags, conditional, None)
+        return dad.AugmentedDataset(inputs, targets[:, None], tags, allocated.layout)
 
     return build
 
 
+TRAIN, VAL = wave(50), wave(30, seed=1)
+
+
 def fits_and_result(monkeypatch, cfg, builder=None):
-    """Meta-train on a fixed series, keeping a copy of every set fit receives."""
+    """Meta-train on TRAIN, keeping a copy of every set fit receives."""
     sets = []
 
     def recording_fit(net, data, train_cfg):
@@ -405,7 +397,7 @@ def fits_and_result(monkeypatch, cfg, builder=None):
         if builder is not None:
             patch.setattr(dad, "build_augmented_dataset", builder)
         fn = dad.train_cdad if cfg.conditional else dad.train_dad
-        return sets, fn(wave(50), wave(30, seed=1), cfg)
+        return sets, fn(TRAIN, VAL, cfg)
 
 
 def same_bits(a, b):
@@ -422,7 +414,9 @@ class TestInPlaceRebuild:
         cfg = small_cfg(n_steps=n_steps, meta_iterations=3, conditional=conditional,
                         accumulate=accumulate)
         sets, result = fits_and_result(monkeypatch, cfg)
-        oracle_sets, oracle = fits_and_result(monkeypatch, cfg, concatenating_builder(accumulate))
+        oracle_sets, oracle = fits_and_result(
+            monkeypatch, cfg, concatenating_builder(accumulate, TRAIN)
+        )
         assert len(sets) == len(oracle_sets) == 4 + int(conditional)
         for (x, y), (ox, oy) in zip(sets, oracle_sets):
             assert same_bits(x, ox) and same_bits(y, oy)
@@ -445,7 +439,7 @@ class TestInPlaceRebuild:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             aug = build(*args, **kwargs)
-            marks.append((tracemalloc.get_traced_memory()[1] - before, aug.inputs.nbytes))
+            marks.append((tracemalloc.get_traced_memory()[1] - before, aug.histories.nbytes))
             return aug
 
         monkeypatch.setattr(dad, "build_augmented_dataset", measured)

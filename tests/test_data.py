@@ -467,7 +467,7 @@ class TestWindows:
 
     @pytest.mark.parametrize("p, q", [(2.5, 2), (2, 2.5), (2.0, 2), (True, 2), (2, 0)])
     def test_non_integer_or_small_p_q_rejected(self, p, q):
-        with pytest.raises(ConfigError, match="p and q must be integers >= 1"):
+        with pytest.raises(ConfigError, match="^[pq] must be an integer >= 1"):
             dt.make_windows(np.arange(10.0), p, q)
 
     @pytest.mark.parametrize("field, value", [

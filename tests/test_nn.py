@@ -645,6 +645,10 @@ class TestOneArchitecture:
     def test_train_config_is_the_budget_alone(self):
         assert {f.name for f in dataclasses.fields(nn.TrainConfig)} == set(nn.TRAIN) | {"seed"}
 
+    def test_cgan_config_is_its_section_its_nets_and_a_seed(self):
+        fields = {f.name for f in dataclasses.fields(cgan.CganConfig)}
+        assert fields == set(cgan.SECTION) | set(nn.ARCH) | {"seed"}
+
     @pytest.mark.parametrize("key", nn.ARCH)
     def test_every_arch_key_is_configured_and_built(self, key):
         for holder in (dad.DadConfig, cgan.CganConfig, pipeline.TrainSpec):

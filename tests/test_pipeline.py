@@ -25,9 +25,8 @@ SPEC = pipeline.TrainSpec(
     dad={"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
          "selection_metric": "mae", "accumulate": True},
     noise={"sigma": 0.01, "interpret_as_stddev": False},
-    cgan=cgan.CganConfig(noise_dim=2, epochs=2, batch_size=16, seed=3,
+    cgan=cgan.CganConfig(noise_dim=2, epochs=2, batch_size=16, synthetic_count=30, seed=3,
                          hidden_layers=1, hidden_units=6),
-    synthetic_count=30,
 )
 
 
@@ -72,7 +71,7 @@ def hand_dispatch(strategy, train_values, val_values, spec):
             log["augmented_rows"] = len(windows)
         elif strategy == "multi-cgan":
             pair = cgan.train_cgan(windows, spec.cgan)
-            count = spec.synthetic_count if spec.synthetic_count is not None else len(windows)
+            count = len(windows) if spec.cgan.synthetic_count is None else spec.cgan.synthetic_count
             rng = np.random.default_rng((seed, 2))
             synthetic = cgan.generate_pairs(
                 pair, cgan.resample_futures(windows, count, rng), rng

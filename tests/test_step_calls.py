@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multistep import cgan, nn, strategies
+from multistep import cgan, dad, nn, strategies
 from multistep.data import make_windows
 
 
@@ -113,7 +113,8 @@ def test_tracer_counts_a_fit_and_a_rollout():
     """The tracer's counters read package objects (a backward cache's layer
     inputs, each layer's weights, a rollout's result): renaming one would
     stop `--trace 1` from counting, which resolving names does not show.
-    `train_cgan` passes `backward` the workspaces it keeps per batch size."""
+    `train_cgan` passes `backward` the workspaces it keeps per batch size,
+    and DaD's meta loop calls its one builder once per rebuild."""
     tracing = load_tracing()
     tracer = tracing.Tracer()
     data = make_windows(np.random.default_rng(0).uniform(0, 1, 40), 4, 1)
@@ -133,3 +134,15 @@ def test_tracer_counts_a_fit_and_a_rollout():
     batches = cfg.epochs * math.ceil(len(data) / cfg.batch_size)
     assert tracer.counts["cgan.gan_steps"] == tracer.counts["nn.train_steps"] == 2 * batches
     assert tracer.counts["nn.flops"] > 0
+
+    # under `accumulate` each rebuild returns one more synthetic block
+    tracer = tracing.Tracer()
+    series = np.random.default_rng(2).uniform(0, 1, 40)
+    cfg = dad.DadConfig(p=4, n_steps=3, meta_iterations=2, accumulate=True,
+                        inner_train=nn.TrainConfig(epochs=1, batch_size=16, seed=0),
+                        hidden_layers=1, hidden_units=4)
+    with tracer.installed():
+        dad.train_dad(series, series[:20], cfg)
+    one_step, block = len(series) - 4, (3 - 1) * (len(series) - 4 - 3 + 1)
+    assert tracer.calls["dad.build_augmented_dataset"] == cfg.meta_iterations
+    assert tracer.counts["dad.aug_rows"] == sum(one_step + j * block for j in (1, 2))
