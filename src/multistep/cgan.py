@@ -60,20 +60,25 @@ class CganConfig:
 class CganPair:
     generator: Mlp  # [noise_dim + q] -> p, linear output
     discriminator: Mlp  # [p + q] -> 1, sigmoid output
-    noise_dim: int
-    p: int
-    q: int
     training_log: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.generator.input_dim != self.noise_dim + self.q:
-            raise ShapeError("generator input_dim != noise_dim + q")
-        if self.generator.output_dim != self.p:
-            raise ShapeError("generator output_dim != p")
-        if self.discriminator.input_dim != self.p + self.q:
-            raise ShapeError("discriminator input_dim != p + q")
-        if self.discriminator.output_dim != 1:
-            raise ShapeError("discriminator output_dim != 1")
+        if self.q < 1 or self.noise_dim < 1 or self.discriminator.output_dim != 1:
+            raise ShapeError(f"nets {self.generator.input_dim} -> {self.p}, "
+                             f"{self.discriminator.input_dim} -> {self.discriminator.output_dim} "
+                             "are not [noise_dim + q] -> p, [p + q] -> 1 with q, noise_dim >= 1")
+
+    @property
+    def p(self) -> int:
+        return self.generator.output_dim
+
+    @property
+    def q(self) -> int:
+        return self.discriminator.input_dim - self.p
+
+    @property
+    def noise_dim(self) -> int:
+        return self.generator.input_dim - self.q
 
 
 def _clamp_into(prob: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -172,8 +177,7 @@ def train_cgan(
             acc_total += 2 * b
         epoch_acc = acc_hits / acc_total
         if holdout is not None:
-            snapshot = CganPair(gen, disc, cfg.noise_dim, p, q)
-            epoch_acc = discriminator_accuracy(snapshot, holdout, len(holdout), eval_rng)
+            epoch_acc = discriminator_accuracy(CganPair(gen, disc), holdout, eval_rng)
         log.append(
             {
                 "d_loss": float(np.mean(d_losses)),
@@ -181,25 +185,21 @@ def train_cgan(
                 "d_accuracy": epoch_acc,
             }
         )
-    return CganPair(gen, disc, cfg.noise_dim, p, q, training_log=log)
+    return CganPair(gen, disc, training_log=log)
 
 
 def discriminator_accuracy(
-    pair: CganPair,
-    data: WindowedDataset,
-    num_fakes: int,
-    rng: np.random.Generator,
+    pair: CganPair, data: WindowedDataset, rng: np.random.Generator
 ) -> float:
-    """Fraction of correct real/fake calls at threshold 0.5 (real iff D > 0.5)."""
-    schema.Int(1).check(num_fakes, "num_fakes")
+    """Share of right real/fake calls (real iff D > 0.5) on `data` and one fake per row."""
     real_in = np.concatenate([data.histories, data.futures], axis=1)
     d_real, _ = forward(pair.discriminator, real_in, mode="eval")
-    futures = data.futures[rng.integers(0, len(data), size=num_fakes)]
+    futures = data.futures[rng.integers(0, len(data), size=len(data))]
     fakes = generate_pairs(pair, futures, rng)
     fake_in = np.concatenate([fakes.histories, fakes.futures], axis=1)
     d_fake, _ = forward(pair.discriminator, fake_in, mode="eval")
     hits = int(np.sum(d_real[:, 0] > 0.5)) + int(np.sum(d_fake[:, 0] <= 0.5))
-    return hits / (len(data) + num_fakes)
+    return hits / (2 * len(data))
 
 
 def generate_pairs(
@@ -213,10 +213,7 @@ def generate_pairs(
     futures = np.asarray(futures, dtype=float)
     if futures.ndim != 2 or futures.shape[1] != pair.q:
         raise ShapeError(f"futures shape {futures.shape} != [m, q={pair.q}]")
-    m = futures.shape[0]
-    if m == 0:
-        return WindowedDataset(np.empty((0, pair.p)), np.empty((0, pair.q)), pair.p, pair.q)
-    z = rng.standard_normal((m, pair.noise_dim))
+    z = rng.standard_normal((futures.shape[0], pair.noise_dim))
     histories, _ = forward(pair.generator, np.concatenate([z, futures], axis=1), mode="eval")
     return WindowedDataset(np.clip(histories, 0.0, 1.0), futures, pair.p, pair.q)
 
@@ -226,8 +223,6 @@ def resample_futures(
 ) -> np.ndarray:
     """Futures drawn uniformly with replacement from the real training set."""
     schema.Int(0).check(count, "synthetic count")
-    if count == 0:
-        return np.empty((0, data.q))
     return data.futures[rng.integers(0, len(data), size=count)]
 
 

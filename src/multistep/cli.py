@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -72,6 +73,15 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
             f"cannot be evaluated at data.q={cfg['data']['q']}"
         )
     return cfg
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output flag whose directory does not exist;
+    the siblings that train and compare write beside --out share its directory."""
+    for flag in ("output", "out", "report", "curves"):
+        path = getattr(args, flag, None)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"--{flag} {path}: its directory does not exist")
 
 
 def _load_series(path, recipe: dict):
@@ -156,9 +166,8 @@ def cmd_evaluate(args) -> int:
     report = evaluation.evaluate(
         predict_fn,
         test,
-        normalizer=normalizer,
+        normalizer=normalizer if args.denormalize else None,
         model_tag=args.tag or meta["strategy_tag"],
-        denormalize=args.denormalize,
     )
     evaluation.save_report(report, args.report)
     if args.curves:
@@ -233,6 +242,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

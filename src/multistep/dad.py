@@ -36,24 +36,25 @@ class DadConfig:
     p: int
     n_steps: int  # rollout depth N
     meta_iterations: int  # K
-    inner_train: TrainConfig
+    inner_train: TrainConfig  # the budget of the K inner fits
+    base_train: TrainConfig  # the base net's budget, and CDaD's M_0's
     conditional: bool = False
     selection_metric: str = "mse"
     hidden_layers: int = 2
     hidden_units: int = 150
     dropout: float = 0.0  # of the base net and CDaD's M_0, which later iterates keep
-    base_train: TrainConfig | None = None
     accumulate: bool = False  # keep synthetic rows from earlier iterations
 
     def __post_init__(self):
-        schema.check_fields(self, dict(SECTION, **ARCH, p=schema.Int(1), conditional=schema.Bool()))
+        budget = schema.Kind("a TrainConfig", lambda v: isinstance(v, TrainConfig))
+        schema.check_fields(self, dict(SECTION, **ARCH, p=schema.Int(1), conditional=schema.Bool(),
+                                       inner_train=budget, base_train=budget))
 
 
 @dataclass
 class AugmentedDataset:
     histories: np.ndarray  # [m, p], or [m, p+1] with the step feature
     futures: np.ndarray  # [m, 1]
-    tags: np.ndarray  # [m] ints; 0 = original ground-truth pair
     layout: tuple[int, int, int, int]  # one-step rows, p, n_steps, rollout count
 
     def __len__(self) -> int:
@@ -87,8 +88,8 @@ _rollout_aug = rollout
 
 def augmented_set(series, p: int, starts, n_steps: int, conditional: bool,
                   blocks: int = 1) -> AugmentedDataset:
-    """The one-step pairs of `series` (tag 0), then `blocks` synthetic
-    blocks with every entry written but the rollout predictions, which
+    """The one-step pairs of `series`, then `blocks` synthetic blocks with
+    every entry written but the rollout predictions, which
     `build_augmented_dataset` writes.
 
     A block belongs to n_steps-long rollouts from the windows at `starts`,
@@ -97,8 +98,8 @@ def augmented_set(series, p: int, starts, n_steps: int, conditional: bool,
     in the n-th prediction paired with the true next value; the window's
     true history is its first p-n columns. The window ending in the final
     prediction has no ground-truth successor inside the rollout span. When
-    `conditional`, each row gains the step feature tag/n_steps, the value
-    the rollout feeds alongside the (tag+1)-th prediction.
+    `conditional`, each row gains the step feature n/n_steps (n = 0 on a
+    one-step row), fed alongside the rollout's (n+1)-th prediction.
     """
     values = np.asarray(series, dtype=float)
     if not schema.is_int(p) or not 1 <= p < len(values):
@@ -114,16 +115,15 @@ def augmented_set(series, p: int, starts, n_steps: int, conditional: bool,
         if starts.min() < 0 or starts.max() + p + n_steps > len(values):
             raise AlignmentError("trajectory start index out of range for the series")
     m0 = len(values) - p
-    depth = np.repeat(np.arange(1, n_steps), len(starts))
     at = (np.arange(1, n_steps)[:, None] + starts.astype(int)).ravel()
     index = np.concatenate([np.arange(m0), np.tile(at, blocks)])
-    tags = np.concatenate([np.zeros(m0, dtype=int), np.tile(depth, blocks)])
     histories = np.empty((len(index), p + 1 if conditional else p))
     histories[:, :p] = np.lib.stride_tricks.sliding_window_view(values, p)[index]
     if conditional:
-        histories[:, p] = tags / n_steps
+        depth = np.tile(np.repeat(np.arange(1, n_steps), len(starts)), blocks)
+        histories[:, p] = np.concatenate([np.zeros(m0, dtype=int), depth]) / n_steps
     futures = values[index + p][:, None]
-    return AugmentedDataset(histories, futures, tags, (m0, p, n_steps, len(starts)))
+    return AugmentedDataset(histories, futures, (m0, p, n_steps, len(starts)))
 
 
 def build_augmented_dataset(aug: AugmentedDataset, preds, block: int = 0) -> AugmentedDataset:
@@ -142,7 +142,7 @@ def build_augmented_dataset(aug: AugmentedDataset, preds, block: int = 0) -> Aug
     for n in range(1, n_steps):
         rows = aug.histories[first + (n - 1) * s : first + n * s]
         rows[:, max(0, p - n) : p] = preds[:, max(0, n - p) : n]
-    return AugmentedDataset(aug.histories[:end], aug.futures[:end], aug.tags[:end], aug.layout)
+    return AugmentedDataset(aug.histories[:end], aug.futures[:end], aug.layout)
 
 
 def _score(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
@@ -166,7 +166,6 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     train_values = np.asarray(train_series, dtype=float)
     val_values = np.asarray(val_series, dtype=float)
     p, n_steps, big_k = cfg.p, cfg.n_steps, cfg.meta_iterations
-    base_cfg = cfg.base_train if cfg.base_train is not None else cfg.inner_train
     seed = cfg.inner_train.seed
     arch = {k: getattr(cfg, k) for k in ARCH}
     step_scale = n_steps if cfg.conditional else None
@@ -189,13 +188,13 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
         return (net, *_score(preds, val_windows.futures))
 
     base_net = init_net(p, 1, _sub_seed(seed, 0), **arch)
-    current = fitted(base_net, one_step, base_cfg, 1)
+    current = fitted(base_net, one_step, cfg.base_train, 1)
     if cfg.conditional:
         # CDaD's M_0 is trained from scratch (its input width differs) on the
         # base model's rollout, at base_train's budget.
         m0 = init_net(p + 1, 1, _sub_seed(seed, 2), **arch)
         preds = rollout(current, roll_windows.histories, n_steps)
-        current = fitted(m0, build_augmented_dataset(allocated, preds), base_cfg, 10)
+        current = fitted(m0, build_augmented_dataset(allocated, preds), cfg.base_train, 10)
 
     candidates = [candidate(current)]
     for k in range(1, big_k + 1):

@@ -54,13 +54,11 @@ def evaluate(
     test: WindowedDataset,
     normalizer: Normalizer | None = None,
     model_tag: str = "model",
-    denormalize: bool = False,
 ) -> MetricsReport:
     """Score an H-step predictor on (history, future) pairs.
 
     predict_fn maps a [m, p] history matrix to [m, H] predictions with
-    H == test.q. Metrics are computed in normalized units unless
-    denormalize is set (which requires the fitted normalizer).
+    H == test.q. With the fitted `normalizer` given, scores are in flow units.
     """
     if len(test) == 0:
         raise ConfigError("empty test dataset")
@@ -71,9 +69,7 @@ def evaluate(
     if not np.isfinite(preds).all():
         bad = int(np.count_nonzero(~np.isfinite(preds)))
         raise NumericError(f"{model_tag}: {bad} of {preds.size} predictions are not finite")
-    if denormalize:
-        if normalizer is None:
-            raise ConfigError("denormalize requested without a normalizer")
+    if normalizer is not None:
         preds = normalizer.invert(preds)
         truth = normalizer.invert(truth)
     err = preds - truth
@@ -86,7 +82,7 @@ def evaluate(
         per_step_mse=[float(v) for v in per_step_mse],
         per_step_mae=[float(v) for v in per_step_mae],
         num_samples=len(test),
-        denormalized=denormalize,
+        denormalized=normalizer is not None,
     )
 
 

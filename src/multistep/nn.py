@@ -147,16 +147,16 @@ class AdamState:
 def init_mlp(
     dims: Sequence[int],
     dropout_rate: float = 0.0,
-    rng: np.random.Generator | int | None = None,
+    *,
+    rng: np.random.Generator | int | tuple,
     final_activation: str = "linear",
     hidden_activation: str = "relu",
 ) -> Mlp:
-    """He-style uniform initialization, U(+-sqrt(6/fan_in)), biases zero."""
+    """He-style uniform initialization, U(+-sqrt(6/fan_in)), biases zero, drawn from `rng`."""
     if len(dims) < 2:
         raise ConfigError("need at least input and output dims")
     schema.Seq(schema.Int(1), "integers >= 1").check(list(dims), "dims")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
@@ -182,7 +182,7 @@ def init_net(
     drawn from `rng` (a Generator, or a seed of one)."""
     ARCH["hidden_layers"].check(hidden_layers, "hidden_layers")
     dims = [in_dim, *[hidden_units] * hidden_layers, out_dim]
-    return init_mlp(dims, dropout, rng, final_activation)
+    return init_mlp(dims, dropout, rng=rng, final_activation=final_activation)
 
 
 @dataclass(slots=True)
@@ -468,8 +468,6 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
             raise NumericError(f"dataset {name} row {int(bad.argmax())} is not finite")
 
     trained = net.copy()
-    if cfg.epochs == 0:
-        return trained, []
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(trained.params, learning_rate=cfg.learning_rate)
     n, bs, q = x.shape[0], cfg.batch_size, y.shape[1]

@@ -32,6 +32,19 @@ class TestConfig:
             tiny_cfg(lr_discriminator=1e-4, lr_generator=1e-3)
 
 
+class TestPair:
+    def test_sizes_are_read_off_the_nets(self):
+        pair = cgan.CganPair(nn.init_mlp([5, 3, 4], rng=0), nn.init_mlp([6, 3, 1], rng=1))
+        assert (pair.p, pair.q, pair.noise_dim) == (4, 2, 3)
+
+    @pytest.mark.parametrize("gen_dims, disc_dims", [
+        ([3, 2], [2, 1]), ([3, 2], [1, 1]), ([2, 2], [4, 1]), ([4, 2], [4, 2]),
+    ], ids=["q-zero", "q-negative", "no-noise", "two-outputs"])
+    def test_nets_that_are_not_a_pair_refused(self, gen_dims, disc_dims):
+        with pytest.raises(ShapeError, match="are not \\[noise_dim \\+ q\\] -> p"):
+            cgan.CganPair(nn.init_mlp(gen_dims, rng=0), nn.init_mlp(disc_dims, rng=1))
+
+
 class TestTraining:
     def test_network_shapes(self):
         data = tiny_data()
@@ -121,9 +134,18 @@ class TestGenerate:
             cgan.resample_futures(tiny_data(), count, np.random.default_rng(0))
 
     def test_empty_request(self):
-        pair = cgan.train_cgan(tiny_data(), tiny_cfg())
-        out = cgan.generate_pairs(pair, np.empty((0, 3)), np.random.default_rng(0))
-        assert len(out) == 0
+        # zero rows: an empty set of the pair's p and q, and no draw from rng
+        data = tiny_data()
+        pair = cgan.train_cgan(data, tiny_cfg())
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        futures = cgan.resample_futures(data, 0, rng)
+        assert futures.shape == (0, data.q)
+        for requested in (futures, np.empty((0, 3))):
+            out = cgan.generate_pairs(pair, requested, rng)
+            assert (out.p, out.q, len(out)) == (pair.p, pair.q, 0)
+            assert out.histories.shape == (0, pair.p) and out.futures.shape == (0, pair.q)
+        assert rng.bit_generator.state == state
 
     def test_determinism_given_rng_state(self):
         data = tiny_data()
@@ -157,32 +179,17 @@ class TestDiscriminatorAccuracy:
         ones = nn.Mlp(
             [nn.Layer(np.zeros((1, p + q)), np.array([50.0]), "sigmoid")]
         )
-        pair = cgan.CganPair(gen, ones, nd, p, q)
+        pair = cgan.CganPair(gen, ones)
         data = tiny_data(n=20, p=p, q=q)
         rng = np.random.default_rng(0)
-        acc = cgan.discriminator_accuracy(pair, data, len(data), rng)
+        acc = cgan.discriminator_accuracy(pair, data, rng)
         assert acc == 0.5
         # D == 0 always: all reals wrong, all fakes right.
         zeros = nn.Mlp(
             [nn.Layer(np.zeros((1, p + q)), np.array([-50.0]), "sigmoid")]
         )
-        pair = cgan.CganPair(gen, zeros, nd, p, q)
-        assert cgan.discriminator_accuracy(pair, data, len(data), rng) == 0.5
-
-    def test_unequal_fake_count_weighting(self):
-        # D == 0 with 3x fakes: 3/4 of all calls are correct.
-        p, q, nd = 2, 2, 2
-        gen = nn.init_mlp([nd + q, 3, p], rng=0)
-        zeros = nn.Mlp([nn.Layer(np.zeros((1, p + q)), np.array([-50.0]), "sigmoid")])
-        pair = cgan.CganPair(gen, zeros, nd, p, q)
-        data = tiny_data(n=10, p=p, q=q)
-        acc = cgan.discriminator_accuracy(pair, data, 3 * len(data), np.random.default_rng(0))
-        assert acc == 0.75
-
-    def test_zero_fakes_rejected(self):
-        pair = cgan.train_cgan(tiny_data(), tiny_cfg())
-        with pytest.raises(ConfigError):
-            cgan.discriminator_accuracy(pair, tiny_data(), 0, np.random.default_rng(0))
+        pair = cgan.CganPair(gen, zeros)
+        assert cgan.discriminator_accuracy(pair, data, rng) == 0.5
 
 
 class TestNoiseAugment:

@@ -299,6 +299,22 @@ class TestTrain:
         assert log["combined_rows"] == 2 * log["synthetic_rows"]
         assert len(log["cgan_log"]) == 2
 
+    def test_multi_cgan_with_no_synthetic_rows_trains_on_the_real_windows(
+        self, tmp_path, series_csv
+    ):
+        doc = base_config(
+            strategy="multi-cgan",
+            cgan={"noise_dim": 3, "epochs": 2, "batch_size": 32, "synthetic_count": 0},
+        )
+        code, out = run_train(tmp_path, series_csv, doc)
+        assert code == 0
+        log = serialize.load_json(str(out) + ".log.json")
+        series = ingest_csv(series_csv, timedelta(minutes=15))
+        train_end = datetime.fromisoformat(doc["data"]["split"]["train_end"])
+        n_train = sum(t <= train_end for t in series.timestamps)
+        assert log["synthetic_rows"] == 0
+        assert log["combined_rows"] == n_train - 4 - 4 + 1  # p = q = 4
+
 
 class TestEvaluateAndCompare:
     def test_evaluate_is_byte_deterministic(self, tmp_path, series_csv):
@@ -593,6 +609,56 @@ def test_memory_error_without_text_exits_one(tmp_path, series_csv, capsys, monke
     assert run_train(tmp_path, series_csv, base_config())[0] == 1
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+class TestMissingOutputDirectoryExitsTwo:
+    """An output in a directory that does not exist is refused before any
+    input is read or anything is trained or written."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, flag):
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    def test_ingest(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,flow\n2011-01-01T00:00:00,1\n")
+        self.refused(tmp_path, capsys, ["ingest", "--input", str(raw), "--output",
+                                        str(tmp_path / "nodir" / "agg.csv")], "--output")
+
+    def test_synth_data(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, ["synth-data", "--points", "10", "--output",
+                                        str(tmp_path / "nodir" / "s.csv")], "--output")
+
+    def test_train(self, tmp_path, series_csv, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("trained before the output path was checked")
+
+        monkeypatch.setattr(pipeline, "train", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config()))
+        self.refused(tmp_path, capsys, ["train", "--config", str(cfg), "--data", str(series_csv),
+                                        "--out", str(tmp_path / "nodir" / "m.json")], "--out")
+
+    @pytest.mark.parametrize("flag", ["--report", "--curves"])
+    def test_evaluate(self, tmp_path, series_csv, model_doc, capsys, flag):
+        model = tmp_path / "model.json"
+        serialize.dump_json(model_doc, model)
+        outputs = {"--report": str(tmp_path / "r.json"), "--curves": str(tmp_path / "c.csv"),
+                   flag: str(tmp_path / "nodir" / "out")}
+        self.refused(tmp_path, capsys, ["evaluate", "--model", str(model), "--data",
+                                        str(series_csv), *sum(outputs.items(), ())], flag)
+
+    @pytest.mark.parametrize("flag", ["--out", "--curves"])
+    def test_compare(self, tmp_path, capsys, flag):
+        report = tmp_path / "r.json"
+        serialize.dump_json(_report(), report)
+        outputs = {"--out": str(tmp_path / "cmp"), "--curves": str(tmp_path / "c.csv"),
+                   flag: str(tmp_path / "nodir" / "out")}
+        self.refused(tmp_path, capsys, ["compare", "--reports", str(report), "--baseline",
+                                        "recursive", *sum(outputs.items(), ())], flag)
 
 
 class TestMalformedJsonExitsTwo:

@@ -12,11 +12,13 @@ from multistep.errors import AlignmentError, ConfigError
 
 
 def small_cfg(**overrides):
+    train = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
     defaults = dict(
         p=3,
         n_steps=3,
         meta_iterations=2,
-        inner_train=nn.TrainConfig(epochs=2, batch_size=16, seed=0),
+        inner_train=train,
+        base_train=train,
         hidden_layers=1,
         hidden_units=4,
     )
@@ -34,10 +36,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("p", 0), ("n_steps", 0), ("meta_iterations", 0), ("selection_metric", "rmse"),
-         ("p", 2.5), ("n_steps", 2.5), ("meta_iterations", 1.5), ("n_steps", True)],
+         ("p", 2.5), ("n_steps", 2.5), ("meta_iterations", 1.5), ("n_steps", True),
+         ("base_train", None), ("inner_train", None)],
     )
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
             small_cfg(**{field: value})
 
     @pytest.mark.parametrize("field,value", [("accumulate", "no"), ("accumulate", 1),
@@ -78,7 +81,7 @@ def loop_augmented(values, p, starts, preds, n_steps, conditional):
     if conditional:
         encoded = np.array([t / n_steps for t in tags])
         inputs = np.concatenate([inputs, encoded[:, None]], axis=1)
-    return inputs, np.array(ys), np.array(tags)
+    return inputs, np.array(ys)
 
 
 class TestAugmentedDataset:
@@ -102,13 +105,10 @@ class TestAugmentedDataset:
             dad.build_augmented_dataset(allocated, rng.uniform(0, 1, preds.shape))
             rebuilt = dad.build_augmented_dataset(allocated, preds)
             assert np.shares_memory(rebuilt.histories, allocated.histories)
-            inputs, targets, tags = loop_augmented(
-                values, p, starts, preds, n_steps, conditional
-            )
+            inputs, targets = loop_augmented(values, p, starts, preds, n_steps, conditional)
             for each in (aug, rebuilt):
                 assert np.array_equal(each.histories, inputs)
                 assert np.array_equal(each.futures, targets[:, None])
-                assert np.array_equal(each.tags, tags)
 
     def test_three_point_enumeration(self):
         # Series [1, 2, 3], p=1, rollout depth 2, one trajectory starting
@@ -121,7 +121,6 @@ class TestAugmentedDataset:
         )
         assert aug.histories.tolist() == [[1.0], [2.0], [0.9]]
         assert aug.futures.tolist() == [[2.0], [3.0], [3.0]]
-        assert aug.tags.tolist() == [0, 0, 1]
 
     def test_row_counting_oracle(self):
         # n points, window p, depth N: (n-p) ground-truth rows plus
@@ -155,7 +154,7 @@ class TestAugmentedDataset:
         starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps)
         aug = built(values, p, starts, preds, False, n_steps)
-        for x, y, tag in zip(aug.histories, aug.futures[:, 0], aug.tags):
+        for x, y in zip(aug.histories, aug.futures[:, 0]):
             # every row, synthetic or not, is a true (value, next value) pair
             i = int(np.argmin(np.abs(values - x[0])))
             assert np.isclose(x[0], values[i])
@@ -167,23 +166,22 @@ class TestAugmentedDataset:
             conditional=True, n_steps=2,
         )
         assert aug.histories.shape == (3, 2)
-        assert aug.histories[:, 1].tolist() == [0.0, 0.0, 0.5]  # tag / n_steps
+        assert aug.histories[:, 1].tolist() == [0.0, 0.0, 0.5]  # depth / n_steps
 
     def test_tag_range(self):
+        # the step column spans depths 0 (the one-step rows) to n_steps - 1
         values = wave(14)
         p, n_steps = 2, 4
         roll = make_windows(values, p, n_steps)
-        net = nn.init_mlp([p, 3, 1], rng=1)
+        net = nn.init_mlp([p + 1, 3, 1], rng=1)
         starts = np.arange(len(roll))
-        preds = stg.rollout(net, roll.histories, n_steps)
-        aug = built(values, p, starts, preds, False, n_steps)
-        assert aug.tags.min() == 0
-        assert aug.tags.max() == n_steps - 1
+        preds = stg.rollout(net, roll.histories, n_steps, step_scale=n_steps)
+        aug = built(values, p, starts, preds, True, n_steps)
+        assert sorted(set(aug.histories[:, p] * n_steps)) == list(range(n_steps))
 
     def test_depth_one_gives_no_synthetic_rows(self):
         aug = built(np.array([1.0, 2.0]), 1, np.array([0]), np.array([[0.4]]), False, 1)
         assert len(aug) == 1
-        assert aug.tags.tolist() == [0]
 
     def test_misaligned_trajectory_rejected(self):
         values = np.array([1.0, 2.0, 3.0])
@@ -228,10 +226,10 @@ class TestReusedSet:
                                                          "block-float"])
     def test_mismatch_raises_before_writing(self, block):
         out = built(self.values, self.p, self.starts, self.preds, False, self.n_steps)
-        before = [out.histories.copy(), out.futures.copy(), out.tags.copy()]
+        before = [out.histories.copy(), out.futures.copy()]
         with pytest.raises(AlignmentError):
             dad.build_augmented_dataset(out, self.preds * 2, block)
-        for kept, now in zip(before, (out.histories, out.futures, out.tags)):
+        for kept, now in zip(before, (out.histories, out.futures)):
             assert np.array_equal(kept, now)
 
 
@@ -372,11 +370,10 @@ def concatenating_builder(accumulate, values):
             inputs = np.concatenate([inputs, (tags / n_steps)[:, None]], axis=1)
         if accumulate:
             mask = tags > 0
-            bank.append((inputs[mask], targets[mask], tags[mask]))
+            bank.append((inputs[mask], targets[mask]))
             inputs = np.concatenate([inputs[~mask]] + [b[0] for b in bank])
             targets = np.concatenate([targets[~mask]] + [b[1] for b in bank])
-            tags = np.concatenate([tags[~mask]] + [b[2] for b in bank])
-        return dad.AugmentedDataset(inputs, targets[:, None], tags, allocated.layout)
+        return dad.AugmentedDataset(inputs, targets[:, None], allocated.layout)
 
     return build
 

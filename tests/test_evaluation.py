@@ -54,16 +54,11 @@ class TestEvaluate:
     def test_denormalized_units(self):
         norm = Normalizer(0.0, 10.0)
         data = dataset_from([[0.1, 0.2]])
-        report = ev.evaluate(
-            constant_predictor([0.2, 0.4]), data, norm, denormalize=True
-        )
+        report = ev.evaluate(constant_predictor([0.2, 0.4]), data, norm)
         # errors of 0.1/0.2 normalized are 1.0/2.0 in raw units
         assert report.per_step_mae == pytest.approx([1.0, 2.0])
         assert report.denormalized
-
-    def test_denormalize_needs_normalizer(self):
-        with pytest.raises(ConfigError):
-            ev.evaluate(constant_predictor([0.0]), dataset_from([[0.0]]), denormalize=True)
+        assert not ev.evaluate(constant_predictor([0.2, 0.4]), data).denormalized
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -611,10 +611,14 @@ class TestIntegerFields:
         assert np.array_equal(net.params, ref.params) and net.dropout_rate == 0.3
         assert [l.activation for l in net.layers] == [l.activation for l in ref.layers]
 
+    def test_init_mlp_has_no_unseeded_default(self):
+        with pytest.raises(TypeError):
+            nn.init_mlp([2, 1])
+
 
 def dad_config(**fields):
     return dad.DadConfig(p=2, n_steps=2, meta_iterations=1, inner_train=nn.TrainConfig(),
-                         **fields)
+                         base_train=nn.TrainConfig(), **fields)
 
 
 class TestConfigFields:

@@ -233,7 +233,7 @@ def trained():
     cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
     arch = dict(hidden_layers=1, hidden_units=5, dropout=0.1)
     train, val = rng.uniform(0, 1, 60), rng.uniform(0, 1, 40)
-    dcfg = dict(p=p, n_steps=q, meta_iterations=1, inner_train=cfg, **arch)
+    dcfg = dict(p=p, n_steps=q, meta_iterations=1, inner_train=cfg, base_train=cfg, **arch)
     return windows.histories[:6], q, {
         "recursive": strategies.train_recursive(one_step, cfg, **arch),
         "dad": dad.train_dad(train, val, dad.DadConfig(**dcfg)).best_model,

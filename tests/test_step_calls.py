@@ -138,9 +138,9 @@ def test_tracer_counts_a_fit_and_a_rollout():
     # under `accumulate` each rebuild returns one more synthetic block
     tracer = tracing.Tracer()
     series = np.random.default_rng(2).uniform(0, 1, 40)
-    cfg = dad.DadConfig(p=4, n_steps=3, meta_iterations=2, accumulate=True,
-                        inner_train=nn.TrainConfig(epochs=1, batch_size=16, seed=0),
-                        hidden_layers=1, hidden_units=4)
+    train = nn.TrainConfig(epochs=1, batch_size=16, seed=0)
+    cfg = dad.DadConfig(p=4, n_steps=3, meta_iterations=2, accumulate=True, inner_train=train,
+                        base_train=train, hidden_layers=1, hidden_units=4)
     with tracer.installed():
         dad.train_dad(series, series[:20], cfg)
     one_step, block = len(series) - 4, (3 - 1) * (len(series) - 4 - 3 + 1)

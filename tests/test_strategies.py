@@ -314,7 +314,7 @@ class TestShapeLaw:
         one_step = tiny_windows(n=60, p=p, q=1)
         rng = np.random.default_rng(1)
         cdad_cfg = dad.DadConfig(
-            p=p, n_steps=q, meta_iterations=1, inner_train=cfg, conditional=True,
+            p=p, n_steps=q, meta_iterations=1, inner_train=cfg, base_train=cfg, conditional=True,
             hidden_layers=1, hidden_units=4,
         )
         cdad_model = dad.train_cdad(rng.uniform(0, 1, 40), rng.uniform(0, 1, 20), cdad_cfg)

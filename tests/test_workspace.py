@@ -153,8 +153,7 @@ def oracle_train_cgan(data, cfg, holdout=None):
             acc_total += 2 * b
         epoch_acc = acc_hits / acc_total
         if holdout is not None:
-            snapshot = cgan.CganPair(gen, disc, cfg.noise_dim, p, q)
-            epoch_acc = cgan.discriminator_accuracy(snapshot, holdout, len(holdout), eval_rng)
+            epoch_acc = cgan.discriminator_accuracy(cgan.CganPair(gen, disc), holdout, eval_rng)
         log.append({"d_loss": float(np.mean(d_losses)), "g_loss": float(np.mean(g_losses)),
                     "d_accuracy": epoch_acc})
     return gen, disc, log
