@@ -223,6 +223,8 @@ def resample_futures(
 ) -> np.ndarray:
     """Futures drawn uniformly with replacement from the real training set."""
     schema.Int(0).check(count, "synthetic count")
+    if count and not len(data):
+        raise ConfigError(f"cannot draw {count} synthetic futures from an empty training set")
     return data.futures[rng.integers(0, len(data), size=count)]
 
 

@@ -47,9 +47,8 @@ CONFIG = {
     "cgan": schema.Table(cgan.SECTION),
     "noise": schema.Table(cgan.NOISE),
 }
-# a model document's metadata as `train` writes it
+# the metadata rows that `train` writes and `evaluate` requires, beside the model's own
 METADATA = {
-    **serialize.METADATA,
     "q": schema.Int(1),
     "normalization": schema.Table({"min": schema.Real(), "max": schema.Real()}),
     "data": schema.Table({k: replace(kind, default=...) for k, kind in RECIPE.items()}),
@@ -76,12 +75,18 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work, an output flag whose directory does not exist;
-    the siblings that train and compare write beside --out share its directory."""
+    """Refuse, before any work, an output flag whose directory does not exist or
+    that names an existing directory (for compare's --out prefix, its .json or
+    .txt file); the siblings written beside an output share its directory."""
     for flag in ("output", "out", "report", "curves"):
         path = getattr(args, flag, None)
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"--{flag} {path}: its directory does not exist")
+        prefix = (args.command, flag) == ("compare", "out")
+        if any(map(os.path.isdir, [path + ".json", path + ".txt"] if prefix else [path])):
+            raise ConfigError(f"--{flag} {path}: names an existing directory")
 
 
 def _load_series(path, recipe: dict):
@@ -156,7 +161,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     doc = serialize.load_json(args.model)
-    meta = schema.check(doc.get("metadata", {}), METADATA, "metadata")
+    meta = serialize.check_metadata(doc.get("metadata", {}), METADATA)
     model = serialize.model_from_doc(doc)
     normalizer = Normalizer(meta["normalization"]["min"], meta["normalization"]["max"])
     series = _load_series(args.data, meta["data"])
@@ -183,7 +188,7 @@ def cmd_compare(args) -> int:
     reports = [evaluation.load_report(p) for p in args.reports]
     table = evaluation.build_comparison(reports, args.baseline)
     text = evaluation.render_comparison_text(table)
-    serialize.dump_json(table.to_dict(), args.out + ".json")
+    serialize.dump_json(table, args.out + ".json")
     with open(args.out + ".txt", "w") as f:
         f.write(text)
     if args.curves:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import schema
-from .data import make_windows
+from .data import WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
 from .nn import ARCH, TRAIN, Mlp, TrainConfig, fit, init_net
 from .strategies import RecursiveModel, rollout
@@ -55,7 +55,7 @@ class DadConfig:
 class AugmentedDataset:
     histories: np.ndarray  # [m, p], or [m, p+1] with the step feature
     futures: np.ndarray  # [m, 1]
-    layout: tuple[int, int, int, int]  # one-step rows, p, n_steps, rollout count
+    layout: tuple[int, int, int]  # one-step rows m0, p, n_steps; m0 - n_steps + 1 rollouts
 
     def __len__(self) -> int:
         return self.histories.shape[0]
@@ -86,52 +86,45 @@ def _sub_seed(seed: int, k: int) -> int:
 _rollout_aug = rollout
 
 
-def augmented_set(series, p: int, starts, n_steps: int, conditional: bool,
+def augmented_set(series, p: int, n_steps: int, conditional: bool,
                   blocks: int = 1) -> AugmentedDataset:
     """The one-step pairs of `series`, then `blocks` synthetic blocks with
     every entry written but the rollout predictions, which
     `build_augmented_dataset` writes.
 
-    A block belongs to n_steps-long rollouts from the windows at `starts`,
-    each of which must have n_steps true successors in the series. It
-    holds, by depth n in 1..n_steps-1 and then by start, the window ending
-    in the n-th prediction paired with the true next value; the window's
-    true history is its first p-n columns. The window ending in the final
+    A block belongs to n_steps-long rollouts from every window that has
+    n_steps true successors in the series, in series order. It holds, by
+    depth n in 1..n_steps-1 and then by start, the window ending in the
+    n-th prediction paired with the true next value; the window's true
+    history is its first p-n columns. The window ending in the final
     prediction has no ground-truth successor inside the rollout span. When
     `conditional`, each row gains the step feature n/n_steps (n = 0 on a
     one-step row), fed alongside the rollout's (n+1)-th prediction.
     """
     values = np.asarray(series, dtype=float)
-    if not schema.is_int(p) or not 1 <= p < len(values):
-        raise ConfigError(f"p must be an integer in [1, {len(values)}), got {p!r}")
     SECTION["n_steps"].check(n_steps, "n_steps")
     schema.Int(0).check(blocks, "blocks")
-    starts = np.asarray(starts)
-    if starts.ndim != 1:
-        raise AlignmentError(f"starts must be one-dimensional, got shape {starts.shape}")
-    if len(starts):
-        if starts.dtype.kind not in "iu":
-            raise AlignmentError(f"start indices must be integers, got {starts.dtype}")
-        if starts.min() < 0 or starts.max() + p + n_steps > len(values):
-            raise AlignmentError("trajectory start index out of range for the series")
+    if not schema.is_int(p) or not 1 <= p <= len(values) - n_steps:
+        raise ConfigError(f"p must be an integer in [1, {len(values) - n_steps}], got {p!r}")
     m0 = len(values) - p
-    at = (np.arange(1, n_steps)[:, None] + starts.astype(int)).ravel()
+    at = (np.arange(1, n_steps)[:, None] + np.arange(m0 - n_steps + 1)).ravel()
     index = np.concatenate([np.arange(m0), np.tile(at, blocks)])
     histories = np.empty((len(index), p + 1 if conditional else p))
     histories[:, :p] = np.lib.stride_tricks.sliding_window_view(values, p)[index]
     if conditional:
-        depth = np.tile(np.repeat(np.arange(1, n_steps), len(starts)), blocks)
+        depth = np.tile(np.repeat(np.arange(1, n_steps), m0 - n_steps + 1), blocks)
         histories[:, p] = np.concatenate([np.zeros(m0, dtype=int), depth]) / n_steps
     futures = values[index + p][:, None]
-    return AugmentedDataset(histories, futures, (m0, p, n_steps, len(starts)))
+    return AugmentedDataset(histories, futures, (m0, p, n_steps))
 
 
 def build_augmented_dataset(aug: AugmentedDataset, preds, block: int = 0) -> AugmentedDataset:
-    """Write one rollout's predictions, preds[i] the rollout from starts[i],
-    into synthetic block `block` of `aug`, and return the rows of `aug` up
-    to the end of that block as views: the next write into `aug`
+    """Write one rollout's predictions, preds[i] the rollout from the i-th
+    window, into synthetic block `block` of `aug`, and return the rows of
+    `aug` up to the end of that block as views: the next write into `aug`
     overwrites them."""
-    m0, p, n_steps, s = aug.layout
+    m0, p, n_steps = aug.layout
+    s = m0 - n_steps + 1
     preds = np.asarray(preds, dtype=float)
     if preds.shape != (s, n_steps):
         raise AlignmentError(f"preds {preds.shape} are not {s} rollouts of {n_steps} steps")
@@ -170,15 +163,15 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     arch = {k: getattr(cfg, k) for k in ARCH}
     step_scale = n_steps if cfg.conditional else None
 
-    one_step = make_windows(train_values, p, 1)
-    roll_windows = make_windows(train_values, p, n_steps)
-    val_windows = make_windows(val_values, p, n_steps)
     # Only the rollout predictions change between rebuilds, so the set is
     # allocated once; under `accumulate` each rebuild fills the next block.
+    # Its first m0 rows are the one-step pairs, whose first windows start the rollouts.
     blocks = big_k + int(cfg.conditional) if cfg.accumulate else 1
-    allocated = augmented_set(
-        train_values, p, np.arange(len(roll_windows)), n_steps, cfg.conditional, blocks
-    )
+    allocated = augmented_set(train_values, p, n_steps, cfg.conditional, blocks)
+    m0 = allocated.layout[0]
+    one_step = WindowedDataset(allocated.histories[:m0, :p], allocated.futures[:m0], p, 1)
+    start_windows = one_step.histories[: m0 - n_steps + 1]
+    val_windows = make_windows(val_values, p, n_steps)
 
     def fitted(net: Mlp, data, train: TrainConfig, k: int) -> Mlp:
         return fit(net, data, replace(train, seed=_sub_seed(seed, k)))[0]
@@ -192,13 +185,13 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     if cfg.conditional:
         # CDaD's M_0 is trained from scratch (its input width differs) on the
         # base model's rollout, at base_train's budget.
-        m0 = init_net(p + 1, 1, _sub_seed(seed, 2), **arch)
-        preds = rollout(current, roll_windows.histories, n_steps)
-        current = fitted(m0, build_augmented_dataset(allocated, preds), cfg.base_train, 10)
+        m0_net = init_net(p + 1, 1, _sub_seed(seed, 2), **arch)
+        preds = rollout(current, start_windows, n_steps)
+        current = fitted(m0_net, build_augmented_dataset(allocated, preds), cfg.base_train, 10)
 
     candidates = [candidate(current)]
     for k in range(1, big_k + 1):
-        preds = rollout(current, roll_windows.histories, n_steps, step_scale)
+        preds = rollout(current, start_windows, n_steps, step_scale)
         block = k - 1 + int(cfg.conditional) if cfg.accumulate else 0
         aug = build_augmented_dataset(allocated, preds, block)
         current = fitted(current, aug, cfg.inner_train, 10 + k)

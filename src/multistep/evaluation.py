@@ -4,7 +4,7 @@ percent improvement against a named baseline, and table/curve exports."""
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,15 +38,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class ComparisonTable:
-    baseline_tag: str
-    rows: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"baseline_tag": self.baseline_tag, "rows": self.rows}
 
 
 def evaluate(
@@ -92,15 +83,16 @@ def percent_improvement(baseline: float, candidate: float) -> float:
     return 100.0 * (baseline - candidate) / baseline
 
 
-def build_comparison(reports: list[MetricsReport], baseline_tag: str) -> ComparisonTable:
+def build_comparison(reports: list[MetricsReport], baseline_tag: str) -> dict:
+    """The document `compare` writes: `baseline_tag` and one row per report."""
     baselines = [r for r in reports if r.model_tag == baseline_tag]
     if not baselines:
         raise ConfigError(f"baseline tag {baseline_tag!r} not among reports")
     base = baselines[0]
-    table = ComparisonTable(baseline_tag=baseline_tag)
+    rows = []
     for r in reports:
         is_base = r.model_tag == baseline_tag
-        table.rows.append(
+        rows.append(
             {
                 "model_tag": r.model_tag,
                 "mse": r.overall_mse,
@@ -113,13 +105,13 @@ def build_comparison(reports: list[MetricsReport], baseline_tag: str) -> Compari
                 else percent_improvement(base.overall_mae, r.overall_mae),
             }
         )
-    return table
+    return {"baseline_tag": baseline_tag, "rows": rows}
 
 
-def render_comparison_text(table: ComparisonTable) -> str:
+def render_comparison_text(table: dict) -> str:
     header = ["Model", "MSE", "% Improv.", "MAE", "% Improv."]
     lines = [header]
-    for row in table.rows:
+    for row in table["rows"]:
         lines.append(
             [
                 row["model_tag"],

@@ -22,7 +22,6 @@ from . import schema
 from .errors import ConfigError, NumericError, ShapeError
 from .nn import ACTIVATION, DROPOUT, Layer, Mlp, layer_slices
 from .pipeline import STRATEGIES
-from .strategies import DirectModelSet, RecursiveModel
 
 FORMAT_VERSION = 2
 
@@ -45,18 +44,25 @@ NETWORK = {
     "metadata": _OBJECT,
     "h": schema.Int(1, default=None),  # the horizon step of a direct or hybrid set's net
 }
-# the metadata of a model document; the kind its strategy_tag names requires its own rows
+# the rows of every model document's metadata; `check_metadata` adds its kind's own
 METADATA = {
     "strategy_tag": schema.OneOf(tuple(STRATEGIES)),
     "p": schema.Int(1),
-    **RecursiveModel.METADATA,
-    **DirectModelSet.METADATA,
     "q": schema.Int(1, default=None),  # a recursive document may record its served horizon
     "time_step_augmented": schema.Bool(default=False),  # written as max_step is not null
     # the data recipe and normalizer `multistep train` records, which `evaluate` requires
     "normalization": schema.Table(None, null=True),
     "data": schema.Table(None, null=True),
 }
+
+
+def check_metadata(meta, required: dict | None = None) -> dict:
+    """`meta` filled in; ConfigError unless it fits METADATA, overridden by the
+    METADATA of the model kind its strategy_tag names and then by `required`."""
+    tag = METADATA["strategy_tag"].check(_OBJECT.check(meta, "metadata").get("strategy_tag"),
+                                         "metadata.strategy_tag")
+    return schema.check(meta, {**METADATA, **MODEL_KINDS[tag].METADATA, **(required or {})},
+                        "metadata")
 
 
 def mlp_to_dict(net: Mlp, metadata: dict | None = None) -> dict:
@@ -106,8 +112,8 @@ def mlp_from_dict(doc: dict, path: str = "") -> Mlp:
 def model_to_doc(model, metadata: dict) -> dict:
     """The document of any strategy's model: `metadata` as given, plus p and
     the fields its kind's METADATA names; ConfigError unless the result fits
-    METADATA. Its `strategy_tag` must name a strategy that trains this kind
-    of model."""
+    `check_metadata`. Its `strategy_tag` must name a strategy that trains
+    this kind of model."""
     tag = metadata.get("strategy_tag")
     if MODEL_KINDS.get(tag) is not type(model):
         raise ConfigError(f"strategy_tag {tag!r} does not store a {type(model).__name__}")
@@ -118,7 +124,7 @@ def model_to_doc(model, metadata: dict) -> dict:
     meta["time_step_augmented"] = meta.get("max_step") is not None
     if not meta["time_step_augmented"] and STRATEGIES[tag].section != "dad":
         meta.pop("max_step", None)  # only a plain DaD document records it, as null
-    schema.check(meta, METADATA, "metadata")
+    check_metadata(meta)
     if model.ONE_NET:
         return mlp_to_dict(model.net, meta)
     return {
@@ -133,19 +139,18 @@ def model_from_doc(doc: dict):
     it fits, its metadata included."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {doc.get('format_version')!r}")
-    meta = schema.check(doc.get("metadata", {}), METADATA, "metadata")
-    if meta["time_step_augmented"] != (meta["max_step"] is not None):
-        raise ConfigError(f"metadata.max_step {meta['max_step']} disagrees with "
+    meta = check_metadata(doc.get("metadata", {}))
+    if meta["time_step_augmented"] != (meta.get("max_step") is not None):
+        raise ConfigError(f"metadata.max_step {meta.get('max_step')} disagrees with "
                           f"time_step_augmented {meta['time_step_augmented']}")
     kind = MODEL_KINDS[meta["strategy_tag"]]
-    own = schema.check({key: meta[key] for key in kind.METADATA}, kind.METADATA, "metadata")
     if kind.ONE_NET:
         nets = mlp_from_dict(doc)
     else:
         docs = schema.Seq(_OBJECT, "a list of network documents").check(
             doc.get("models"), "models")
         nets = [mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)]
-    fields = {"p": meta["p"], **own}
+    fields = {"p": meta["p"], **{key: meta[key] for key in kind.METADATA}}
     try:
         return kind(nets, **fields)
     except ShapeError as exc:

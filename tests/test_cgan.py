@@ -133,6 +133,16 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="synthetic count must be an integer >= 0"):
             cgan.resample_futures(tiny_data(), count, np.random.default_rng(0))
 
+    def test_resample_from_an_empty_set(self):
+        # any draw is refused; no draw still gives [0, q] and leaves rng as it was
+        empty = WindowedDataset(np.empty((0, 4)), np.empty((0, 3)), 4, 3)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="cannot draw 1 synthetic futures from an empty"):
+            cgan.resample_futures(empty, 1, rng)
+        assert cgan.resample_futures(empty, 0, rng).shape == (0, 3)
+        assert rng.bit_generator.state == state
+
     def test_empty_request(self):
         # zero rows: an empty set of the pair's p and q, and no draw from rng
         data = tiny_data()

@@ -557,6 +557,7 @@ class TestProbesExitTwo:
         ("evaluate", _set(["metadata"], "p", 3), [], "metadata.p 3, metadata.max_step None do not"),
         ("evaluate", _set(["metadata"], "strategy_tag", "multi"), [],
          "metadata.p 4, metadata.q 4 do not fit the networks: net dims (4, 1)"),
+        ("evaluate", _set(["metadata"], "hybrid", True), [], "unknown ['hybrid']"),
         ("compare", _set([], "overall_mse", "0.1"), [], "overall_mse"),
         ("compare", _set([], "overall_mse", None), [], "overall_mse"),
         ("compare", _set([], "model_tag", 3), [], "model_tag"),
@@ -566,8 +567,8 @@ class TestProbesExitTwo:
             "train-end-word", "sigma-str", "lr-generator-str", "split-offsets",
             "no-dropout-rate", "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
             "no-normalization", "metadata-list", "max-str", "dropout-rate-str", "p-2.5",
-            "cdad-no-depth", "p-over-net", "multi-q-over-net", "mse-str", "mse-null", "tag-int",
-            "synth-seed-neg"])
+            "cdad-no-depth", "p-over-net", "multi-q-over-net", "hybrid-on-recursive", "mse-str",
+            "mse-null", "tag-int", "synth-seed-neg"])
     def test_refused(self, tmp_path, series_csv, model_doc, capsys, command, edit, flags,
                      named):
         doc = {"train": base_config(), "evaluate": json.loads(json.dumps(model_doc)),
@@ -659,6 +660,61 @@ class TestMissingOutputDirectoryExitsTwo:
                    flag: str(tmp_path / "nodir" / "out")}
         self.refused(tmp_path, capsys, ["compare", "--reports", str(report), "--baseline",
                                         "recursive", *sum(outputs.items(), ())], flag)
+
+
+class TestDirectoryAsOutputExitsTwo:
+    """An output file that is an existing directory is refused before any
+    input is read or anything is trained or written."""
+
+    refused = staticmethod(TestMissingOutputDirectoryExitsTwo.refused)
+
+    def test_ingest(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,flow\n2011-01-01T00:00:00,1\n")
+        (tmp_path / "agg").mkdir()
+        self.refused(tmp_path, capsys, ["ingest", "--input", str(raw), "--output",
+                                        str(tmp_path / "agg")], "--output")
+
+    @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "trailing-slash"])
+    def test_synth_data(self, tmp_path, capsys, slash):
+        (tmp_path / "adir").mkdir()
+        self.refused(tmp_path, capsys, ["synth-data", "--points", "10", "--output",
+                                        str(tmp_path / "adir") + slash], "--output")
+
+    def test_train(self, tmp_path, series_csv, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("trained before the output path was checked")
+
+        monkeypatch.setattr(pipeline, "train", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config()))
+        (tmp_path / "m.json").mkdir()
+        self.refused(tmp_path, capsys, ["train", "--config", str(cfg), "--data", str(series_csv),
+                                        "--out", str(tmp_path / "m.json")], "--out")
+
+    @pytest.mark.parametrize("flag", ["--report", "--curves"])
+    def test_evaluate(self, tmp_path, series_csv, model_doc, capsys, flag):
+        model = tmp_path / "model.json"
+        serialize.dump_json(model_doc, model)
+        (tmp_path / "adir").mkdir()
+        outputs = {"--report": str(tmp_path / "r.json"), "--curves": str(tmp_path / "c.csv"),
+                   flag: str(tmp_path / "adir")}
+        self.refused(tmp_path, capsys, ["evaluate", "--model", str(model), "--data",
+                                        str(series_csv), *sum(outputs.items(), ())], flag)
+
+    def test_compare(self, tmp_path, capsys):
+        # --out is a prefix: a directory of that name is no obstacle, one named
+        # like the .json or .txt file it writes is
+        report = tmp_path / "r.json"
+        serialize.dump_json(_report(), report)
+        (tmp_path / "cmp").mkdir()
+        argv = ["compare", "--reports", str(report), "--baseline", "recursive", "--out",
+                str(tmp_path / "cmp")]
+        (tmp_path / "cmp.txt").mkdir()
+        self.refused(tmp_path, capsys, argv, "--out")
+        (tmp_path / "cmp.txt").rmdir()
+        assert cli.main(argv) == 0
+        assert (tmp_path / "cmp.json").is_file() and (tmp_path / "cmp.txt").is_file()
 
 
 class TestMalformedJsonExitsTwo:

@@ -58,21 +58,20 @@ class TestConfig:
             dad.train_cdad(series, val, small_cfg(conditional=False))
 
 
-def built(values, p, starts, preds, conditional, n_steps):
+def built(values, p, preds, conditional, n_steps):
     """A set allocated for one rollout, with that rollout's predictions written."""
-    return dad.build_augmented_dataset(
-        dad.augmented_set(values, p, starts, n_steps, conditional), preds
-    )
+    return dad.build_augmented_dataset(dad.augmented_set(values, p, n_steps, conditional), preds)
 
 
-def loop_augmented(values, p, starts, preds, n_steps, conditional):
+def loop_augmented(values, p, preds, n_steps, conditional):
     """The allocator and builder as per-row loops, the reference the
-    vectorised pair must equal bitwise."""
+    vectorised pair must equal bitwise: one rollout from every window
+    that has n_steps true successors."""
     xs = [values[i : i + p] for i in range(len(values) - p)]
     ys = [values[i + p] for i in range(len(values) - p)]
     tags = [0] * len(xs)
     for n in range(1, n_steps):
-        for j, s in enumerate(starts):
+        for j, s in enumerate(range(len(values) - p - n_steps + 1)):
             truth = list(values[s + n : s + p]) if n < p else []
             xs.append(np.array(truth + list(preds[j, max(0, n - p) : n])))
             ys.append(values[s + p + n])
@@ -95,29 +94,27 @@ class TestAugmentedDataset:
     def test_vectorised_builder_equals_loop_oracle(self, p, n_steps, extra, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0, 1, p + n_steps + extra)
-        positions = np.arange(extra + 1)
-        starts = np.sort(rng.choice(positions, size=rng.integers(1, extra + 2), replace=False))
-        preds = rng.uniform(0, 1, (len(starts), n_steps))
+        preds = rng.uniform(0, 1, (extra + 1, n_steps))  # one rollout per window
         for conditional in (False, True):
-            aug = built(values, p, starts, preds, conditional, n_steps)
+            aug = built(values, p, preds, conditional, n_steps)
             # a set rebuilt in place after another rollout's predictions
-            allocated = dad.augmented_set(values, p, starts, n_steps, conditional)
+            allocated = dad.augmented_set(values, p, n_steps, conditional)
             dad.build_augmented_dataset(allocated, rng.uniform(0, 1, preds.shape))
             rebuilt = dad.build_augmented_dataset(allocated, preds)
             assert np.shares_memory(rebuilt.histories, allocated.histories)
-            inputs, targets = loop_augmented(values, p, starts, preds, n_steps, conditional)
+            inputs, targets = loop_augmented(values, p, preds, n_steps, conditional)
             for each in (aug, rebuilt):
                 assert np.array_equal(each.histories, inputs)
                 assert np.array_equal(each.futures, targets[:, None])
 
     def test_three_point_enumeration(self):
-        # Series [1, 2, 3], p=1, rollout depth 2, one trajectory starting
-        # at index 0 whose first prediction was 0.9. Exactly three rows:
+        # Series [1, 2, 3], p=1, rollout depth 2: one trajectory, starting
+        # at index 0, whose first prediction was 0.9. Exactly three rows:
         # the two ground-truth pairs plus one synthetic pair targeting the
         # true value two steps out.
         aug = built(
-            np.array([1.0, 2.0, 3.0]), p=1, starts=np.array([0]),
-            preds=np.array([[0.9, 0.7]]), conditional=False, n_steps=2,
+            np.array([1.0, 2.0, 3.0]), p=1, preds=np.array([[0.9, 0.7]]), conditional=False,
+            n_steps=2,
         )
         assert aug.histories.tolist() == [[1.0], [2.0], [0.9]]
         assert aug.futures.tolist() == [[2.0], [3.0], [3.0]]
@@ -130,9 +127,8 @@ class TestAugmentedDataset:
         p, n_steps = 2, 3
         roll = make_windows(values, p, n_steps)
         net = nn.init_mlp([p, 3, 1], rng=0)
-        starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps)
-        aug = built(values, p, starts, preds, False, n_steps)
+        aug = built(values, p, preds, False, n_steps)
         n = len(values)
         expected = (n - p) + (n_steps - 1) * (n - p - n_steps + 1)
         assert len(aug) == expected
@@ -140,9 +136,9 @@ class TestAugmentedDataset:
     def test_ground_truth_rows_preserved_bit_exact(self):
         values = wave(12)
         one_step = make_windows(values, 3, 1)
-        aug = built(values, 3, np.empty(0, dtype=int), np.empty((0, 2)), False, n_steps=2)
-        assert np.array_equal(aug.histories, one_step.histories)
-        assert np.array_equal(aug.futures, one_step.futures)
+        aug = built(values, 3, np.full((8, 2), 9.0), False, n_steps=2)  # 8 rollouts
+        assert np.array_equal(aug.histories[: len(one_step)], one_step.histories)
+        assert np.array_equal(aug.futures[: len(one_step)], one_step.futures)
 
     def test_perfect_model_reproduces_true_windows(self):
         # f(x) = 0.5 x is exact on the geometric series 0.5^i, so every
@@ -151,9 +147,8 @@ class TestAugmentedDataset:
         net = nn.Mlp([nn.Layer(np.array([[0.5]]), np.zeros(1), "linear")])
         p, n_steps = 1, 3
         roll = make_windows(values, p, n_steps)
-        starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps)
-        aug = built(values, p, starts, preds, False, n_steps)
+        aug = built(values, p, preds, False, n_steps)
         for x, y in zip(aug.histories, aug.futures[:, 0]):
             # every row, synthetic or not, is a true (value, next value) pair
             i = int(np.argmin(np.abs(values - x[0])))
@@ -161,10 +156,8 @@ class TestAugmentedDataset:
             assert np.isclose(y, values[i + 1])
 
     def test_conditional_appends_scaled_tag_column(self):
-        aug = built(
-            np.array([1.0, 2.0, 3.0]), 1, np.array([0]), np.array([[0.9, 0.7]]),
-            conditional=True, n_steps=2,
-        )
+        aug = built(np.array([1.0, 2.0, 3.0]), 1, np.array([[0.9, 0.7]]), conditional=True,
+                    n_steps=2)
         assert aug.histories.shape == (3, 2)
         assert aug.histories[:, 1].tolist() == [0.0, 0.0, 0.5]  # depth / n_steps
 
@@ -174,58 +167,55 @@ class TestAugmentedDataset:
         p, n_steps = 2, 4
         roll = make_windows(values, p, n_steps)
         net = nn.init_mlp([p + 1, 3, 1], rng=1)
-        starts = np.arange(len(roll))
         preds = stg.rollout(net, roll.histories, n_steps, step_scale=n_steps)
-        aug = built(values, p, starts, preds, True, n_steps)
+        aug = built(values, p, preds, True, n_steps)
         assert sorted(set(aug.histories[:, p] * n_steps)) == list(range(n_steps))
 
     def test_depth_one_gives_no_synthetic_rows(self):
-        aug = built(np.array([1.0, 2.0]), 1, np.array([0]), np.array([[0.4]]), False, 1)
+        aug = built(np.array([1.0, 2.0]), 1, np.array([[0.4]]), False, 1)
         assert len(aug) == 1
 
     def test_misaligned_trajectory_rejected(self):
         values = np.array([1.0, 2.0, 3.0])
-        aug = dad.augmented_set(values, 1, np.array([0]), 2, False)
+        aug = dad.augmented_set(values, 1, 2, False)
         for bad in ([[0.9]], [0.9, 0.7], [[0.9, 0.7, 0.5]]):  # short, 1-D, long
             with pytest.raises(AlignmentError):
                 dad.build_augmented_dataset(aug, np.array(bad))
-        with pytest.raises(AlignmentError):  # start 5 has no two true successors
-            dad.augmented_set(values, 1, np.array([5]), 2, False)
 
     def test_starts_and_preds_must_pair_up(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        preds = np.array([[0.9, 0.7]])
-        two_starts = dad.augmented_set(values, 1, np.array([0, 1]), 2, False)
+        two_starts = dad.augmented_set(np.array([1.0, 2.0, 3.0, 4.0]), 1, 2, False)
+        assert two_starts.layout == (3, 1, 2)  # 3 one-step rows, so 2 rollouts
         with pytest.raises(AlignmentError):  # two starts, one rollout
-            dad.build_augmented_dataset(two_starts, preds)
-        for bad in ([0.5], [-1], [[0]]):  # fractional, negative, not one-dimensional
-            with pytest.raises(AlignmentError):
-                dad.augmented_set(values, 1, np.array(bad), 2, False)
+            dad.build_augmented_dataset(two_starts, np.array([[0.9, 0.7]]))
 
     @pytest.mark.parametrize("p", [0, 3, 4, 2.0], ids=["zero", "series-length", "past-end", "float"])
     def test_window_length_the_series_cannot_fill_rejected(self, p):
-        with pytest.raises(ConfigError):
-            dad.augmented_set(np.array([1.0, 2.0, 3.0]), p, np.empty(0, dtype=int), 1, False)
+        with pytest.raises(ConfigError, match="^p must be an integer in"):
+            dad.augmented_set(np.array([1.0, 2.0, 3.0]), p, 1, False)
+
+    def test_window_that_leaves_no_rollout_rejected(self):
+        # p = 2 fills the series, but no window of 2 has 2 true successors
+        with pytest.raises(ConfigError, match=r"^p must be an integer in \[1, 1\], got 2"):
+            dad.augmented_set(np.array([1.0, 2.0, 3.0]), 2, 2, False)
 
     @pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_steps", 2.5), ("n_steps", True),
                                               ("blocks", -1), ("blocks", 2.5)])
     def test_depth_and_block_count_are_integers(self, field, value):
         sizes = {"n_steps": 2, "blocks": 1, field: value}
         with pytest.raises(ConfigError, match=f"^{field} must be an integer >= "):
-            dad.augmented_set(np.arange(6.0), 1, np.array([0]), conditional=False, **sizes)
+            dad.augmented_set(np.arange(6.0), 1, conditional=False, **sizes)
 
 
 class TestReusedSet:
     """A rebuild writes only into a synthetic block the set was allocated with."""
 
     values, p, n_steps = wave(20), 3, 3
-    starts = np.arange(10)
-    preds = np.random.default_rng(0).uniform(0, 1, (10, 3))
+    preds = np.random.default_rng(0).uniform(0, 1, (15, 3))  # 20 - p - n_steps + 1 rollouts
 
     @pytest.mark.parametrize("block", [1, -1, 0.0], ids=["block-past-end", "block-negative",
                                                          "block-float"])
     def test_mismatch_raises_before_writing(self, block):
-        out = built(self.values, self.p, self.starts, self.preds, False, self.n_steps)
+        out = built(self.values, self.p, self.preds, False, self.n_steps)
         before = [out.histories.copy(), out.futures.copy()]
         with pytest.raises(AlignmentError):
             dad.build_augmented_dataset(out, self.preds * 2, block)
@@ -286,7 +276,7 @@ class TestMetaTrain:
         values, p, n_steps = wave(50), 3, 3
         roll = make_windows(values, p, n_steps)
         preds = stg.rollout(nn.init_mlp([p, 4, 1], rng=3), roll.histories, n_steps)
-        aug = built(values, p, np.arange(len(roll)), preds, True, n_steps)
+        aug = built(values, p, preds, True, n_steps)
         assert aug.histories[:, -1].max() > 0
         aug.histories[:, -1] = 0.0
         m0 = nn.init_mlp([p + 1, 4, 1], rng=np.random.default_rng(7))
@@ -351,9 +341,9 @@ def concatenating_builder(accumulate, values):
     bank = []
 
     def build(allocated, preds, block=0):
-        _, p, n_steps, rollouts = allocated.layout
+        _, p, n_steps = allocated.layout
         conditional = allocated.histories.shape[1] == p + 1
-        starts = np.arange(rollouts)
+        starts = np.arange(len(values) - p - n_steps + 1)
         one_step = make_windows(values, p, 1)
         xs, ys = [one_step.histories], [one_step.futures[:, 0]]
         ts = [np.zeros(len(one_step), dtype=int)]

@@ -114,8 +114,9 @@ class TestComparison:
     def test_baseline_row_has_no_improvement(self):
         reports = [mk_report("a", 0.0101, 0.08), mk_report("b", 0.0092, 0.07)]
         table = ev.build_comparison(reports, "a")
-        assert table.rows[0]["mse_improvement_pct"] is None
-        assert table.rows[1]["mse_improvement_pct"] == pytest.approx(8.91, abs=0.005)
+        assert table["baseline_tag"] == "a"
+        assert table["rows"][0]["mse_improvement_pct"] is None
+        assert table["rows"][1]["mse_improvement_pct"] == pytest.approx(8.91, abs=0.005)
 
     def test_three_model_table(self):
         reports = [
@@ -124,7 +125,7 @@ class TestComparison:
             mk_report("conditioned", 0.0078, 0.0563),
         ]
         table = ev.build_comparison(reports, "recursive")
-        got = [r["mse_improvement_pct"] for r in table.rows]
+        got = [r["mse_improvement_pct"] for r in table["rows"]]
         assert got[0] is None
         assert got[1] == pytest.approx(8.91, abs=0.005)
         assert got[2] == pytest.approx(22.77, abs=0.005)

@@ -43,7 +43,7 @@ def test_main_exports_the_medians_of_every_strategy(tmp_path, monkeypatch):
                                       "--epochs", "1", "--gan-epochs", "1", "--meta-iterations",
                                       "1", "--hidden-units", "4", "--out", str(tmp_path)])
     runpy.run_path(str(SCRIPT), run_name="__main__")
-    rows = list(csv.reader((tmp_path / "step_curves.csv").open()))
+    rows = list(csv.reader((tmp_path / "step_curves.csv").read_text().splitlines()))
     assert len(rows) == 1 + 8 * 8 and [row[0] for row in rows[1::8]] == tags
     for row in rows[1:]:  # plain float literals, not np.float64(...) reprs
         assert all(np.isfinite(float(cell)) for cell in row[2:])

@@ -291,7 +291,30 @@ class TestModelDocument:
         _, _, models = trained
         doc = serialize.model_to_doc(models[tag], {"strategy_tag": tag})
         del doc["metadata"]["q"]
-        with pytest.raises(ConfigError, match="metadata.q must be an integer"):
+        with pytest.raises(ConfigError, match=r"metadata keys missing \['q'\]"):
+            serialize.model_from_doc(doc)
+
+    @pytest.mark.parametrize("tag, extra, unknown", [
+        ("multi", {"max_step": 5, "time_step_augmented": True}, "max_step"),
+        ("multi", {"hybrid": True}, "hybrid"),
+        ("recursive", {"hybrid": True}, "hybrid"),
+        ("direct", {"max_step": 4, "time_step_augmented": True}, "max_step"),
+    ], ids=["multi-depth", "multi-hybrid", "recursive-hybrid", "direct-depth"])
+    def test_field_of_another_kind_refused(self, trained, tag, extra, unknown):
+        _, _, models = trained
+        with pytest.raises(ConfigError, match=rf"unknown \['{unknown}'\]"):
+            serialize.model_to_doc(models[tag], {"strategy_tag": tag, **extra})
+        doc = serialize.model_to_doc(models[tag], {"strategy_tag": tag})
+        doc["metadata"].update(extra)
+        missing = rf"^metadata keys missing \[\], unknown \['{unknown}'\]"
+        with pytest.raises(ConfigError, match=missing):
+            serialize.model_from_doc(doc)
+
+    def test_step_input_flag_without_depth_refused_on_load(self, trained):
+        _, _, models = trained
+        doc = serialize.model_to_doc(models["multi"], {"strategy_tag": "multi"})
+        doc["metadata"]["time_step_augmented"] = True
+        with pytest.raises(ConfigError, match="metadata.max_step None disagrees"):
             serialize.model_from_doc(doc)
 
     def test_depth_without_step_input_refused_on_load(self, trained):
