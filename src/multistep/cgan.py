@@ -9,18 +9,18 @@ the baseline it is compared against.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (ARCH, Mlp, Workspace, adam_step, backward, batches, forward, init_adam,
-                 init_net, input_grad)
+from .nn import (ARCH, DROPOUT, AdamState, Mlp, Workspace, adam_step, backward, batches,
+                 forward, init_net, input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
-# the `cgan` config section; CganConfig checks the fields it shares with it
+# the `cgan` config section
 SECTION = {
     "noise_dim": schema.Int(1, default=16),
     "lr_discriminator": schema.Real(gt=0, default=2e-4),
@@ -33,21 +33,11 @@ SECTION = {
 NOISE = {"sigma": schema.Real(ge=0, default=0.1), "interpret_as_stddev": schema.Bool(default=True)}
 
 
-@dataclass
-class CganConfig:
-    noise_dim: int = 16
-    lr_discriminator: float = 2e-4
-    lr_generator: float = 1e-4
-    epochs: int = 200
-    batch_size: int = 64
-    synthetic_count: int | None = None  # rows `multi-cgan` adds; None: one per real window
-    seed: int = 0
-    hidden_layers: int = 2
-    hidden_units: int = 150
-    dropout: float = 0.0
-
+# the `cgan` section, both nets' architecture (by default without dropout) and a seed
+class CganConfig(schema.record("CganConfig", SECTION, ARCH, dropout=replace(DROPOUT, default=0.0),
+                               seed=schema.Int(0, default=0))):
     def __post_init__(self):
-        schema.check_fields(self, dict(SECTION, **ARCH, seed=schema.Int(0)))
+        super().__post_init__()
         if self.lr_discriminator < self.lr_generator:
             warnings.warn(
                 "discriminator learning rate below generator's; the "
@@ -121,8 +111,8 @@ def train_cgan(
     arch = {k: getattr(cfg, k) for k in ARCH}
     gen = init_net(cfg.noise_dim + q, p, rng, **arch)
     disc = init_net(p + q, 1, rng, **arch, final_activation="sigmoid")
-    g_state = init_adam(gen.params, learning_rate=cfg.lr_generator)
-    d_state = init_adam(disc.params, learning_rate=cfg.lr_discriminator)
+    g_state = AdamState(gen.params, cfg.lr_generator)
+    d_state = AdamState(disc.params, cfg.lr_discriminator)
 
     n, nd = len(data), cfg.noise_dim
     pairs = np.concatenate([data.histories, data.futures], axis=1)  # real [h | futures]

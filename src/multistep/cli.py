@@ -74,19 +74,25 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
     return cfg
 
 
+# the suffixes a command adds to an output flag's path for the files it writes,
+# where that is not the path alone: compare's --out is a prefix
+WRITES = {("ingest", "output"): ("", ".json"), ("train", "out"): ("", ".config.json", ".log.json"),
+          ("compare", "out"): (".json", ".txt")}
+
+
 def _check_outputs(args) -> None:
-    """Refuse, before any work, an output flag whose directory does not exist or
-    that names an existing directory (for compare's --out prefix, its .json or
-    .txt file); the siblings written beside an output share its directory."""
+    """Refuse, before any work, an output flag whose directory does not exist,
+    or one of whose files is an existing directory; the files written beside
+    an output share its directory."""
     for flag in ("output", "out", "report", "curves"):
         path = getattr(args, flag, None)
         if path is None:
             continue
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"--{flag} {path}: its directory does not exist")
-        prefix = (args.command, flag) == ("compare", "out")
-        if any(map(os.path.isdir, [path + ".json", path + ".txt"] if prefix else [path])):
-            raise ConfigError(f"--{flag} {path}: names an existing directory")
+        for file in (path + suffix for suffix in WRITES.get((args.command, flag), ("",))):
+            if os.path.isdir(file):
+                raise ConfigError(f"--{flag} {path}: {file} is an existing directory")
 
 
 def _load_series(path, recipe: dict):
@@ -142,8 +148,9 @@ def cmd_train(args) -> int:
         **arch,
         dad=cfg.get("dad"),
         noise=cfg.get("noise"),
-        # the C-GAN's nets take the predictor's layers and units, without dropout
-        cgan=cgan.CganConfig(seed=cfg["seed"], **dict(arch, dropout=0.0), **gan) if gan else None,
+        # the C-GAN's nets take the predictor's layers and units, not its dropout
+        cgan=cgan.CganConfig(seed=cfg["seed"], hidden_layers=arch["hidden_layers"],
+                             hidden_units=arch["hidden_units"], **gan) if gan else None,
     )
     model, training_log = pipeline.train(strategy, train_values, val_values, spec)
     meta = {

@@ -18,37 +18,28 @@ import numpy as np
 from . import schema
 from .data import WindowedDataset, make_windows
 from .errors import AlignmentError, ConfigError
-from .nn import ARCH, TRAIN, Mlp, TrainConfig, fit, init_net
+from .nn import ARCH, BUDGET, DROPOUT, TRAIN, Mlp, TrainConfig, fit, init_net
 from .strategies import RecursiveModel, rollout
 
-# the `dad` config section; DadConfig checks the fields it shares with it
+# the `dad` config section
 SECTION = {
-    "n_steps": schema.Int(1, default=8),
-    "meta_iterations": schema.Int(1, default=30),
+    "n_steps": schema.Int(1, default=8),  # rollout depth N
+    "meta_iterations": schema.Int(1, default=30),  # K
     "inner_epochs": replace(TRAIN["epochs"], default=50),
     "selection_metric": schema.OneOf(("mse", "mae"), default="mse"),
-    "accumulate": schema.Bool(default=False),
+    "accumulate": schema.Bool(default=False),  # keep synthetic rows from earlier iterations
 }
 
 
-@dataclass
-class DadConfig:
-    p: int
-    n_steps: int  # rollout depth N
-    meta_iterations: int  # K
-    inner_train: TrainConfig  # the budget of the K inner fits
-    base_train: TrainConfig  # the base net's budget, and CDaD's M_0's
-    conditional: bool = False
-    selection_metric: str = "mse"
-    hidden_layers: int = 2
-    hidden_units: int = 150
-    dropout: float = 0.0  # of the base net and CDaD's M_0, which later iterates keep
-    accumulate: bool = False  # keep synthetic rows from earlier iterations
-
-    def __post_init__(self):
-        budget = schema.Kind("a TrainConfig", lambda v: isinstance(v, TrainConfig))
-        schema.check_fields(self, dict(SECTION, **ARCH, p=schema.Int(1), conditional=schema.Bool(),
-                                       inner_train=budget, base_train=budget))
+# one DaD or CDaD run; `dropout` is the base net's and CDaD's M_0's, which later iterates
+# keep, `inner_train` the K inner fits' budget and `base_train` the base net's and M_0's
+DadConfig = schema.record(
+    "DadConfig", {k: kind for k, kind in SECTION.items() if k != "inner_epochs"}, ARCH,
+    n_steps=replace(SECTION["n_steps"], default=...),
+    meta_iterations=replace(SECTION["meta_iterations"], default=...),
+    dropout=replace(DROPOUT, default=0.0),
+    p=schema.Int(1), inner_train=BUDGET, base_train=BUDGET, conditional=schema.Bool(default=False),
+)
 
 
 @dataclass

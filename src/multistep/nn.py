@@ -8,7 +8,7 @@ against finite differences in the test suite instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -120,28 +120,25 @@ class Mlp:
         return Mlp(list(self.layers), self.dropout_rate)
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 64
-    seed: int = 0
-    learning_rate: float = 1e-3
-
-    def __post_init__(self):
-        schema.check_fields(self, dict(TRAIN, seed=schema.Int(0)))
+TrainConfig = schema.record("TrainConfig", TRAIN, seed=schema.Int(0, default=0))
+BUDGET = schema.Kind("a TrainConfig", lambda v: isinstance(v, TrainConfig))
 
 
 @dataclass
 class AdamState:
-    first_moment: np.ndarray  # flat, like Mlp.params
-    second_moment: np.ndarray
-    step_count: int = 0
+    """Adam's state for the flat vector `params`, like Mlp.params: zero moments at step 0."""
+
+    params: InitVar[np.ndarray]
     learning_rate: float = 1e-3
+    step_count: int = field(default=0, init=False)
+    first_moment: np.ndarray = field(init=False)
+    second_moment: np.ndarray = field(init=False)
     # scratch vectors adam_step writes its temporaries into
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
+    def __post_init__(self, params):
+        self.first_moment, self.second_moment = np.zeros_like(params), np.zeros_like(params)
+        self.scratch = (np.zeros_like(params), np.zeros_like(params))
 
 
 def init_mlp(
@@ -282,6 +279,7 @@ def forward(
             raise ConfigError("train-mode forward with dropout requires an rng")
         caches = workspace.dropout_layer_caches()
         keep = 1.0 - net.dropout_rate
+        scale = 1.0 / keep  # a mask of 0.0 and 1.0 times scale has the bits of mask / keep
 
     caches[0].inputs = x
     for i, ((_, wt, bias, act, product), lc) in enumerate(zip(net.plan, caches)):
@@ -302,7 +300,7 @@ def forward(
             mask = lc.mask
             rng.random(out=mask)
             np.less(mask, keep, out=mask)
-            mask /= keep
+            mask *= scale
             np.multiply(h, mask, out=workspace.dropped[i])
     workspace.layer_caches = caches
     return h, workspace
@@ -393,15 +391,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def init_adam(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
-    return AdamState(
-        first_moment=np.zeros_like(params),
-        second_moment=np.zeros_like(params),
-        step_count=0,
-        learning_rate=learning_rate,
-    )
-
-
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of params, m and v, all in place.
 
@@ -469,16 +458,20 @@ def fit(net: Mlp, dataset, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
 
     trained = net.copy()
     rng = np.random.default_rng(cfg.seed)
-    state = init_adam(trained.params, learning_rate=cfg.learning_rate)
+    state = AdamState(trained.params, cfg.learning_rate)
     n, bs, q = x.shape[0], cfg.batch_size, y.shape[1]
     # a workspace and the loss's diff and square buffers per batch row count
     starts, work = batches(
         n, bs, lambda rows: (Workspace(trained, rows), np.empty((rows, q)), np.empty((rows, q)))
     )
+    # each epoch's shuffled rows, gathered into the same two buffers; no index of
+    # the permutation clips, and a take that may raise gathers into a copy first
+    x_epoch, y_epoch = np.empty(x.shape), np.empty(y.shape)
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        x_epoch, y_epoch = x[order], y[order]
+        np.take(x, order, axis=0, out=x_epoch, mode="clip")
+        np.take(y, order, axis=0, out=y_epoch, mode="clip")
         epoch_loss = 0.0
         for start in starts:
             yb = y_epoch[start : start + bs]

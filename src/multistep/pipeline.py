@@ -9,33 +9,29 @@ sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import cgan, dad, strategies
+from . import cgan, dad, schema, strategies
 from .cgan import CganConfig
 from .data import WindowedDataset, make_windows
 from .errors import ConfigError
-from .nn import ARCH, TrainConfig
+from .nn import ARCH, BUDGET, DROPOUT
 
 
-@dataclass(frozen=True)
-class TrainSpec:
-    """What a strategy trains with besides its data. The seed of `train`
-    also seeds the noise and C-GAN sampling; `dad`, `noise` and `cgan` are
-    read only by the strategies whose table row names them."""
-
-    p: int
-    q: int
-    train: TrainConfig  # the predictor's budget
-    hidden_layers: int  # the predictor's architecture: these two and dropout
-    hidden_units: int
-    dropout: float = 0.0
-    dad: dict | None = None  # n_steps, meta_iterations, inner_epochs[, DadConfig fields]
-    noise: dict | None = None  # sigma[, interpret_as_stddev]
-    cgan: CganConfig | None = None  # with the GAN's own architecture, seed and row count
+# what a strategy trains with besides its data; the seed of `train` also seeds the noise and
+# C-GAN sampling, and only the strategies whose row names `dad`, `noise` or `cgan` read it
+_SECTION = schema.Table(None, null=True)  # a config section's dict, or null
+TrainSpec = schema.record(
+    "TrainSpec", ARCH,
+    hidden_layers=replace(ARCH["hidden_layers"], default=...),
+    hidden_units=replace(ARCH["hidden_units"], default=...),
+    dropout=replace(DROPOUT, default=0.0),
+    p=schema.Int(1), q=schema.Int(1), train=BUDGET, dad=_SECTION, noise=_SECTION,
+    cgan=schema.Kind("a CganConfig", lambda v: isinstance(v, CganConfig), default=None),
+)
 
 
 def _arch(spec: TrainSpec) -> dict:

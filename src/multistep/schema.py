@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass, fields, make_dataclass
 from datetime import datetime
 from typing import Callable
 
@@ -69,6 +70,19 @@ def check_fields(obj, table: dict) -> None:
     for f in fields(obj):
         if f.name in table:
             table[f.name].check(getattr(obj, f.name), f.name)
+
+
+def record(name: str, *tables: dict, **rows: Kind) -> type:
+    """A dataclass of the caller's module with one field per row of `tables`,
+    then of `rows`; a later row of a key replaces the earlier one in place.
+    Each field takes its row's default, and one of ... makes it required:
+    required fields come first, in row order. Building one runs `check_fields`."""
+    table = {key: kind for t in (*tables, rows) for key, kind in t.items()}
+    ordered = sorted(table.items(), key=lambda row: row[1].default is not ...)
+    return make_dataclass(name, [(k, object) if kind.default is ... else (k, object, kind.default)
+                                 for k, kind in ordered],
+                          namespace={"__post_init__": lambda self: check_fields(self, table),
+                                     "__module__": sys._getframe(1).f_globals["__name__"]})
 
 
 def Int(lo: int, default=...) -> Kind:

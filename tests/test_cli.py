@@ -692,6 +692,25 @@ class TestDirectoryAsOutputExitsTwo:
         self.refused(tmp_path, capsys, ["train", "--config", str(cfg), "--data", str(series_csv),
                                         "--out", str(tmp_path / "m.json")], "--out")
 
+    def test_ingest_sidecar(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,flow\n2011-01-01T00:00:00,1\n")
+        (tmp_path / "agg.csv.json").mkdir()
+        self.refused(tmp_path, capsys, ["ingest", "--input", str(raw), "--output",
+                                        str(tmp_path / "agg.csv")], "--output")
+
+    @pytest.mark.parametrize("sibling", [".config.json", ".log.json"])
+    def test_train_sibling(self, tmp_path, series_csv, capsys, monkeypatch, sibling):
+        def never(*args):
+            raise AssertionError("trained before the output path was checked")
+
+        monkeypatch.setattr(pipeline, "train", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config()))
+        (tmp_path / ("m.json" + sibling)).mkdir()
+        self.refused(tmp_path, capsys, ["train", "--config", str(cfg), "--data", str(series_csv),
+                                        "--out", str(tmp_path / "m.json")], "--out")
+
     @pytest.mark.parametrize("flag", ["--report", "--curves"])
     def test_evaluate(self, tmp_path, series_csv, model_doc, capsys, flag):
         model = tmp_path / "model.json"

@@ -168,6 +168,16 @@ class TestIngest:
         assert len(s) == 4
         assert s.values[1] == 20.0  # midpoint of 10 and 30
 
+    def test_gap_linear_fill_bits(self, tmp_path):
+        # prev + (value - prev) * k / steps, in that order: 31 * 1 / 3 and
+        # 31 * (1 / 3) differ in the last bit
+        rows = mk_rows(5, values=[10.0, 0, 0, 41.0, 50.0])
+        del rows[1:3]
+        f = tmp_path / "s.csv"
+        write_csv(f, rows)
+        s = dt.ingest_csv(f, FIVE_MIN, gap_policy="linear")
+        assert s.values.tolist()[:4] == [10.0, 20.333333333333336, 30.666666666666668, 41.0]
+
     @pytest.mark.parametrize("n", [2, 30])
     def test_gap_linear_refuses_a_coarser_series(self, tmp_path, n):
         # 15-minute rows read as 5-minute data would be two thirds invented points
@@ -318,6 +328,11 @@ class TestTimeSeries:
 
     BAD_RESOLUTIONS = pytest.mark.parametrize(
         "resolution", [timedelta(0), timedelta(minutes=-5), 5], ids=["0", "-5", "int"])
+
+    def test_negative_value(self):
+        # ingest_csv refuses the row first; a library caller reaches this check
+        with pytest.raises(IngestError, match="negative flow values"):
+            dt.TimeSeries(datetime(2011, 1, 1), np.array([1.0, -0.5, 2.0]), FIVE_MIN)
 
     @BAD_RESOLUTIONS
     def test_non_positive_resolution(self, resolution):

@@ -452,10 +452,18 @@ class TestMseLoss:
 
 
 class TestAdam:
+    def test_state_starts_with_zero_moments_of_the_params_shape(self):
+        params = np.arange(5.0)
+        state = nn.AdamState(params, learning_rate=0.5)
+        for moment in (state.first_moment, state.second_moment, *state.scratch):
+            assert moment.shape == params.shape and not moment.any()
+            assert not np.shares_memory(moment, params)
+        assert (state.step_count, state.learning_rate) == (0, 0.5)
+
     def test_zero_gradient_keeps_params(self):
         params = np.array([1.0, -2.0])
         before = params.copy()
-        state = nn.init_adam(params)
+        state = nn.AdamState(params)
         nn.adam_step(params, np.zeros(2), state)
         assert np.array_equal(params, before)
         assert state.step_count == 1
@@ -463,7 +471,7 @@ class TestAdam:
     def test_first_step_hand_computation(self):
         # Bias correction makes the first step ~ lr * sign(grad).
         params = np.array([1.0])
-        state = nn.init_adam(params, learning_rate=1e-3)
+        state = nn.AdamState(params, learning_rate=1e-3)
         nn.adam_step(params, np.array([0.5]), state)
         expected = 1.0 - 1e-3 * 0.5 / (0.5 + 1e-8)
         assert np.allclose(params[0], expected)
@@ -471,7 +479,7 @@ class TestAdam:
 
     def test_constant_gradient_monotone_decrease(self):
         params = np.array([1.0])
-        state = nn.init_adam(params, learning_rate=1e-2)
+        state = nn.AdamState(params, learning_rate=1e-2)
         grad = np.array([0.3])
         values = [params[0]]
         for _ in range(2):
@@ -480,7 +488,7 @@ class TestAdam:
         assert values[0] > values[1] > values[2]
 
     def test_shape_mismatch(self):
-        state = nn.init_adam(np.zeros(2))
+        state = nn.AdamState(np.zeros(2))
         with pytest.raises(ShapeError):
             nn.adam_step(np.zeros(2), np.zeros(3), state)
 
@@ -488,7 +496,7 @@ class TestAdam:
         rng = np.random.default_rng(11)
         net = nn.init_mlp([4, 9, 7, 2], rng=rng)
         ref_params = split_like_layers(net.params, net)
-        state = nn.init_adam(net.params, learning_rate=3e-3)
+        state = nn.AdamState(net.params, learning_rate=3e-3)
         ref_state = ([np.zeros_like(p) for p in ref_params],
                      [np.zeros_like(p) for p in ref_params], 0, 3e-3, 0.9, 0.999, 1e-8)
         for _ in range(50):
@@ -621,6 +629,11 @@ def dad_config(**fields):
                          base_train=nn.TrainConfig(), **fields)
 
 
+def train_spec(**fields):
+    return pipeline.TrainSpec(**{"p": 2, "q": 2, "train": nn.TrainConfig(), "hidden_layers": 1,
+                                 "hidden_units": 4, **fields})
+
+
 class TestConfigFields:
     @pytest.mark.parametrize("build, field, value", [
         (nn.TrainConfig, "seed", 1.5), (nn.TrainConfig, "seed", -1),
@@ -631,6 +644,8 @@ class TestConfigFields:
         (cgan.CganConfig, "hidden_layers", 1.0),
         (dad_config, "hidden_units", 0), (dad_config, "hidden_units", True),
         (dad_config, "hidden_layers", 2.0),
+        (train_spec, "hidden_units", 0), (train_spec, "q", 0), (train_spec, "train", {}),
+        (train_spec, "dad", [8]), (train_spec, "cgan", {}),
     ])
     def test_bad_field_is_named(self, build, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
@@ -641,6 +656,7 @@ class TestConfigFields:
         nn.TrainConfig(seed=np.uint32(2**32 - 1))
         cgan.CganConfig(seed=3, dropout=0.5, hidden_layers=0, hidden_units=1)
         dad_config(hidden_layers=0, hidden_units=np.int64(3))
+        train_spec(dad={"n_steps": 2}, noise=None, cgan=cgan.CganConfig())
 
 
 class TestOneArchitecture:
@@ -659,6 +675,25 @@ class TestOneArchitecture:
             assert key in {f.name for f in dataclasses.fields(holder)}
         assert key in cli.CONFIG["model"].rows
         assert key in inspect.signature(nn.init_net).parameters
+
+    def test_dad_config_is_its_section_its_net_and_its_run(self):
+        fields = {f.name for f in dataclasses.fields(dad.DadConfig)}
+        assert fields == (set(dad.SECTION) - {"inner_epochs"} | set(nn.ARCH)
+                          | {"p", "conditional", "inner_train", "base_train"})
+
+    def test_train_spec_is_the_predictor_and_each_section(self):
+        fields = {f.name for f in dataclasses.fields(pipeline.TrainSpec)}
+        assert fields == set(nn.ARCH) | {"p", "q", "train", "dad", "noise", "cgan"}
+
+    def test_defaults_that_differ_from_the_tables(self):
+        defaults = {(r.__name__, f.name): f.default for r in (cgan.CganConfig, dad.DadConfig,
+                                                              pipeline.TrainSpec)
+                    for f in dataclasses.fields(r)}
+        assert nn.ARCH["dropout"].default == 0.1
+        assert defaults["CganConfig", "dropout"] == defaults["DadConfig", "dropout"] == 0.0
+        for required in [("DadConfig", "n_steps"), ("DadConfig", "meta_iterations"),
+                         ("TrainSpec", "hidden_layers"), ("TrainSpec", "hidden_units")]:
+            assert defaults[required] is dataclasses.MISSING
 
 
 class TestFit:

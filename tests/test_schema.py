@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +100,38 @@ class TestCheckFields:
         schema.check_fields(Budget(np.int64(3), seed=(1, 2)), table)
         with pytest.raises(ConfigError, match="^epochs must be an integer >= 0, got float 2.5"):
             schema.check_fields(Budget(2.5), table)
+
+
+Point = schema.record("Point", {"x": schema.Int(0, default=1), "y": schema.Real()},
+                      {"x": schema.Int(0, default=2)}, z=schema.Int(0))
+
+
+class TestRecord:
+    def test_required_fields_come_first_in_row_order(self):
+        assert [f.name for f in dataclasses.fields(Point)] == ["y", "z", "x"]
+        assert Point(0.5, 3) == Point(y=0.5, z=3, x=2)
+
+    def test_a_later_row_replaces_an_earlier_one_in_place(self):
+        rows = {"a": schema.Int(0, default=1), "b": schema.Int(0, default=2)}
+        record = schema.record("R", rows, a=schema.Int(5, default=7))
+        assert [f.name for f in dataclasses.fields(record)] == ["a", "b"]
+        assert record() == record(a=7, b=2)
+        with pytest.raises(ConfigError, match="^a must be an integer >= 5, got int 1"):
+            record(a=1)
+
+    @pytest.mark.parametrize("changes, field", [({"y": float("nan")}, "y"), ({"z": -1}, "z"),
+                                                ({"x": 1.5}, "x")])
+    def test_building_checks_each_field_by_name(self, changes, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            Point(**{"y": 0.5, "z": 3, **changes})
+
+    def test_replace_checks_and_pickle_finds_the_class(self):
+        point = Point(0.5, 3)
+        assert dataclasses.replace(point, x=4) == Point(0.5, 3, 4)
+        with pytest.raises(ConfigError, match="^x must be "):
+            dataclasses.replace(point, x=-1)
+        assert Point.__module__ == __name__
+        assert pickle.loads(pickle.dumps(point)) == point
 
 
 def test_is_int_takes_numpy_integers_but_no_bool():

@@ -85,7 +85,7 @@ def oracle_backprop(net, caches, loss_grad, params):
 def oracle_fit(net, x, y, cfg):
     trained = net.copy()
     rng = np.random.default_rng(cfg.seed)
-    state = nn.init_adam(trained.params, learning_rate=cfg.learning_rate)
+    state = nn.AdamState(trained.params, learning_rate=cfg.learning_rate)
     n, history = x.shape[0], []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -113,8 +113,8 @@ def oracle_train_cgan(data, cfg, holdout=None):
     gen = nn.init_mlp([cfg.noise_dim + q, *hidden, p], dropout_rate=cfg.dropout, rng=rng)
     disc = nn.init_mlp([p + q, *hidden, 1], dropout_rate=cfg.dropout, rng=rng,
                        final_activation="sigmoid")
-    g_state = nn.init_adam(gen.params, learning_rate=cfg.lr_generator)
-    d_state = nn.init_adam(disc.params, learning_rate=cfg.lr_discriminator)
+    g_state = nn.AdamState(gen.params, learning_rate=cfg.lr_generator)
+    d_state = nn.AdamState(disc.params, learning_rate=cfg.lr_discriminator)
     lo, hi = cgan.PROB_EPS, 1 - cgan.PROB_EPS  # np.clip bounds of the probabilities
     n, log = len(data), []
     eval_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x60DA)))
