@@ -133,7 +133,7 @@ def train_cgan(
             idx = order[start : start + cfg.batch_size]
             b = len(idx)
             g_ws, real_ws, fake_ws, z, gen_in, real_in, fake_in, pr, pf, grad_r, grad_f = work[b]
-            np.take(pairs, idx, axis=0, out=real_in)
+            np.take(pairs, idx, axis=0, out=real_in, mode="clip")  # idx never clips
             gen_in[:, nd:] = fake_in[:, p:] = real_in[:, p:]
 
             # --- discriminator update ---
@@ -229,7 +229,7 @@ def noise_augment(
     Futures stay exact. With interpret_as_stddev=False, sigma is taken as
     a variance and the standard deviation used is sqrt(sigma).
     """
-    NOISE["sigma"].check(sigma, "sigma")
+    schema.check({"sigma": sigma, "interpret_as_stddev": interpret_as_stddev}, NOISE)
     std = sigma if interpret_as_stddev else float(np.sqrt(sigma))
     noisy = data.histories + rng.normal(0.0, std, size=data.histories.shape)
     histories = np.concatenate([data.histories, noisy])

@@ -1,8 +1,9 @@
 """Dense feed-forward network core.
 
-Explicit forward/backward passes, inverted dropout, MSE loss and Adam,
-all in float64 numpy. No autograd framework: gradients are checked
-against finite differences in the test suite instead.
+Explicit forward/backward passes, inverted dropout and Adam, all in
+float64 numpy; `fit` forms the MSE loss and its gradient in place. No
+autograd framework: gradients are checked against finite differences of
+the test suite's MSE oracle instead.
 """
 
 from __future__ import annotations
@@ -377,18 +378,6 @@ def input_grad(net: Mlp, cache: Workspace, loss_grad: np.ndarray) -> np.ndarray:
     like `backward`'s, aliases the cache.
     """
     return _backprop(net, cache, loss_grad, params=False)
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over every entry of pred; grad = 2*(pred-target)/size."""
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:

@@ -22,14 +22,15 @@ from .nn import ARCH, BUDGET, DROPOUT
 
 
 # what a strategy trains with besides its data; the seed of `train` also seeds the noise and
-# C-GAN sampling, and only the strategies whose row names `dad`, `noise` or `cgan` read it
-_SECTION = schema.Table(None, null=True)  # a config section's dict, or null
+# C-GAN sampling, and only the strategies whose row names `dad`, `noise` or `cgan` read it.
+# `dad` and `noise` hold their config section as its table fills it, or null.
 TrainSpec = schema.record(
     "TrainSpec", ARCH,
     hidden_layers=replace(ARCH["hidden_layers"], default=...),
     hidden_units=replace(ARCH["hidden_units"], default=...),
     dropout=replace(DROPOUT, default=0.0),
-    p=schema.Int(1), q=schema.Int(1), train=BUDGET, dad=_SECTION, noise=_SECTION,
+    p=schema.Int(1), q=schema.Int(1), train=BUDGET,
+    dad=schema.Table(dad.SECTION, null=True), noise=schema.Table(cgan.NOISE, null=True),
     cgan=schema.Kind("a CganConfig", lambda v: isinstance(v, CganConfig), default=None),
 )
 

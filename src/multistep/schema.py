@@ -76,12 +76,18 @@ def record(name: str, *tables: dict, **rows: Kind) -> type:
     """A dataclass of the caller's module with one field per row of `tables`,
     then of `rows`; a later row of a key replaces the earlier one in place.
     Each field takes its row's default, and one of ... makes it required:
-    required fields come first, in row order. Building one runs `check_fields`."""
+    required fields come first, in row order. Building one checks each field
+    in that order and stores what its row's check returns: the value as
+    given, or an object row's filled copy."""
     table = {key: kind for t in (*tables, rows) for key, kind in t.items()}
     ordered = sorted(table.items(), key=lambda row: row[1].default is not ...)
+
+    def __post_init__(self):
+        for key, kind in ordered:
+            setattr(self, key, kind.check(getattr(self, key), key))
     return make_dataclass(name, [(k, object) if kind.default is ... else (k, object, kind.default)
                                  for k, kind in ordered],
-                          namespace={"__post_init__": lambda self: check_fields(self, table),
+                          namespace={"__post_init__": __post_init__,
                                      "__module__": sys._getframe(1).f_globals["__name__"]})
 
 

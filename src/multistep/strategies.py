@@ -193,6 +193,7 @@ def train_direct(
     models (not ground truth), so later models see the same error-bearing
     inputs at train and predict time.
     """
+    DirectModelSet.METADATA["hybrid"].check(hybrid, "hybrid")
     models: list[Mlp] = []
     extra = np.empty((len(data), 0))
     for h in range(1, data.q + 1):

@@ -13,6 +13,7 @@ import pytest
 
 from multistep import cgan, cli, evaluation, nn, pipeline, serialize, strategies, synth
 from multistep.data import WindowedDataset, make_windows
+from test_nn import mse_loss
 
 pytestmark = pytest.mark.acceptance
 
@@ -90,7 +91,7 @@ def test_criterion_01_gradient_correctness(announce):
         x = rng.standard_normal(dims[0])[None, :]
         y = rng.standard_normal(dims[-1])[None, :]
         pred, cache = nn.forward(net, x)
-        _, lg = nn.mse_loss(pred, y)
+        _, lg = mse_loss(pred, y)
         analytic = nn.backward(net, cache, lg)
 
         h = 1e-5
@@ -98,9 +99,9 @@ def test_criterion_01_gradient_correctness(announce):
         for i in range(params.size):
             orig = params[i]
             params[i] = orig + h
-            up, _ = nn.mse_loss(nn.forward(net, x)[0], y)
+            up, _ = mse_loss(nn.forward(net, x)[0], y)
             params[i] = orig - h
-            down, _ = nn.mse_loss(nn.forward(net, x)[0], y)
+            down, _ = mse_loss(nn.forward(net, x)[0], y)
             params[i] = orig
             numeric = (up - down) / (2 * h)
             rel = abs(analytic[i] - numeric) / max(abs(numeric), 1e-8)

@@ -236,3 +236,9 @@ class TestNoiseAugment:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             cgan.noise_augment(tiny_data(), -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("flag", ["no", 0, None, 2])
+    def test_interpret_as_stddev_must_be_a_bool(self, flag):
+        with pytest.raises(ConfigError, match="^interpret_as_stddev must be true or false"):
+            cgan.noise_augment(tiny_data(), 0.1, np.random.default_rng(0),
+                               interpret_as_stddev=flag)

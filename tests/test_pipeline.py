@@ -181,3 +181,31 @@ def test_unknown_strategy_rejected():
 def test_missing_section_rejected(tag, field):
     with pytest.raises(ConfigError, match=f"spec.{field}"):
         pipeline.train(tag, TRAIN, VAL, replace(SPEC, **{field: None}))
+
+
+def test_a_dad_section_without_inner_epochs_trains_with_the_tables_default():
+    section = {"n_steps": 2, "meta_iterations": 1}
+    spec = replace(SPEC, dad=section)
+    assert spec.dad == {**section, "inner_epochs": 50, "selection_metric": "mse",
+                        "accumulate": False}
+    model, log = pipeline.train("dad", TRAIN, VAL, spec)
+    ref_model, ref_log = pipeline.train("dad", TRAIN, VAL,
+                                        replace(SPEC, dad={**section, "inner_epochs": 50}))
+    assert np.array_equal(model.net.params, ref_model.net.params)
+    assert log == ref_log
+
+
+@pytest.mark.parametrize("field, section, message", [
+    ("noise", {"sigma": 0.1, "bogus": 1}, r"^noise keys missing \[\], unknown \['bogus'\]"),
+    ("dad", {"selection_metric": "rmse"}, r"^dad\.selection_metric must be one of"),
+], ids=["noise", "dad"])
+def test_a_bad_section_is_refused_when_the_spec_is_built(field, section, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(SPEC, **{field: section})
+
+
+def test_a_section_is_a_filled_copy_of_the_callers_dict():
+    section = {"n_steps": 3}
+    spec = replace(SPEC, dad=section)
+    section["n_steps"] = 7
+    assert spec.dad["n_steps"] == 3 and spec.dad is not section

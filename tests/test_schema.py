@@ -125,6 +125,15 @@ class TestRecord:
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             Point(**{"y": 0.5, "z": 3, **changes})
 
+    def test_an_object_row_stores_its_filled_copy_and_a_scalar_the_object_given(self):
+        record = schema.record("R", {"section": schema.Table({"a": schema.Int(0, default=1)},
+                                                             null=True), "y": schema.Real()})
+        section, y = {}, float("0.5")
+        built = record(section=section, y=y)
+        assert built.section == {"a": 1} and section == {}
+        assert built.y is y
+        assert record(section=None, y=y).section is None
+
     def test_replace_checks_and_pickle_finds_the_class(self):
         point = Point(0.5, 3)
         assert dataclasses.replace(point, x=4) == Point(0.5, 3, 4)

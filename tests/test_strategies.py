@@ -212,6 +212,16 @@ class TestDirect:
             for la, lb in zip(full.models[1].layers, other.models[1].layers)
         )
 
+    @pytest.mark.parametrize("hybrid", ["yes", 1, None])
+    def test_bad_hybrid_refused_before_any_fit(self, monkeypatch, hybrid):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(stg, "fit", no_fit)
+        cfg = nn.TrainConfig(epochs=1, batch_size=8, seed=1)
+        with pytest.raises(ConfigError, match="^hybrid must be true or false"):
+            stg.train_direct(tiny_windows(q=2), cfg, hybrid=hybrid)
+
     def test_zero_models_predict_zero(self):
         nets = [linear_net(np.zeros((1, 3))) for _ in range(4)]
         ms = stg.DirectModelSet(nets, q=4, p=3)
