@@ -103,6 +103,7 @@ def _load_series(path, recipe: dict):
 
 def cmd_ingest(args) -> int:
     minutes = RECIPE["resolution_minutes"].check(args.resolution_minutes, "--resolution-minutes")
+    RECIPE["aggregate_factor"].check(args.factor, "--factor")
     series = ingest_csv(args.input, timedelta(minutes=minutes), gap_policy=args.gap_policy)
     raw_rows = len(series)
     series = aggregate(series, args.factor, how=args.how)

@@ -148,6 +148,11 @@ def save_report(report: MetricsReport, path) -> None:
 def load_report(path) -> MetricsReport:
     doc = load_json(path)
     try:
-        return MetricsReport(**schema.check(doc, REPORT))
+        report = MetricsReport(**schema.check(doc, REPORT))
+        mse, mae = len(report.per_step_mse), len(report.per_step_mae)
+        if not 0 < mse == mae:
+            raise ConfigError(f"per_step_mse and per_step_mae must hold one value per step, "
+                              f"got {mse} and {mae}")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return report

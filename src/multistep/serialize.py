@@ -150,6 +150,9 @@ def model_from_doc(doc: dict):
         docs = schema.Seq(_OBJECT, "a list of network documents").check(
             doc.get("models"), "models")
         nets = [mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)]
+        for i, m in enumerate(docs):  # each h passed NETWORK's check: an integer or absent
+            if m.get("h") != i + 1:
+                raise ConfigError(f"models[{i}].h must be {i + 1}, got {m.get('h')!r}")
     fields = {"p": meta["p"], **{key: meta[key] for key in kind.METADATA}}
     try:
         return kind(nets, **fields)

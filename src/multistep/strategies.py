@@ -21,7 +21,6 @@ document or keeps one per net under "models".
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -138,7 +137,7 @@ def _check_horizon(n_steps, q: int) -> None:
 # A rollout's rows go in blocks of ROLLOUT_BLOCK from row 0, a remainder
 # shorter than one block joining the last block. A rollout of two or more
 # blocks through a net of at least PARALLEL_MIN_PARAMS parameters runs its
-# blocks on every core. The offsets do not depend on the core count, and at
+# blocks on a thread pool. The offsets do not depend on the core count, and at
 # one BLAS thread a block of at least ROLLOUT_BLOCK rows gives the bits of
 # the whole batch; shorter blocks sometimes did not. Measured on 2 cores at
 # one BLAS thread, blocked over serial time was 1.5-1.6 at 2x32 hidden
@@ -147,32 +146,6 @@ def _check_horizon(n_steps, q: int) -> None:
 # more than the second core saves.
 ROLLOUT_BLOCK = 256
 PARALLEL_MIN_PARAMS = 4096
-
-_pool = None  # the rollout blocks' thread pool, made on first use in each process
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist here."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _block_pool():
-    """This process's pool, one worker per core it may run on."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-            _pool = ThreadPoolExecutor(cores, thread_name_prefix="rollout")
-        return _pool
 
 
 def rollout(
@@ -188,8 +161,9 @@ def rollout(
     feature v = (already-recycled count)/step_scale, i.e. v=0 for the
     first prediction. The input window, the predictions and one workspace
     per block of rows are made before any block runs; `histories` is never
-    written. Blocks of a wide net run on a thread pool (ROLLOUT_BLOCK), and
-    the call returns or raises only once every block has ended.
+    written. Blocks of a wide net run on a thread pool made for the call,
+    with one worker per block up to the core count (ROLLOUT_BLOCK), and the
+    call returns or raises only once every block has ended.
     """
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 2 or histories.shape[1] < 1:
@@ -212,14 +186,13 @@ def rollout(
         return preds
     edges = [k * ROLLOUT_BLOCK for k in range(n_blocks)] + [m]
     blocks = [(inp[a:b], Workspace(net, b - a), preds[a:b]) for a, b in zip(edges, edges[1:])]
-    from concurrent.futures import wait  # here, so serial rollouts never load it
+    from concurrent.futures import ThreadPoolExecutor  # here, so serial rollouts never load it
 
-    pool, futures = _block_pool(), []
-    try:
-        for block in blocks:
-            futures.append(pool.submit(_roll, net, *block, p, step_scale))
-    finally:
-        wait(futures)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    # leaving the pool waits for every submitted block, even if a submit raised
+    with ThreadPoolExecutor(min(len(blocks), cores), thread_name_prefix="rollout") as pool:
+        futures = [pool.submit(_roll, net, *block, p, step_scale) for block in blocks]
     for future in futures:
         future.result()
     return preds

@@ -191,6 +191,12 @@ class TestBadValuesExitTwo:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_ingest_factor_checked_before_the_input_is_read(self, tmp_path, capsys):
+        code = cli.main(["ingest", "--input", str(tmp_path / "absent.csv"),
+                         "--output", str(tmp_path / "agg.csv"), "--factor", "0"])
+        assert code == 2
+        assert "--factor must be an integer >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         _set(["data"], "resolution_minutes", 0),
         _set(["data"], "aggregate_factor", 0),

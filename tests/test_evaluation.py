@@ -155,7 +155,9 @@ class TestExports:
          r"missing \['num_samples', 'overall_mae', 'per_step_mae', 'per_step_mse'\], unknown \[\]"),
         (lambda d: dict(d, extra=1), r"missing \[\], unknown \['extra'\]"),
         (lambda d: {k: v for k, v in d.items() if k != "denormalized"}, None),
-    ], ids=["missing", "unknown", "default-omitted"])
+        (lambda d: dict(d, per_step_mse=[0.5] * 3), r"one value per step, got 3 and 1"),
+        (lambda d: dict(d, per_step_mse=[], per_step_mae=[]), r"one value per step, got 0 and 0"),
+    ], ids=["missing", "unknown", "default-omitted", "unequal-steps", "no-steps"])
     def test_report_fields_checked_on_load(self, tmp_path, edit, match):
         report = mk_report("m", 0.5, 0.25)
         path = tmp_path / "r.json"

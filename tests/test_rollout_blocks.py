@@ -6,7 +6,8 @@ at one BLAS thread the blocked rollout must give the bits of the
 one-block rollout; the bit checks run in a child interpreter whose BLAS
 is pinned to one thread before NumPy loads. The other tests check what
 the pool must not change: one eval forward per step and block, the
-serial path's errors, waiting for every block, and a forked child.
+serial path's errors, waiting for every block, no pool thread outliving
+its call, and a forked child.
 """
 
 import json
@@ -30,8 +31,7 @@ P, N_STEPS = 8, 8
 # Run in a child interpreter at one BLAS thread. For each case it compares
 # the blocked rollout with the one-block rollout (the bound raised past
 # every net), and two threads rolling out one net at once with the latter.
-# First it checks that serial rollouts leave the pool unmade and
-# concurrent.futures unimported.
+# First it checks that serial rollouts leave concurrent.futures unimported.
 ONE_THREAD_CHILD = """
 import json, sys, threading
 import numpy as np
@@ -41,7 +41,7 @@ P, N_STEPS = %d, %d
 for width, m in ((32, 2865), (150, 511)):
     net = nn.init_net(P, 1, 0, hidden_layers=2, hidden_units=width)
     strategies.rollout(net, np.zeros((m, P)), N_STEPS)
-assert strategies._pool is None and "concurrent.futures" not in sys.modules
+assert "concurrent.futures" not in sys.modules
 cases, differ = 0, []
 for width in (64, 150):
     for step in (None, N_STEPS):
@@ -144,39 +144,27 @@ def test_rollout_waits_for_every_block_before_it_raises(monkeypatch):
     assert done == len(calls) == 3 * N_STEPS
 
 
-def test_blocks_are_submitted_by_the_caller_alone(monkeypatch):
-    """No block submits to the pool, so no pool thread waits on the pool."""
-    pool = strategies._block_pool()
-    submitters = []
-
-    class Recording:
-        def submit(self, *args):
-            submitters.append(threading.current_thread().name)
-            return pool.submit(*args)
-
-    monkeypatch.setattr(strategies, "_block_pool", Recording)
+def test_blocks_run_on_rollout_threads_that_end_with_the_call(monkeypatch):
+    """Every forward of a blocked rollout runs on a `rollout` thread, and no
+    such thread outlives the call, whether it returned or raised (a NaN in
+    block 0)."""
+    clean, bad = histories(1024), histories(1024)
+    bad[0, 0] = np.nan
     calls = count_forwards(monkeypatch)
-    strategies.rollout(wide_net(), histories(1024), N_STEPS)
-    assert submitters == [threading.current_thread().name] * 4
-    assert all(name.startswith("rollout") for _, name in calls)
+    for h, forwards in ((clean, 4 * N_STEPS), (bad, 3 * N_STEPS)):
+        calls.clear()
+        try:
+            strategies.rollout(wide_net(), h, N_STEPS)
+        except NumericError:
+            assert h is bad
+        assert len(calls) == forwards
+        assert all(name.startswith("rollout") for _, name in calls)
+        assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
 
 
-def test_threads_racing_to_make_the_pool_make_one(monkeypatch):
-    """More user threads than cores, switching often, all make the first
-    rollout of a process: one pool is made, and all get the same bits. A
-    slow pool constructor widens the window in which a second could start."""
-    import concurrent.futures
-
-    made = []
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            time.sleep(0.01)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(strategies, "_pool", None)
+def test_racing_threads_get_the_same_bits():
+    """More user threads than cores, switching often, roll out one net at
+    once, each on a pool of its own call, and all get the same bits."""
     net, h = wide_net(), histories(1024)
     results = [None] * 8
     start = threading.Barrier(len(results), timeout=60)
@@ -195,11 +183,8 @@ def test_threads_racing_to_make_the_pool_make_one(monkeypatch):
             t.join(60)
     finally:
         sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
     assert not any(t.is_alive() for t in threads)
-    assert len(made) == 1
-    assert all(np.array_equal(r, results[0]) for r in results)
+    assert all(r is not None and np.array_equal(r, results[0]) for r in results)
 
 
 def roll_in_child(conn):
@@ -209,7 +194,6 @@ def roll_in_child(conn):
 
 def test_a_forked_child_rolls_out_on_a_pool_of_its_own():
     parent_bits = strategies.rollout(wide_net(), histories(1024), N_STEPS)
-    assert strategies._pool is not None  # the child forks with live pool threads
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=roll_in_child, args=(send,))

@@ -339,6 +339,19 @@ class TestModelDocument:
         with pytest.raises(ConfigError, match=f"metadata.q {q}.* do not fit the networks: {cause}"):
             serialize.model_from_doc(doc)
 
+    @pytest.mark.parametrize("tag", ["direct", "hybrid"])
+    @pytest.mark.parametrize("edit, match", [
+        (lambda nets: nets.reverse(), r"models\[0\]\.h must be 1, got 4"),
+        (lambda nets: nets[2].update(h=7), r"models\[2\]\.h must be 3, got 7"),
+        (lambda nets: nets[1].pop("h"), r"models\[1\]\.h must be 2, got None"),
+    ], ids=["reversed", "seven", "missing"])
+    def test_each_net_serves_the_step_its_h_names(self, trained, tag, edit, match):
+        _, _, models = trained
+        doc = serialize.model_to_doc(models[tag], {"strategy_tag": tag})
+        edit(doc["models"])
+        with pytest.raises(ConfigError, match=match):
+            serialize.model_from_doc(doc)
+
     def test_numpy_integer_fields_round_trip_as_ints(self, tmp_path):
         i64 = np.int64
         cases = [  # tag, model, extra metadata, the integers its document holds
