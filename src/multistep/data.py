@@ -92,7 +92,7 @@ class WindowedDataset:
         h, f = self.histories, self.futures
         if h.ndim != 2 or f.ndim != 2 or h.shape[0] != f.shape[0]:
             raise ShapeError(f"bad window shapes {h.shape}, {f.shape}")
-        schema.check_fields(self, WIDTHS)
+        schema.check({"p": self.p, "q": self.q}, WIDTHS)
         if h.shape[1] != self.p or f.shape[1] != self.q:
             raise ShapeError(
                 f"window widths ({h.shape[1]}, {f.shape[1]}) != (p={self.p}, q={self.q})"

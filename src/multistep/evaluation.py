@@ -4,7 +4,7 @@ percent improvement against a named baseline, and table/curve exports."""
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .serialize import dump_json, load_json
 
 _ERRORS = schema.Seq(schema.Real(ge=0), "a list of finite reals >= 0")
-# a report as `MetricsReport.to_dict` writes it
+# a report, as `save_report` writes it
 REPORT = {
     "model_tag": schema.Kind("a string", lambda v: isinstance(v, str)),
     "overall_mse": schema.Real(ge=0),
@@ -24,20 +24,7 @@ REPORT = {
     "num_samples": schema.Int(1),
     "denormalized": schema.Bool(default=False),
 }
-
-
-@dataclass
-class MetricsReport:
-    model_tag: str
-    overall_mse: float
-    overall_mae: float
-    per_step_mse: list[float]
-    per_step_mae: list[float]
-    num_samples: int
-    denormalized: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+MetricsReport = schema.record("MetricsReport", REPORT)
 
 
 def evaluate(
@@ -64,14 +51,16 @@ def evaluate(
         preds = normalizer.invert(preds)
         truth = normalizer.invert(truth)
     err = preds - truth
-    per_step_mse = np.mean(err * err, axis=0)
-    per_step_mae = np.mean(np.abs(err), axis=0)
+    squared, absolute = err * err, np.abs(err)
+    overall_mse = float(np.mean(squared))
+    if not np.isfinite(overall_mse):  # finite predictions far enough off overflow a float
+        raise NumericError(f"{model_tag}: the squared errors overflow")
     return MetricsReport(
         model_tag=model_tag,
-        overall_mse=float(np.mean(err * err)),
-        overall_mae=float(np.mean(np.abs(err))),
-        per_step_mse=[float(v) for v in per_step_mse],
-        per_step_mae=[float(v) for v in per_step_mae],
+        overall_mse=overall_mse,
+        overall_mae=float(np.mean(absolute)),
+        per_step_mse=[float(v) for v in np.mean(squared, axis=0)],
+        per_step_mae=[float(v) for v in np.mean(absolute, axis=0)],
         num_samples=len(test),
         denormalized=normalizer is not None,
     )
@@ -85,10 +74,13 @@ def percent_improvement(baseline: float, candidate: float) -> float:
 
 def build_comparison(reports: list[MetricsReport], baseline_tag: str) -> dict:
     """The document `compare` writes: `baseline_tag` and one row per report."""
-    baselines = [r for r in reports if r.model_tag == baseline_tag]
-    if not baselines:
+    tags = [r.model_tag for r in reports]
+    if baseline_tag not in tags:
         raise ConfigError(f"baseline tag {baseline_tag!r} not among reports")
-    base = baselines[0]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ConfigError(f"model tag {tag!r} is given by {tags.count(tag)} reports")
+    base = reports[tags.index(baseline_tag)]
     rows = []
     for r in reports:
         is_base = r.model_tag == baseline_tag
@@ -141,8 +133,8 @@ def export_step_curves(reports: list[MetricsReport], path) -> None:
 
 
 def save_report(report: MetricsReport, path) -> None:
-    """Write report as JSON; a NaN or infinity raises NumericError and writes nothing."""
-    dump_json(report.to_dict(), path)
+    """Write the fields of `report`, checked when it was built, as JSON."""
+    dump_json(asdict(report), path)
 
 
 def load_report(path) -> MetricsReport:

@@ -12,7 +12,7 @@ import math
 import numbers
 import reprlib
 import sys
-from dataclasses import dataclass, fields, make_dataclass
+from dataclasses import dataclass, make_dataclass
 from datetime import datetime
 from typing import Callable
 
@@ -63,13 +63,6 @@ class Kind:
 def check(doc, table: dict, path: str = "") -> dict:
     """The copy of the JSON object `doc` with the defaults of `table` filled in."""
     return Table(table).check(doc, path)
-
-
-def check_fields(obj, table: dict) -> None:
-    """ConfigError naming the first field of dataclass `obj` that its row in `table` refuses."""
-    for f in fields(obj):
-        if f.name in table:
-            table[f.name].check(getattr(obj, f.name), f.name)
 
 
 def record(name: str, *tables: dict, **rows: Kind) -> type:

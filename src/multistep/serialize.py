@@ -42,7 +42,6 @@ NETWORK = {
     }), "a list of layer objects"),
     "params": schema.Kind("a base64 string", lambda v: isinstance(v, str)),
     "metadata": _OBJECT,
-    "h": schema.Int(1, default=None),  # the horizon step of a direct or hybrid set's net
 }
 # the rows of every model document's metadata; `check_metadata` adds its kind's own
 METADATA = {
@@ -149,10 +148,11 @@ def model_from_doc(doc: dict):
     else:
         docs = schema.Seq(_OBJECT, "a list of network documents").check(
             doc.get("models"), "models")
-        nets = [mlp_from_dict(m, f"models[{i}]") for i, m in enumerate(docs)]
-        for i, m in enumerate(docs):  # each h passed NETWORK's check: an integer or absent
-            if m.get("h") != i + 1:
+        nets = []
+        for i, m in enumerate(docs):  # a set's nets alone carry h, the step each serves
+            if not (schema.is_int(m.get("h")) and m["h"] == i + 1):
                 raise ConfigError(f"models[{i}].h must be {i + 1}, got {m.get('h')!r}")
+            nets.append(mlp_from_dict({k: v for k, v in m.items() if k != "h"}, f"models[{i}]"))
     fields = {"p": meta["p"], **{key: meta[key] for key in kind.METADATA}}
     try:
         return kind(nets, **fields)

@@ -12,17 +12,18 @@ Four families over the same dense-network core:
 Each model kind serves itself through `predictor(n_steps)`: [m, p]
 histories in, [m, H] predictions out, and any other input shape raises
 ShapeError. A recursive model serves H = n_steps; the direct, hybrid and
-multi-output models serve H = q, for n_steps None or q. Each kind's
-METADATA table names the fields, beside its nets and p, that its model
-document records, and ONE_NET says whether that document is one network
-document or keeps one per net under "models".
+multi-output models serve H = q, and refuse any other n_steps. Each kind
+is a `schema.record` whose fields are its nets, the rows of its METADATA
+table and p; building one checks every field, so a wrong value raises a
+ConfigError naming it. METADATA names the fields, beside its nets and p,
+that its model document records, and ONE_NET says whether that document
+is one network document or keeps one per net under "models".
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import ClassVar
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,19 +33,22 @@ from .errors import ConfigError, ShapeError
 from .nn import Mlp, TrainConfig, Workspace, fit, forward, init_net
 
 
-@dataclass
-class RecursiveModel:
-    net: Mlp
-    p: int
-    # with a step input, the rollout depth it was scaled by (the net takes
-    # p + 1 inputs); None without one
-    max_step: int | None = None
+def _kind(name: str, nets: str, metadata: dict) -> type:
+    """The record a model kind extends: its `net`, or its list of `models`
+    (each element checked, so a wrong one is named models[i]), then the rows
+    of `metadata` and p."""
+    net = schema.Kind("an Mlp", lambda v: isinstance(v, Mlp))
+    row = net if nets == "net" else schema.Kind("a list", lambda v: isinstance(v, list), item=net)
+    record = schema.record(name, {nets: row}, metadata, p=schema.Int(1))
+    record.ONE_NET, record.METADATA = nets == "net", metadata
+    return record
 
-    ONE_NET: ClassVar[bool] = True
-    METADATA: ClassVar[dict] = {"max_step": schema.Int(1, default=None)}
 
+# with a step input, max_step is the rollout depth it was scaled by (the net
+# takes p + 1 inputs); None without one
+class RecursiveModel(_kind("RecursiveModel", "net", {"max_step": schema.Int(1, default=None)})):
     def __post_init__(self):
-        schema.check_fields(self, dict(self.METADATA, p=schema.Int(1)))
+        super().__post_init__()
         expected = self.p if self.max_step is None else self.p + 1
         if self.net.input_dim != expected:
             raise ShapeError(
@@ -54,10 +58,9 @@ class RecursiveModel:
         if self.net.output_dim != 1:
             raise ShapeError("recursive model must have a single output")
 
-    def predictor(self, n_steps: int | None = None):
+    def predictor(self, n_steps: int):
         """[m, p] histories -> [m, n_steps] rollout predictions."""
-        if n_steps is None:
-            raise ConfigError("recursive predictor needs n_steps")
+        schema.Int(1).check(n_steps, "n_steps")
         # The step feature was trained on (n-1)/max_step for n <= max_step;
         # deeper rollouts would feed it values it never saw.
         if self.max_step is not None and n_steps > self.max_step:
@@ -68,18 +71,10 @@ class RecursiveModel:
         return lambda h: rollout(self.net, h, n_steps, step_scale=self.max_step)
 
 
-@dataclass
-class DirectModelSet:
-    models: list[Mlp]
-    q: int
-    p: int
-    hybrid: bool = False
-
-    ONE_NET: ClassVar[bool] = False
-    METADATA: ClassVar[dict] = {"q": schema.Int(1), "hybrid": schema.Bool(default=False)}
-
+class DirectModelSet(_kind("DirectModelSet", "models",
+                           {"q": schema.Int(1), "hybrid": schema.Bool(default=False)})):
     def __post_init__(self):
-        schema.check_fields(self, dict(self.METADATA, p=schema.Int(1)))
+        super().__post_init__()
         if len(self.models) != self.q:
             raise ShapeError(f"{len(self.models)} models for horizon {self.q}")
         for h, net in enumerate(self.models, start=1):
@@ -89,8 +84,8 @@ class DirectModelSet:
             if net.output_dim != 1:
                 raise ShapeError(f"model {h}: output_dim must be 1")
 
-    def predictor(self, n_steps: int | None = None):
-        """[m, p] histories -> [m, q] predictions; n_steps must be None or q."""
+    def predictor(self, n_steps: int):
+        """[m, p] histories -> [m, q] predictions; n_steps must be q."""
         _check_horizon(n_steps, self.q)
 
         def predict(histories):
@@ -105,32 +100,24 @@ class DirectModelSet:
         return predict
 
 
-@dataclass
-class MultiOutputModel:
-    net: Mlp
-    p: int
-    q: int
-
-    ONE_NET: ClassVar[bool] = True
-    METADATA: ClassVar[dict] = {"q": schema.Int(1)}
-
+class MultiOutputModel(_kind("MultiOutputModel", "net", {"q": schema.Int(1)})):
     def __post_init__(self):
-        schema.check_fields(self, dict(self.METADATA, p=schema.Int(1)))
+        super().__post_init__()
         if self.net.input_dim != self.p or self.net.output_dim != self.q:
             raise ShapeError(
                 f"net dims ({self.net.input_dim}, {self.net.output_dim}) != "
                 f"(p={self.p}, q={self.q})"
             )
 
-    def predictor(self, n_steps: int | None = None):
-        """[m, p] histories -> [m, q] predictions; n_steps must be None or q."""
+    def predictor(self, n_steps: int):
+        """[m, p] histories -> [m, q] predictions; n_steps must be q."""
         _check_horizon(n_steps, self.q)
         return lambda h: forward(self.net, h, mode="eval")[0]
 
 
 def _check_horizon(n_steps, q: int) -> None:
     """ConfigError unless a model of horizon q can serve n_steps."""
-    if n_steps is not None and n_steps != q:
+    if n_steps != q:
         raise ConfigError(f"a model of horizon q={q} cannot be served n_steps={n_steps}")
 
 
@@ -254,6 +241,6 @@ def train_multi_output(data: WindowedDataset, cfg: TrainConfig, **arch) -> Multi
     return MultiOutputModel(trained, p=data.p, q=data.q)
 
 
-def batch_predictor(model, n_steps: int | None = None):
+def batch_predictor(model, n_steps: int):
     """Uniform [m, p] -> [m, H] predictor for any strategy's model."""
     return model.predictor(n_steps)

@@ -1,10 +1,13 @@
-"""Byte pins of what `multistep train` writes, for every strategy.
+"""Byte pins of what `multistep train`, `evaluate` and `compare` write.
 
 Each strategy is trained through `cli.main` at one tiny fixed config on a
 `synth-data` series, and the sha256 of its `model.json`, `.config.json`
-and `.log.json` is compared with the digest recorded here. A refactor
-must leave every digest unchanged. The nets are small enough that the
-digests do not depend on the BLAS thread count.
+and `.log.json` is compared with the digest recorded here. Each trained
+model is then evaluated on the same series, and the sha256 of its report
+and `--curves` CSV is pinned, as are the `.json` and `.txt` of one
+`compare` over all eight reports. A refactor must leave every digest
+unchanged. The nets are small enough that their rollouts stay serial and
+the digests do not depend on the BLAS thread count.
 
 A change that legitimately alters these bytes (a new document key, a new
 RNG order) updates the digests below and lists the old and new values
@@ -109,3 +112,75 @@ def digests(tmp_path, series_csv, strategy: str) -> list[str]:
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_train_artefacts_are_pinned(tmp_path, series_csv, strategy):
     assert digests(tmp_path, series_csv, strategy) == DIGESTS[strategy]
+
+
+EVALUATE_DIGESTS = {  # strategy -> [report, curves]
+    "recursive": [
+        "8be099164c00a4b0bd072042b2bae4834ef35a0ab4e09a779fdee01f899b1e76",
+        "c9174ddf604f43ca6edf3fff62cdb452668551121c86f2d7fa1a91756b37717c",
+    ],
+    "dad": [
+        "e14587abd95429cf6c97c9d5b27e2ed1076f72cc25f8946b001a0e995129da1d",
+        "03bce63984269912a3b0d4aa1ba6d24ec340a197e54a2c0e4f04dee7104e1f7b",
+    ],
+    "cdad": [
+        "3c644b1edeeef25921df8947c61d5a68dd42d18138c1e9ee34c1fc8ff6c1b7d4",
+        "1b0163bf04e8762cb0c4d1b01b353668a28fa54e869f5c4c32303db3f1bfefb4",
+    ],
+    "direct": [
+        "01ec451e8a3403af9d076cc127a1a42e6348e12a7a545dfe1d0c288e5ae9865a",
+        "d2d6e68c3b902b9f63d4582d3814e0fe046e19d0b49ccfaaf789d430c2cc6bea",
+    ],
+    "hybrid": [
+        "336c03260616a58db9caf51f33ca87d326b7688363fe23e5e28ca00eb798eefa",
+        "a62bc17f7b56664f806cd156f371c20d507a883349b342668bd9d60ce7121164",
+    ],
+    "multi": [
+        "52a9a7a5ccd894c4dcb0bdb94fbf74addf877f9d69c145d1d1e7f5e14c197607",
+        "f95b76b75b848b27071b0e140995712bf24609b35e0d98c6108c3e3d6956ce34",
+    ],
+    "multi-noise": [
+        "d4be27c836cb5b0f6be260c2e7616be89927dddf1f95ed6d2af4a7f356f62c2c",
+        "00a5c668ffbf3e8c9c0f53aa0f969be3a57a48852dc6559b565ee279162fd43f",
+    ],
+    "multi-cgan": [
+        "aa0ddfb45e551e0e11f0bcd87802edf40ed29d1292e4b1c9962fd1299f6809aa",
+        "4e15fd49e994efe1ab38c79624930a79ce31950bdded6e4c4e89d0727b3515aa",
+    ],
+}
+COMPARE_DIGESTS = [  # .json, .txt
+    "1d5e3bee19f72ef6c43ba2ccf12e255d03e79d72ae45c665b593b39c0208b5f1",
+    "a543987b47c9d3a9bbbe0b97924404cea1c3f3582e054126ce6f399cac23eb5a",
+]
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory, series_csv):
+    """{strategy: (report path, curves path)} of every strategy's evaluated model."""
+    out = {}
+    for strategy in cli.STRATEGIES:
+        work = tmp_path_factory.mktemp(strategy)
+        digests(work, series_csv, strategy)
+        report, curves = work / "report.json", work / "curves.csv"
+        argv = ["evaluate", "--model", str(work / "model.json"), "--data", str(series_csv),
+                "--report", str(report), "--curves", str(curves)]
+        assert cli.main(argv) == 0
+        out[strategy] = report, curves
+    return out
+
+
+@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+def test_evaluate_artefacts_are_pinned(reports, strategy):
+    assert [sha256(path) for path in reports[strategy]] == EVALUATE_DIGESTS[strategy]
+
+
+def test_compare_artefacts_are_pinned(tmp_path, reports):
+    out = tmp_path / "cmp"
+    argv = ["compare", "--reports", *(str(reports[s][0]) for s in cli.STRATEGIES),
+            "--baseline", "recursive", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert [sha256(tmp_path / f"cmp{suffix}") for suffix in (".json", ".txt")] == COMPARE_DIGESTS

@@ -796,6 +796,17 @@ class TestMalformedJsonExitsTwo:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
         assert "model_tag must be a string" in capsys.readouterr().err
 
+    def test_compare_refuses_a_repeated_model_tag(self, tmp_path, capsys):
+        # a second report under the baseline's tag once showed as a second
+        # baseline row, with no improvement, and wrote its curve rows twice
+        report = tmp_path / "a.json"
+        report.write_text(json.dumps(dict(_report(), model_tag="a")))
+        code = cli.main(["compare", "--reports", str(report), str(report), "--baseline", "a",
+                         "--out", str(tmp_path / "cmp"), "--curves", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        assert "model tag 'a' is given by 2 reports" in capsys.readouterr().err
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

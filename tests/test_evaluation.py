@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,13 @@ class TestEvaluate:
         with pytest.raises(NumericError):
             ev.evaluate(constant_predictor([0.0, np.nan]), data)
 
+    def test_squared_error_overflow_raises_numeric_error(self):
+        # finite predictions whose squared errors overflow a float
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericError, match="^m: the squared errors overflow"):
+                ev.evaluate(constant_predictor([1e200, 0.0]), dataset_from([[0.0, 1.0]]),
+                            model_tag="m")
+
 
 class TestPercentImprovement:
     def test_published_style_values(self):
@@ -131,6 +140,12 @@ class TestComparison:
         assert got[1] == pytest.approx(8.91, abs=0.005)
         assert got[2] == pytest.approx(22.77, abs=0.005)
 
+    @pytest.mark.parametrize("tags", [["a", "b", "a"], ["a", "b", "b"]])
+    def test_repeated_tag_rejected(self, tags):
+        reports = [mk_report(tag, 0.5, 0.25) for tag in tags]
+        with pytest.raises(ConfigError, match=f"^model tag '{tags[2]}' is given by 2 reports$"):
+            ev.build_comparison(reports, "a")
+
     def test_missing_baseline_rejected(self):
         with pytest.raises(ConfigError):
             ev.build_comparison([mk_report("a", 1.0, 1.0)], "nope")
@@ -161,7 +176,7 @@ class TestExports:
     def test_report_fields_checked_on_load(self, tmp_path, edit, match):
         report = mk_report("m", 0.5, 0.25)
         path = tmp_path / "r.json"
-        serialize.dump_json(edit(report.to_dict()), path)
+        serialize.dump_json(edit(asdict(report)), path)
         if match is None:
             assert ev.load_report(path) == report
             return
@@ -169,12 +184,22 @@ class TestExports:
             ev.load_report(path)
         assert str(path) in str(exc.value)
 
+    def test_report_fields_are_the_report_rows(self):
+        assert [f.name for f in fields(ev.MetricsReport)] == list(ev.REPORT)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_report_rejected_and_nothing_written(self, tmp_path, bad):
-        path = tmp_path / "r.json"
-        with pytest.raises(NumericError):
-            ev.save_report(mk_report("m", bad, 0.5), path)
-        assert not path.exists()
+    def test_non_finite_report_refused_when_built(self, bad):
+        with pytest.raises(ConfigError, match="^overall_mse must be a finite real >= 0"):
+            mk_report("m", bad, 0.5)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("overall_mse", "0.5"), ("overall_mae", -0.25), ("overall_mae", np.nan),
+        ("per_step_mse", ["0.5"]), ("per_step_mse", [-0.5]), ("per_step_mae", [np.inf]),
+        ("num_samples", 0), ("model_tag", 3),
+    ])
+    def test_bad_report_field_is_named(self, field, bad):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            ev.MetricsReport(**dict(asdict(mk_report("m", 0.5, 0.25)), **{field: bad}))
 
     def test_step_curve_rows(self, tmp_path):
         r1 = ev.MetricsReport("a", 0.2, 0.1, [0.1, 0.3], [0.05, 0.15], 4)

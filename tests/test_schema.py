@@ -1,6 +1,5 @@
 import dataclasses
 import pickle
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -86,20 +85,6 @@ class TestCheck:
             schema.check([1], TABLE)
         with pytest.raises(ConfigError, match="^metadata must be an object, got NoneType"):
             schema.check(None, TABLE, "metadata")
-
-
-@dataclass
-class Budget:
-    epochs: int
-    seed: object = None  # no row: not checked
-
-
-class TestCheckFields:
-    def test_checks_the_fields_that_have_a_row(self):
-        table = {"epochs": schema.Int(0), "other": schema.Int(0)}
-        schema.check_fields(Budget(np.int64(3), seed=(1, 2)), table)
-        with pytest.raises(ConfigError, match="^epochs must be an integer >= 0, got float 2.5"):
-            schema.check_fields(Budget(2.5), table)
 
 
 Point = schema.record("Point", {"x": schema.Int(0, default=1), "y": schema.Real()},

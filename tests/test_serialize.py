@@ -344,12 +344,23 @@ class TestModelDocument:
         (lambda nets: nets.reverse(), r"models\[0\]\.h must be 1, got 4"),
         (lambda nets: nets[2].update(h=7), r"models\[2\]\.h must be 3, got 7"),
         (lambda nets: nets[1].pop("h"), r"models\[1\]\.h must be 2, got None"),
-    ], ids=["reversed", "seven", "missing"])
+        (lambda nets: nets[0].update(h=True), r"models\[0\]\.h must be 1, got True"),
+        (lambda nets: nets[0].update(h=1.0), r"models\[0\]\.h must be 1, got 1.0"),
+    ], ids=["reversed", "seven", "missing", "bool", "float"])
     def test_each_net_serves_the_step_its_h_names(self, trained, tag, edit, match):
         _, _, models = trained
         doc = serialize.model_to_doc(models[tag], {"strategy_tag": tag})
         edit(doc["models"])
         with pytest.raises(ConfigError, match=match):
+            serialize.model_from_doc(doc)
+
+    @pytest.mark.parametrize("tag", ["recursive", "dad", "cdad", "multi"])
+    def test_a_one_net_document_carries_no_h(self, trained, tag):
+        _, _, models = trained
+        doc = serialize.model_to_doc(models[tag], {"strategy_tag": tag})
+        assert "h" not in doc
+        doc["h"] = 1
+        with pytest.raises(ConfigError, match=r"^keys missing \[\], unknown \['h'\]"):
             serialize.model_from_doc(doc)
 
     def test_numpy_integer_fields_round_trip_as_ints(self, tmp_path):

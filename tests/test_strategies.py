@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,28 +227,28 @@ class TestDirect:
     def test_zero_models_predict_zero(self):
         nets = [linear_net(np.zeros((1, 3))) for _ in range(4)]
         ms = stg.DirectModelSet(nets, q=4, p=3)
-        assert np.array_equal(serve(ms, np.ones(3), None), np.zeros(4))
+        assert np.array_equal(serve(ms, np.ones(3), 4), np.zeros(4))
 
     def test_hybrid_manual_two_stage(self):
         # model1: f1(x) = 2x ; model2: f2(x, p1) = x + 3 p1 -> [2x, 7x]
         m1 = linear_net([[2.0]])
         m2 = linear_net([[1.0, 3.0]])
         ms = stg.DirectModelSet([m1, m2], q=2, p=1, hybrid=True)
-        assert np.allclose(serve(ms, [1.0], None), [2.0, 7.0])
-        assert np.allclose(serve(ms, [2.0], None), [4.0, 14.0])
+        assert np.allclose(serve(ms, [1.0], 2), [2.0, 7.0])
+        assert np.allclose(serve(ms, [2.0], 2), [4.0, 14.0])
 
 
 class TestMultiOutput:
     def test_zero_net_predicts_zero(self):
         net = nn.Mlp([nn.Layer(np.zeros((4, 3)), np.zeros(4), "linear")])
         model = stg.MultiOutputModel(net, p=3, q=4)
-        assert np.array_equal(serve(model, np.ones(3), None), np.zeros(4))
+        assert np.array_equal(serve(model, np.ones(3), 4), np.zeros(4))
 
     def test_q8_output_length(self):
         data = tiny_windows(n=60, p=5, q=8)
         cfg = nn.TrainConfig(epochs=2, batch_size=16, seed=0)
         model = stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=6)
-        out = serve(model, data.histories[0], None)
+        out = serve(model, data.histories[0], 8)
         assert out.shape == (8,)
 
     def test_q_below_two_rejected(self):
@@ -260,7 +262,7 @@ class TestMultiOutput:
         a = stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=5)
         b = stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=5)
         h = data.histories[:7]
-        assert np.array_equal(a.predictor()(h), b.predictor()(h))
+        assert np.array_equal(a.predictor(2)(h), b.predictor(2)(h))
 
 
 # a valid set of fields for each model kind, beside its nets
@@ -286,6 +288,28 @@ class TestFieldChecks:
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             kind(**dict(KIND_FIELDS[kind](), **{field: value}))
 
+    @pytest.mark.parametrize("kind, field, value, named", [
+        (stg.RecursiveModel, "net", "net", "net"),
+        (stg.MultiOutputModel, "net", None, "net"),
+        (stg.DirectModelSet, "models", (linear_net([[0.5]]),), "models"),
+        (stg.DirectModelSet, "models", [linear_net([[0.5]]), "net"], r"models\[1\]"),
+    ])
+    def test_a_net_that_is_not_an_mlp_is_named(self, kind, field, value, named):
+        with pytest.raises(ConfigError, match=f"^{named} must be "):
+            kind(**dict(KIND_FIELDS[kind](), **{field: value}))
+
+    @pytest.mark.parametrize("kind, names", [
+        (stg.RecursiveModel, ["net", "p", "max_step"]),
+        (stg.DirectModelSet, ["models", "q", "p", "hybrid"]),
+        (stg.MultiOutputModel, ["net", "q", "p"]),
+    ])
+    def test_fields_are_the_nets_then_the_record_rows(self, kind, names):
+        # serialize reads p and every METADATA key off a model, and passes
+        # the nets first
+        assert [f.name for f in fields(kind)] == names
+        assert {"p", *kind.METADATA} <= set(names)
+        assert names[0] == ("net" if kind.ONE_NET else "models")
+
 
 # one served model of each kind, p = 3 and q = 2
 SERVED = {
@@ -308,12 +332,19 @@ class TestShapeLaw:
             with pytest.raises(ShapeError):
                 predict(history)
 
+    @pytest.mark.parametrize("max_step", [None, 4])
+    def test_a_recursive_model_needs_its_horizon(self, max_step):
+        model = stg.RecursiveModel(linear_net(np.ones((1, 1 + (max_step is not None)))), p=1,
+                                   max_step=max_step)
+        for n_steps in (None, 0, 2.0):
+            with pytest.raises(ConfigError, match="^n_steps must be an integer >= 1"):
+                model.predictor(n_steps)
+
     @pytest.mark.parametrize("kind", [kind for kind in SERVED if kind != "recursive"])
     def test_a_q_step_model_serves_q_steps_alone(self, kind):
         model = SERVED[kind]()  # q = 2
-        for n_steps in (None, 2):
-            assert model.predictor(n_steps)(np.ones((5, 3))).shape == (5, 2)
-        for n_steps in (1, 3, 8):
+        assert model.predictor(2)(np.ones((5, 3))).shape == (5, 2)
+        for n_steps in (None, 1, 3, 8):
             with pytest.raises(ConfigError, match=f"q=2 cannot be served n_steps={n_steps}$"):
                 model.predictor(n_steps)
 
@@ -329,13 +360,13 @@ class TestShapeLaw:
         )
         cdad_model = dad.train_cdad(rng.uniform(0, 1, 40), rng.uniform(0, 1, 20), cdad_cfg)
         models = [
-            (stg.train_recursive(one_step, cfg, hidden_layers=1, hidden_units=4), q),
-            (cdad_model.best_model, q),
-            (stg.train_direct(data, cfg, hidden_layers=1, hidden_units=4), None),
-            (stg.train_direct(data, cfg, hybrid=True, hidden_layers=1, hidden_units=4), None),
-            (stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=4), None),
+            stg.train_recursive(one_step, cfg, hidden_layers=1, hidden_units=4),
+            cdad_model.best_model,
+            stg.train_direct(data, cfg, hidden_layers=1, hidden_units=4),
+            stg.train_direct(data, cfg, hybrid=True, hidden_layers=1, hidden_units=4),
+            stg.train_multi_output(data, cfg, hidden_layers=1, hidden_units=4),
         ]
         h = data.histories[:5]
-        for model, n_steps in models:
-            preds = stg.batch_predictor(model, n_steps)(h)
+        for model in models:
+            preds = stg.batch_predictor(model, q)(h)
             assert preds.shape == (5, q)
