@@ -6,6 +6,7 @@ and compare medians, since the published absolute numbers came from a
 non-redistributable dataset.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -54,31 +55,77 @@ def median_mse(reports, step=None):
 def recursive_family():
     """Vanilla recursive vs corrective retraining vs its conditioned variant."""
     dad = dict(n_steps=HORIZON, meta_iterations=15, inner_epochs=10)
-    reports = synth.run_seeds(("recursive", "dad", "cdad"), SEEDS,
-                              lambda seed: predictor_spec(seed, 20, dad=dad), n_train=2000)
-    medians = {tag: median_mse(rs) for tag, rs in reports.items()}
-    for tag in ("recursive", "cdad"):
-        medians[f"{tag}_s8"] = median_mse(reports[tag], step=-1)
-    return medians
+    return synth.run_seeds(("recursive", "dad", "cdad"), SEEDS,
+                           lambda seed: predictor_spec(seed, 20, dad=dad), n_train=2000)
 
 
 @pytest.fixture(scope="session")
-def direct_family(recursive_family):
-    reports = synth.run_seeds(("direct", "hybrid"), SEEDS,
-                              lambda seed: predictor_spec(seed, 30), n_train=2000)
-    medians = {tag: median_mse(rs) for tag, rs in reports.items()}
-    medians["recursive"] = recursive_family["recursive"]
-    return medians
+def direct_family():
+    return synth.run_seeds(("direct", "hybrid"), SEEDS,
+                           lambda seed: predictor_spec(seed, 30), n_train=2000)
 
 
 @pytest.fixture(scope="session")
 def multi_family():
     """Multi-output vs its noise- and generator-augmented variants on a
     deliberately small training split (500 points)."""
-    reports = synth.run_seeds(("multi", "multi-noise", "multi-cgan"), SEEDS, lambda seed: (
+    return synth.run_seeds(("multi", "multi-noise", "multi-cgan"), SEEDS, lambda seed: (
         predictor_spec(seed, 100, noise=dict(sigma=0.05),
                        cgan=synth.benchmark_gan_config(seed, epochs=500))), n_train=500)
-    return {tag: median_mse(rs) for tag, rs in reports.items()}
+
+
+@pytest.fixture(scope="session")
+def gan_tails():
+    """Per seed, the mean holdout discriminator accuracy over the last tenth
+    of a C-GAN's epochs on a learnable pairing; and whether every loss stayed finite."""
+    rng = np.random.default_rng(99)
+    q = 4
+    futures = rng.uniform(0, 1, (1000, q))
+    data = WindowedDataset(futures[:, ::-1].copy(), futures, q, q)
+    hold_f = rng.uniform(0, 1, (200, q))
+    holdout = WindowedDataset(hold_f[:, ::-1].copy(), hold_f, q, q)
+    tails, finite = [], True
+    for seed in SEEDS:
+        pair = cgan.train_cgan(data, synth.benchmark_gan_config(seed, epochs=400), holdout=holdout)
+        accs = [e["d_accuracy"] for e in pair.training_log]
+        finite = finite and all(
+            np.isfinite(e["d_loss"]) and np.isfinite(e["g_loss"])
+            for e in pair.training_log
+        )
+        tails.append(float(np.mean(accs[-len(accs) // 10 :])))
+    return tails, finite
+
+
+# sha256 of every number the empirical criteria read, in full precision: per
+# family, each tag's per-seed overall and per-step MSE and MAE, and criterion
+# 06's five tails. A change to any of them is a change of results, to be listed
+# with its old and new values.
+PINS = {
+    "recursive": "9e88718180045dfefd604e0563198ecc3c8b115c5bbd27f92b2dc97214a4b75d",
+    "direct": "a9c87115d2d0e5950919bb8ce0c46a5779cbb4a8854ef7672d5ee84896ee8d1d",
+    "multi": "29f2d54a083875595f3cd5b5518d69a096fbf0b9747c916ab291da55871eb0b6",
+    "gan-convergence": "a080cd6de9258b2b7c901b120cb1fa8455cc4f8fdc0dd4e9e23e784dd914b8e6",
+}
+
+
+def report_lines(reports):
+    return [f"{tag} {seed} " + " ".join(repr([float(v) for v in values]) for values in (
+        [r.overall_mse], [r.overall_mae], r.per_step_mse, r.per_step_mae))
+        for tag, per_seed in reports.items() for seed, r in zip(SEEDS, per_seed)]
+
+
+def test_acceptance_numbers_are_pinned(recursive_family, direct_family, multi_family, gan_tails):
+    families = {
+        "recursive": report_lines(recursive_family),
+        "direct": report_lines(direct_family),
+        "multi": report_lines(multi_family),
+        "gan-convergence": [repr(float(t)) for t in gan_tails[0]],
+    }
+    digests = {name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+               for name, lines in families.items()}
+    changed = [name for name in PINS if digests[name] != PINS[name]]
+    assert not changed, "".join(f"\n{name}: {PINS[name]} -> {digests[name]}\n  "
+                                + "\n  ".join(families[name]) for name in changed)
 
 
 def test_criterion_01_gradient_correctness(announce):
@@ -127,8 +174,17 @@ def test_criterion_02_recursive_oracle_equivalence(announce):
     announce(2, "recursive-oracle-equivalence", ok)
 
 
+def medians(*families):
+    """{tag: median overall MSE}, with {tag}_s8 the median MSE of the last step."""
+    out = {}
+    for reports in families:
+        for tag, rs in reports.items():
+            out[tag], out[f"{tag}_s8"] = median_mse(rs), median_mse(rs, step=-1)
+    return out
+
+
 def test_criterion_03_corrective_beats_recursive(announce, recursive_family):
-    m = recursive_family
+    m = medians(recursive_family)
     announce(
         3,
         "corrective-beats-recursive",
@@ -138,7 +194,7 @@ def test_criterion_03_corrective_beats_recursive(announce, recursive_family):
 
 
 def test_criterion_04_conditioned_beats_corrective(announce, recursive_family):
-    m = recursive_family
+    m = medians(recursive_family)
     ok = m["cdad"] <= m["dad"] and m["cdad_s8"] <= m["recursive_s8"]
     announce(
         4,
@@ -149,8 +205,8 @@ def test_criterion_04_conditioned_beats_corrective(announce, recursive_family):
     )
 
 
-def test_criterion_05_direct_and_hybrid_ordering(announce, direct_family):
-    m = direct_family
+def test_criterion_05_direct_and_hybrid_ordering(announce, recursive_family, direct_family):
+    m = medians(recursive_family, direct_family)
     ok = m["direct"] < m["recursive"] and m["hybrid"] < m["direct"]
     announce(
         5,
@@ -160,22 +216,8 @@ def test_criterion_05_direct_and_hybrid_ordering(announce, direct_family):
     )
 
 
-def test_criterion_06_gan_convergence(announce):
-    rng = np.random.default_rng(99)
-    q = 4
-    futures = rng.uniform(0, 1, (1000, q))
-    data = WindowedDataset(futures[:, ::-1].copy(), futures, q, q)
-    hold_f = rng.uniform(0, 1, (200, q))
-    holdout = WindowedDataset(hold_f[:, ::-1].copy(), hold_f, q, q)
-    tails, finite = [], True
-    for seed in SEEDS:
-        pair = cgan.train_cgan(data, synth.benchmark_gan_config(seed, epochs=400), holdout=holdout)
-        accs = [e["d_accuracy"] for e in pair.training_log]
-        finite = finite and all(
-            np.isfinite(e["d_loss"]) and np.isfinite(e["g_loss"])
-            for e in pair.training_log
-        )
-        tails.append(float(np.mean(accs[-len(accs) // 10 :])))
+def test_criterion_06_gan_convergence(announce, gan_tails):
+    tails, finite = gan_tails
     ok = finite and all(abs(t - 0.5) <= 0.10 for t in tails)
     announce(
         6, "gan-convergence", ok, "tail acc " + ", ".join(f"{t:.3f}" for t in tails)
@@ -183,7 +225,7 @@ def test_criterion_06_gan_convergence(announce):
 
 
 def test_criterion_07_augmentation_helps_multi_output(announce, multi_family):
-    m = multi_family
+    m = medians(multi_family)
     ok = m["multi-cgan"] < m["multi"] and m["multi-noise"] < m["multi"]
     announce(
         7,
