@@ -15,25 +15,31 @@ from pathlib import Path
 
 import numpy as np
 
-from multistep import evaluation, nn, pipeline, synth
+from multistep import evaluation, pipeline, synth
 
 P = 8
 HORIZON = 8
 
 
+def configs(args) -> list[dict]:
+    """One `multistep train` config per strategy, in table order."""
+    sections = {
+        "dad": {"n_steps": HORIZON, "meta_iterations": args.meta_iterations,
+                "inner_epochs": max(1, args.epochs // 2)},
+        "noise": {"sigma": args.noise_sigma},
+        "cgan": {**synth.CGAN, "epochs": args.gan_epochs},
+    }
+    model = {"hidden_layers": args.hidden_layers, "hidden_units": args.hidden_units,
+             "dropout": 0.0, "train": {"epochs": args.epochs, "batch_size": 64}}
+    return [{"data": {"p": P, "q": HORIZON, "split": synth.split(args.train_points)},
+             "model": {"strategy": tag, **model},
+             **({row.section: sections[row.section]} if row.section else {})}
+            for tag, row in pipeline.STRATEGIES.items()]
+
+
 def run_seed(seed: int, args) -> dict[str, evaluation.MetricsReport]:
-    spec = pipeline.TrainSpec(
-        p=P,
-        q=HORIZON,
-        train=nn.TrainConfig(epochs=args.epochs, batch_size=64, seed=seed),
-        hidden_layers=args.hidden_layers,
-        hidden_units=args.hidden_units,
-        dad=dict(n_steps=HORIZON, meta_iterations=args.meta_iterations,
-                 inner_epochs=max(1, args.epochs // 2)),
-        noise=dict(sigma=args.noise_sigma),
-        cgan=synth.benchmark_gan_config(seed, args.gan_epochs),
-    )
-    reports = synth.run_seeds(pipeline.STRATEGIES, [seed], lambda _: spec, args.train_points)
+    # 300 validation and 300 test points follow the training points
+    reports = synth.run_seeds(configs(args), [seed], args.train_points + 600)
     return {tag: rs[0] for tag, rs in reports.items()}
 
 

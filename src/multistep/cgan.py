@@ -8,7 +8,6 @@ the baseline it is compared against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,8 @@ from .nn import (ARCH, DROPOUT, AdamState, Mlp, Workspace, adam_step, backward, 
 PROB_EPS = 1e-7  # clamp for log arguments
 # the `cgan` config section
 SECTION = {
+    "hidden_layers": schema.Int(0, default=None),  # both nets'; null: the predictor's
+    "hidden_units": schema.Int(1, default=None),
     "noise_dim": schema.Int(1, default=16),
     "lr_discriminator": schema.Real(gt=0, default=2e-4),
     "lr_generator": schema.Real(gt=0, default=1e-4),
@@ -33,17 +34,9 @@ SECTION = {
 NOISE = {"sigma": schema.Real(ge=0, default=0.1), "interpret_as_stddev": schema.Bool(default=True)}
 
 
-# the `cgan` section, both nets' architecture (by default without dropout) and a seed
-class CganConfig(schema.record("CganConfig", SECTION, ARCH, dropout=replace(DROPOUT, default=0.0),
-                               seed=schema.Int(0, default=0))):
-    def __post_init__(self):
-        super().__post_init__()
-        if self.lr_discriminator < self.lr_generator:
-            warnings.warn(
-                "discriminator learning rate below generator's; the "
-                "discriminator is usually configured to learn faster",
-                stacklevel=2,
-            )
+# the `cgan` section with both nets' whole architecture (by default without dropout), and a seed
+CganConfig = schema.record("CganConfig", SECTION, ARCH, dropout=replace(DROPOUT, default=0.0),
+                           seed=schema.Int(0, default=0))
 
 
 @dataclass

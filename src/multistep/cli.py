@@ -12,66 +12,18 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import timedelta
 
-from . import cgan, dad, evaluation, nn, pipeline, schema, serialize, strategies, synth
-from .data import (
-    RECIPE,
-    Normalizer,
-    SplitSpec,
-    aggregate,
-    fit_normalizer,
-    ingest_csv,
-    make_windows,
-    split_by_date,
-    write_series_csv,
-)
+from . import evaluation, pipeline, schema, serialize, strategies, synth
+from .data import RECIPE, Normalizer, aggregate, ingest_csv, make_windows, write_series_csv
 from .errors import ConfigError, MultistepError
 
-STRATEGIES = tuple(pipeline.STRATEGIES)
-# a run config; a strategy keeps the one of dad, cgan and noise its pipeline row names
-CONFIG = {
-    "seed": schema.Int(0, default=0),
-    "data": schema.Table({
-        "split": schema.Table({"train_end": schema.DATETIME, "val_end": schema.DATETIME}),
-        "p": schema.Int(1, default=8),
-        "q": schema.Int(1, default=8),
-        **RECIPE,
-    }),
-    "model": schema.Table({
-        "strategy": schema.OneOf(STRATEGIES),
-        **nn.ARCH,
-        "train": schema.Table(nn.TRAIN),
-    }),
-    "dad": schema.Table(dad.SECTION),
-    "cgan": schema.Table(cgan.SECTION),
-    "noise": schema.Table(cgan.NOISE),
-}
 # the metadata rows that `train` writes and `evaluate` requires, beside the model's own
 METADATA = {
     "q": schema.Int(1),
     "normalization": schema.Table({"min": schema.Real(), "max": schema.Real()}),
     "data": schema.Table({k: replace(kind, default=...) for k, kind in RECIPE.items()}),
 }
-
-
-def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
-    """`doc` checked against CONFIG, every default materialized."""
-    cfg = schema.check(doc if seed_override is None else dict(doc, seed=seed_override), CONFIG)
-    strategy = cfg["model"]["strategy"]
-    row = pipeline.STRATEGIES[strategy]
-    for name in ("dad", "cgan", "noise"):
-        if name != row.section:
-            if name in doc:
-                raise ConfigError(f"{name!r} section given but strategy is {strategy!r}")
-            del cfg[name]
-    if row.options.get("conditional") and cfg["data"]["q"] > cfg["dad"]["n_steps"]:
-        # its step input is trained to depth n_steps, and serving refuses deeper
-        raise ConfigError(
-            f"{strategy} trained to depth dad.n_steps={cfg['dad']['n_steps']} "
-            f"cannot be evaluated at data.q={cfg['data']['q']}"
-        )
-    return cfg
 
 
 # the suffixes a command adds to an output flag's path for the files it writes,
@@ -126,38 +78,13 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(serialize.load_json(args.config), seed_override=args.seed)
-    data_cfg = cfg["data"]
-    series = _load_series(args.data, data_cfg)
-    split = SplitSpec(
-        datetime.fromisoformat(data_cfg["split"]["train_end"]),
-        datetime.fromisoformat(data_cfg["split"]["val_end"]),
-    )
-    train_series, val_series, _ = split_by_date(series, split)
-    normalizer = fit_normalizer(train_series)
-    train_values = normalizer.apply(train_series.values)
-    val_values = normalizer.apply(val_series.values)
-
-    model_cfg = cfg["model"]
-    strategy = model_cfg["strategy"]
-    arch = {k: model_cfg[k] for k in nn.ARCH}
-    gan = cfg.get("cgan", {})
-    spec = pipeline.TrainSpec(
-        p=data_cfg["p"],
-        q=data_cfg["q"],
-        train=nn.TrainConfig(seed=cfg["seed"], **model_cfg["train"]),
-        **arch,
-        dad=cfg.get("dad"),
-        noise=cfg.get("noise"),
-        # the C-GAN's nets take the predictor's layers and units, not its dropout
-        cgan=cgan.CganConfig(seed=cfg["seed"], hidden_layers=arch["hidden_layers"],
-                             hidden_units=arch["hidden_units"], **gan) if gan else None,
-    )
-    model, training_log = pipeline.train(strategy, train_values, val_values, spec)
+    cfg = pipeline.resolve_config(serialize.load_json(args.config), seed_override=args.seed)
+    data_cfg, strategy = cfg["data"], cfg["model"]["strategy"]
+    model, training_log, normalizer, _ = pipeline.run(cfg, _load_series(args.data, data_cfg))
     meta = {
         "strategy_tag": strategy,
         "normalization": {"min": normalizer.min, "max": normalizer.max},
-        "q": spec.q,
+        "q": data_cfg["q"],
         "data": {k: data_cfg[k] for k in RECIPE},
     }
     serialize.dump_json(serialize.model_to_doc(model, meta), args.out)

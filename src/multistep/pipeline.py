@@ -1,37 +1,34 @@
-"""One table from strategy tag to training recipe.
+"""One table from strategy tag to training recipe, and the run config it reads.
 
-`train(strategy, train_values, val_values, spec)` is how the CLI, the
-experiment script and the acceptance suite train every strategy. Recipes
-look trainers up on their modules at call time and never store them, so
-a profiler that rebinds `strategies.train_*`, `dad.train_*` or `cgan.*`
-sees every call.
+`run(cfg, series)` trains a resolved `multistep train` config on a
+series; it is how the CLI, the experiment script and the acceptance
+suite train every strategy. Recipes look trainers up on their modules at
+call time and never store them, so a profiler that rebinds
+`strategies.train_*`, `dad.train_*`, `cgan.*` or `split_by_date` sees
+every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from datetime import datetime
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import cgan, dad, schema, strategies
-from .cgan import CganConfig
-from .data import WindowedDataset, make_windows
+from .data import RECIPE, SplitSpec, WindowedDataset, fit_normalizer, make_windows, split_by_date
 from .errors import ConfigError
-from .nn import ARCH, BUDGET, DROPOUT
+from .nn import ARCH, BUDGET, TRAIN, TrainConfig
 
 
 # what a strategy trains with besides its data; the seed of `train` also seeds the noise and
 # C-GAN sampling, and only the strategies whose row names `dad`, `noise` or `cgan` read it.
-# `dad` and `noise` hold their config section as its table fills it, or null.
+# Each section holds its config section as its table fills it, or null.
 TrainSpec = schema.record(
-    "TrainSpec", ARCH,
-    hidden_layers=replace(ARCH["hidden_layers"], default=...),
-    hidden_units=replace(ARCH["hidden_units"], default=...),
-    dropout=replace(DROPOUT, default=0.0),
-    p=schema.Int(1), q=schema.Int(1), train=BUDGET,
+    "TrainSpec", ARCH, p=schema.Int(1), q=schema.Int(1), train=BUDGET,
     dad=schema.Table(dad.SECTION, null=True), noise=schema.Table(cgan.NOISE, null=True),
-    cgan=schema.Kind("a CganConfig", lambda v: isinstance(v, CganConfig), default=None),
+    cgan=schema.Table(cgan.SECTION, null=True),
 )
 
 
@@ -80,8 +77,12 @@ def _noise(windows, spec, log):
 
 
 def _gan(windows, spec, log):
-    pair = cgan.train_cgan(windows, spec.cgan)
-    count = len(windows) if spec.cgan.synthetic_count is None else spec.cgan.synthetic_count
+    # a null width is the predictor's; the nets train without dropout, seeded by the run
+    widths = {k: getattr(spec, k) if spec.cgan[k] is None else spec.cgan[k]
+              for k in ("hidden_layers", "hidden_units")}
+    cfg = cgan.CganConfig(**{**spec.cgan, **widths}, seed=spec.train.seed)
+    pair = cgan.train_cgan(windows, cfg)
+    count = len(windows) if cfg.synthetic_count is None else cfg.synthetic_count
     rng = np.random.default_rng((spec.train.seed, 2))
     synthetic = cgan.generate_pairs(pair, cgan.resample_futures(windows, count, rng), rng)
     log.update(cgan_log=pair.training_log, synthetic_rows=len(synthetic))
@@ -124,3 +125,60 @@ def train(strategy: str, train_values, val_values, spec: TrainSpec):
     if row.section is not None and getattr(spec, row.section) is None:
         raise ConfigError(f"strategy {strategy!r} needs spec.{row.section}")
     return row.recipe(train_values, val_values, spec, **row.options)
+
+
+# a run config; a strategy keeps the one of dad, cgan and noise its row names
+CONFIG = {
+    "seed": schema.Int(0, default=0),
+    "data": schema.Table({
+        "split": schema.Table({"train_end": schema.DATETIME, "val_end": schema.DATETIME}),
+        "p": schema.Int(1, default=8),
+        "q": schema.Int(1, default=8),
+        **RECIPE,
+    }),
+    "model": schema.Table({
+        "strategy": schema.OneOf(tuple(STRATEGIES)),
+        **ARCH,
+        "train": schema.Table(TRAIN),
+    }),
+    "dad": schema.Table(dad.SECTION),
+    "cgan": schema.Table(cgan.SECTION),
+    "noise": schema.Table(cgan.NOISE),
+}
+
+
+def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
+    """`doc` checked against CONFIG, every default materialized."""
+    cfg = schema.check(doc if seed_override is None else dict(doc, seed=seed_override), CONFIG)
+    strategy, q = cfg["model"]["strategy"], cfg["data"]["q"]
+    row = STRATEGIES[strategy]
+    for name in ("dad", "cgan", "noise"):
+        if name != row.section:
+            if name in doc:
+                raise ConfigError(f"{name!r} section given but strategy is {strategy!r}")
+            del cfg[name]
+    if row.options.get("conditional") and q > cfg["dad"]["n_steps"]:
+        # its step input is trained to depth n_steps, and serving refuses deeper
+        raise ConfigError(f"{strategy} trained to depth dad.n_steps={cfg['dad']['n_steps']} "
+                          f"cannot be evaluated at data.q={q}")
+    if row.kind is strategies.MultiOutputModel and q < 2:
+        raise ConfigError(f"{strategy} needs data.q >= 2, got {q}; "
+                          "train recursive or direct for one step")
+    return cfg
+
+
+def run(cfg: dict, series):
+    """Train the resolved config `cfg` on `series`: split at data.split,
+    min-max normalise on the train segment, train its strategy. Returns
+    (model, log, normalizer, normalised test values)."""
+    data, model = cfg["data"], cfg["model"]
+    split = SplitSpec(**{k: datetime.fromisoformat(v) for k, v in data["split"].items()})
+    train_series, val_series, test_series = split_by_date(series, split)
+    normalizer = fit_normalizer(train_series)
+    spec = TrainSpec(p=data["p"], q=data["q"],
+                     train=TrainConfig(seed=cfg["seed"], **model["train"]),
+                     **{k: model[k] for k in ARCH},
+                     **{k: cfg.get(k) for k in ("dad", "noise", "cgan")})
+    trained, log = train(model["strategy"], normalizer.apply(train_series.values),
+                         normalizer.apply(val_series.values), spec)
+    return trained, log, normalizer, normalizer.apply(test_series.values)

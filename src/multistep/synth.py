@@ -7,29 +7,25 @@ slow trend, with noise whose scale follows the daily cycle.
 
 from __future__ import annotations
 
-import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from . import cgan, evaluation, pipeline, schema, strategies
-from .data import TimeSeries, fit_normalizer, make_windows
+from . import evaluation, pipeline, schema, strategies
+from .data import TimeSeries, make_windows
 
 POINTS_PER_DAY = 96  # 15-minute intervals
+START, RESOLUTION = datetime(2011, 1, 1), timedelta(minutes=15)
 
 
 def make_synthetic_series(
     n_points: int,
     seed: int = 0,
-    start: datetime | None = None,
-    resolution: timedelta | None = None,
+    start: datetime = START,
+    resolution: timedelta = RESOLUTION,
 ) -> TimeSeries:
     schema.Int(2).check(n_points, "n_points")
     schema.Int(0).check(seed, "seed")
-    if start is None:
-        start = datetime(2011, 1, 1)
-    if resolution is None:
-        resolution = timedelta(minutes=15)
     rng = np.random.default_rng(seed)
     t = np.arange(n_points, dtype=float)
     daily = np.sin(2.0 * np.pi * t / POINTS_PER_DAY)
@@ -41,33 +37,32 @@ def make_synthetic_series(
     return TimeSeries(start, values, resolution)
 
 
-def benchmark_splits(seed: int, n_train: int, n_val: int = 300, n_test: int = 300):
-    """Train/val/test values of benchmark seed `seed`, min-max normalised on train."""
-    series = make_synthetic_series(n_train + n_val + n_test, seed=1000 + seed)
-    v = fit_normalizer(series.values[:n_train]).apply(series.values)
-    return v[:n_train], v[n_train : n_train + n_val], v[n_train + n_val :]
+def split(n_train: int, n_val: int = 300) -> dict:
+    """The `data.split` of a benchmark series that trains on its first
+    `n_train` points and validates on the next `n_val`."""
+    train_end = START + (n_train - 1) * RESOLUTION
+    return {"train_end": train_end.isoformat(),
+            "val_end": (train_end + n_val * RESOLUTION).isoformat()}
 
 
-def benchmark_gan_config(seed: int, epochs: int) -> cgan.CganConfig:
-    # The discriminator deliberately learns slower than the generator
-    # here; otherwise it wins outright on these small benchmarks and its
-    # accuracy never falls back toward chance.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return cgan.CganConfig(noise_dim=8, epochs=epochs, batch_size=64, seed=seed,
-                               hidden_layers=2, hidden_units=64,
-                               lr_generator=2e-3, lr_discriminator=2e-4)
+# The benchmark's validated `cgan` section, less its epochs. Its discriminator
+# deliberately learns slower than its generator; otherwise it wins outright on
+# these small benchmarks and its accuracy never falls back toward chance.
+CGAN = {"hidden_layers": 2, "hidden_units": 64, "noise_dim": 8, "batch_size": 64,
+        "lr_generator": 2e-3, "lr_discriminator": 2e-4}
 
 
-def run_seeds(tags, seeds, spec_for, n_train: int) -> dict[str, list[evaluation.MetricsReport]]:
-    """{tag: [held-out report per seed]}; at each seed every tag trains with `spec_for(seed)`."""
-    out = {tag: [] for tag in tags}
+def run_seeds(configs, seeds, n_points: int) -> dict[str, list[evaluation.MetricsReport]]:
+    """{strategy: [test-segment report per seed]} of each `multistep train`
+    config, trained at each seed (the config's own is overridden) on the
+    `n_points` benchmark series seeded 1000 above it."""
+    out = {cfg["model"]["strategy"]: [] for cfg in configs}
     for seed in seeds:
-        train, val, test = benchmark_splits(seed, n_train)
-        spec = spec_for(seed)
-        windows = make_windows(test, spec.p, spec.q)
-        for tag in tags:
-            model, _ = pipeline.train(tag, train, val, spec)
-            predict = strategies.batch_predictor(model, spec.q)
-            out[tag].append(evaluation.evaluate(predict, windows, model_tag=tag))
+        series = make_synthetic_series(n_points, seed=1000 + seed)
+        for cfg in configs:
+            cfg = pipeline.resolve_config(cfg, seed_override=seed)
+            model, _, _, test = pipeline.run(cfg, series)
+            p, q, tag = cfg["data"]["p"], cfg["data"]["q"], cfg["model"]["strategy"]
+            out[tag].append(evaluation.evaluate(strategies.batch_predictor(model, q),
+                                                make_windows(test, p, q), model_tag=tag))
     return out

@@ -35,14 +35,13 @@ def announce(capsys):
     return _announce
 
 
-def predictor_spec(seed, epochs, **sections):
-    return pipeline.TrainSpec(
-        p=P,
-        q=HORIZON,
-        train=nn.TrainConfig(epochs=epochs, batch_size=64, seed=seed),
-        **HIDDEN,
-        **sections,
-    )
+def config(strategy, epochs, n_train, **sections):
+    """The `multistep train` config of one benchmark run: the predictor is
+    2x32 without dropout, trained on the first `n_train` points."""
+    return {"data": {"p": P, "q": HORIZON, "split": synth.split(n_train)},
+            "model": {"strategy": strategy, **HIDDEN, "dropout": 0.0,
+                      "train": {"epochs": epochs, "batch_size": 64}},
+            **sections}
 
 
 def median_mse(reports, step=None):
@@ -55,23 +54,24 @@ def median_mse(reports, step=None):
 def recursive_family():
     """Vanilla recursive vs corrective retraining vs its conditioned variant."""
     dad = dict(n_steps=HORIZON, meta_iterations=15, inner_epochs=10)
-    return synth.run_seeds(("recursive", "dad", "cdad"), SEEDS,
-                           lambda seed: predictor_spec(seed, 20, dad=dad), n_train=2000)
+    return synth.run_seeds([config("recursive", 20, 2000), config("dad", 20, 2000, dad=dad),
+                            config("cdad", 20, 2000, dad=dad)], SEEDS, n_points=2600)
 
 
 @pytest.fixture(scope="session")
 def direct_family():
-    return synth.run_seeds(("direct", "hybrid"), SEEDS,
-                           lambda seed: predictor_spec(seed, 30), n_train=2000)
+    return synth.run_seeds([config("direct", 30, 2000), config("hybrid", 30, 2000)], SEEDS,
+                           n_points=2600)
 
 
 @pytest.fixture(scope="session")
 def multi_family():
     """Multi-output vs its noise- and generator-augmented variants on a
     deliberately small training split (500 points)."""
-    return synth.run_seeds(("multi", "multi-noise", "multi-cgan"), SEEDS, lambda seed: (
-        predictor_spec(seed, 100, noise=dict(sigma=0.05),
-                       cgan=synth.benchmark_gan_config(seed, epochs=500))), n_train=500)
+    return synth.run_seeds([config("multi", 100, 500),
+                            config("multi-noise", 100, 500, noise={"sigma": 0.05}),
+                            config("multi-cgan", 100, 500, cgan={**synth.CGAN, "epochs": 500})],
+                           SEEDS, n_points=1100)
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +86,8 @@ def gan_tails():
     holdout = WindowedDataset(hold_f[:, ::-1].copy(), hold_f, q, q)
     tails, finite = [], True
     for seed in SEEDS:
-        pair = cgan.train_cgan(data, synth.benchmark_gan_config(seed, epochs=400), holdout=holdout)
+        cfg = cgan.CganConfig(**synth.CGAN, epochs=400, seed=seed)
+        pair = cgan.train_cgan(data, cfg, holdout=holdout)
         accs = [e["d_accuracy"] for e in pair.training_log]
         finite = finite and all(
             np.isfinite(e["d_loss"]) and np.isfinite(e["g_loss"])
@@ -326,10 +327,10 @@ def test_criterion_11_serialization_round_trip(announce, tmp_path):
         train=nn.TrainConfig(epochs=2, batch_size=16, seed=0),
         hidden_layers=1,
         hidden_units=5,
+        dropout=0.0,
         dad=dict(n_steps=q, meta_iterations=1, inner_epochs=1),
         noise=dict(sigma=0.05),
-        cgan=cgan.CganConfig(noise_dim=3, epochs=1, batch_size=16, seed=0,
-                             hidden_layers=1, hidden_units=5),
+        cgan=dict(noise_dim=3, epochs=1, batch_size=16),
     )
     histories = make_windows(train, p, q).histories[:6]
     ok = True

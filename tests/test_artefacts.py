@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from multistep import cli
+from multistep import cli, pipeline
 
 SECTIONS = {
     "dad": {"dad": {"n_steps": 3, "meta_iterations": 2, "inner_epochs": 1}},
@@ -66,7 +66,7 @@ DIGESTS = {
     ],
     "multi-cgan": [
         "cf96d3766347166de5a4db922d0506ac2ccd41f1affab7e6a73915ceae75f475",
-        "b4b8e7336f25b6ebc501eb6bb6c98aab4127b8911e16985e8204e363264d3a94",
+        "3f5be4af16a45b499fbcc29769243c74b53bcc480e6ca6151aaea9f34c980972",
         "66559bdc0013ed08fbe04c5963c380d9912b61c54e38be6510b45787a934611e",
     ],
 }
@@ -109,7 +109,7 @@ def digests(tmp_path, series_csv, strategy: str) -> list[str]:
             for suffix in ("", ".config.json", ".log.json")]
 
 
-@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
 def test_train_artefacts_are_pinned(tmp_path, series_csv, strategy):
     assert digests(tmp_path, series_csv, strategy) == DIGESTS[strategy]
 
@@ -162,7 +162,7 @@ def sha256(path) -> str:
 def reports(tmp_path_factory, series_csv):
     """{strategy: (report path, curves path)} of every strategy's evaluated model."""
     out = {}
-    for strategy in cli.STRATEGIES:
+    for strategy in pipeline.STRATEGIES:
         work = tmp_path_factory.mktemp(strategy)
         digests(work, series_csv, strategy)
         report, curves = work / "report.json", work / "curves.csv"
@@ -173,14 +173,14 @@ def reports(tmp_path_factory, series_csv):
     return out
 
 
-@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
 def test_evaluate_artefacts_are_pinned(reports, strategy):
     assert [sha256(path) for path in reports[strategy]] == EVALUATE_DIGESTS[strategy]
 
 
 def test_compare_artefacts_are_pinned(tmp_path, reports):
     out = tmp_path / "cmp"
-    argv = ["compare", "--reports", *(str(reports[s][0]) for s in cli.STRATEGIES),
+    argv = ["compare", "--reports", *(str(reports[s][0]) for s in pipeline.STRATEGIES),
             "--baseline", "recursive", "--out", str(out)]
     assert cli.main(argv) == 0
     assert [sha256(tmp_path / f"cmp{suffix}") for suffix in (".json", ".txt")] == COMPARE_DIGESTS

@@ -27,10 +27,6 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad)
 
-    def test_slow_discriminator_warns(self):
-        with pytest.warns(UserWarning, match="discriminator"):
-            tiny_cfg(lr_discriminator=1e-4, lr_generator=1e-3)
-
 
 class TestPair:
     def test_sizes_are_read_off_the_nets(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multistep import cli, pipeline, serialize, synth
+from multistep import cgan, cli, pipeline, serialize, synth
 from multistep.data import ingest_csv, write_series_csv
 
 
@@ -152,6 +152,22 @@ class TestConfigValidation:
         code, out = run_train(tmp_path, series_csv, doc)
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("strategy, section", [
+        ("multi", {}), ("multi-noise", {"noise": {}}), ("multi-cgan", {"cgan": {"epochs": 1}})])
+    def test_multi_output_at_one_step_exits_two_before_any_work(self, tmp_path, series_csv,
+                                                                monkeypatch, capsys,
+                                                                strategy, section):
+        def train_cgan(*args):
+            raise AssertionError("train_cgan called")
+
+        monkeypatch.setattr(cgan, "train_cgan", train_cgan)
+        doc = base_config(strategy=strategy, **section)
+        doc["data"]["q"] = 1
+        code, out = run_train(tmp_path, series_csv, doc)
+        assert code == 2
+        assert "data.q" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -829,13 +845,20 @@ def _flatten(doc, prefix=""):
 
 
 class TestConfigReference:
-    """The README's config reference table says what `resolve_config` does."""
+    """The README's config reference table says what `resolve_config` does,
+    and every config the README ships resolves."""
 
-    @pytest.mark.parametrize("strategy", cli.STRATEGIES)
+    def test_every_readme_config_resolves(self):
+        blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            pipeline.resolve_config(json.loads(block))
+
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
     def test_keys_and_defaults(self, strategy):
         split = {"train_end": "2011-01-03T02:00:00", "val_end": "2011-01-03T14:30:00"}
         given = {"data": {"split": split}, "model": {"strategy": strategy}}
-        filled = _flatten(cli.resolve_config(given))
+        filled = _flatten(pipeline.resolve_config(given))
         reference = _readme_reference()
         required = {k for k, (_, default) in reference.items() if default == "required"}
         assert required == set(_flatten(given))
@@ -853,5 +876,5 @@ class TestConfigReference:
                     yield prefix + key, kind.what + " or null" * (kind.default is None)
 
         documented = {k: kind for k, (kind, _) in _readme_reference().items()}
-        assert documented == dict(leaves(cli.CONFIG))
+        assert documented == dict(leaves(pipeline.CONFIG))
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistep import cgan, cli, dad, nn, pipeline
+from multistep import cgan, dad, nn, pipeline
+from multistep.data import RECIPE
 from multistep.errors import ConfigError, NumericError, ShapeError
 
 
@@ -650,7 +651,7 @@ class TestConfigFields:
         (dad_config, "hidden_units", 0), (dad_config, "hidden_units", True),
         (dad_config, "hidden_layers", 2.0),
         (train_spec, "hidden_units", 0), (train_spec, "q", 0), (train_spec, "train", {}),
-        (train_spec, "dad", [8]), (train_spec, "cgan", {}),
+        (train_spec, "dad", [8]), (train_spec, "cgan", [8]),
     ])
     def test_bad_field_is_named(self, build, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
@@ -661,7 +662,7 @@ class TestConfigFields:
         nn.TrainConfig(seed=np.uint32(2**32 - 1))
         cgan.CganConfig(seed=3, dropout=0.5, hidden_layers=0, hidden_units=1)
         dad_config(hidden_layers=0, hidden_units=np.int64(3))
-        train_spec(dad={"n_steps": 2}, noise=None, cgan=cgan.CganConfig())
+        train_spec(dad={"n_steps": 2}, noise=None, cgan={})
 
 
 class TestOneArchitecture:
@@ -678,7 +679,7 @@ class TestOneArchitecture:
     def test_every_arch_key_is_configured_and_built(self, key):
         for holder in (dad.DadConfig, cgan.CganConfig, pipeline.TrainSpec):
             assert key in {f.name for f in dataclasses.fields(holder)}
-        assert key in cli.CONFIG["model"].rows
+        assert key in pipeline.CONFIG["model"].rows
         assert key in inspect.signature(nn.init_net).parameters
 
     def test_dad_config_is_its_section_its_net_and_its_run(self):
@@ -690,6 +691,28 @@ class TestOneArchitecture:
         fields = {f.name for f in dataclasses.fields(pipeline.TrainSpec)}
         assert fields == set(nn.ARCH) | {"p", "q", "train", "dad", "noise", "cgan"}
 
+    def test_train_spec_values_are_the_run_keys_of_the_config(self):
+        # a config key is a TrainSpec value unless `pipeline.run` reads it itself
+        def leaves(table, prefix=""):
+            for key, kind in table.items():
+                if kind.rows is None:
+                    yield prefix + key
+                else:
+                    yield from leaves(kind.rows, f"{prefix}{key}.")
+
+        def spec_name(key):  # where a run key lands in a TrainSpec
+            return "train.seed" if key == "seed" else (
+                key.removeprefix("model.").removeprefix("data."))
+
+        spec = pipeline.TrainSpec(p=2, q=2, train=nn.TrainConfig(), dad={}, noise={}, cgan={})
+        fields = {**vars(spec), "train": vars(spec.train)}
+        values = {f"{name}.{key}" for name, v in fields.items() if isinstance(v, dict) for key in v}
+        values |= {name for name, v in fields.items() if not isinstance(v, dict)}
+        read_by_run = {"data.split.train_end", "data.split.val_end", "model.strategy",
+                       *(f"data.{k}" for k in RECIPE)}
+        assert len(values) == 24
+        assert {spec_name(key) for key in set(leaves(pipeline.CONFIG)) - read_by_run} == values
+
     def test_defaults_that_differ_from_the_tables(self):
         defaults = {(r.__name__, f.name): f.default for r in (cgan.CganConfig, dad.DadConfig,
                                                               pipeline.TrainSpec)
@@ -697,7 +720,7 @@ class TestOneArchitecture:
         assert nn.ARCH["dropout"].default == 0.1
         assert defaults["CganConfig", "dropout"] == defaults["DadConfig", "dropout"] == 0.0
         for required in [("DadConfig", "n_steps"), ("DadConfig", "meta_iterations"),
-                         ("TrainSpec", "hidden_layers"), ("TrainSpec", "hidden_units")]:
+                         ("TrainSpec", "p"), ("TrainSpec", "train")]:
             assert defaults[required] is dataclasses.MISSING
 
 

@@ -1,7 +1,9 @@
 """The strategy table: same bits as the hand-written dispatch it replaced,
 each strategy reaching exactly its trainers, and one list of tags; the
-seeded benchmark loop: same bits as the loop written out by hand."""
+seeded benchmark loop: same bits as the loop written out by hand, and as
+`multistep train` and `evaluate` on the test segment."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from multistep import cgan, cli, dad, evaluation, pipeline, serialize, strategies, synth
-from multistep.data import WindowedDataset, make_windows
+from multistep.data import WindowedDataset, fit_normalizer, make_windows
 from multistep.errors import ConfigError
 from multistep.nn import TrainConfig
 
@@ -25,8 +27,8 @@ SPEC = pipeline.TrainSpec(
     dad={"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
          "selection_metric": "mae", "accumulate": True},
     noise={"sigma": 0.01, "interpret_as_stddev": False},
-    cgan=cgan.CganConfig(noise_dim=2, epochs=2, batch_size=16, synthetic_count=30, seed=3,
-                         hidden_layers=1, hidden_units=6),
+    cgan={"noise_dim": 2, "epochs": 2, "batch_size": 16, "synthetic_count": 30,
+          "hidden_units": 6},
 )
 
 
@@ -70,8 +72,13 @@ def hand_dispatch(strategy, train_values, val_values, spec):
             )
             log["augmented_rows"] = len(windows)
         elif strategy == "multi-cgan":
-            pair = cgan.train_cgan(windows, spec.cgan)
-            count = len(windows) if spec.cgan.synthetic_count is None else spec.cgan.synthetic_count
+            section = dict(spec.cgan)
+            for key in ("hidden_layers", "hidden_units"):  # null: the predictor's
+                if section[key] is None:
+                    section[key] = getattr(spec, key)
+            gan = cgan.CganConfig(**section, seed=seed)  # no dropout
+            pair = cgan.train_cgan(windows, gan)
+            count = len(windows) if gan.synthetic_count is None else gan.synthetic_count
             rng = np.random.default_rng((seed, 2))
             synthetic = cgan.generate_pairs(
                 pair, cgan.resample_futures(windows, count, rng), rng
@@ -93,7 +100,7 @@ def nets(model):
     return model.models if isinstance(model, strategies.DirectModelSet) else [model.net]
 
 
-@pytest.mark.parametrize("tag", cli.STRATEGIES)
+@pytest.mark.parametrize("tag", pipeline.STRATEGIES)
 def test_table_equals_hand_dispatch_bitwise(tag):
     model, log = pipeline.train(tag, TRAIN, VAL, SPEC)
     ref_model, ref_log = hand_dispatch(tag, TRAIN, VAL, SPEC)
@@ -112,17 +119,56 @@ def test_dropout_reaches_every_predictor_net(tag):
     assert [net.dropout_rate for net in nets(model)] == [SPEC.dropout] * len(nets(model))
 
 
+def benchmark_config(strategy, **sections):
+    return {"seed": 9, "data": {"p": 4, "q": 4, "split": synth.split(60, n_val=40)},
+            "model": {"strategy": strategy, "hidden_layers": 1, "hidden_units": 4,
+                      "train": {"epochs": 2, "batch_size": 16}}, **sections}
+
+
 def test_run_seeds_equals_the_hand_loop_bitwise():
-    tags = ("cdad", "multi-cgan")
-    specs = {seed: replace(SPEC, train=replace(SPEC.train, seed=seed)) for seed in (0, 1)}
-    got = synth.run_seeds(tags, specs, specs.get, n_train=60)
-    for i, (seed, spec) in enumerate(specs.items()):
-        train, val, test = synth.benchmark_splits(seed, 60)
-        for tag in tags:
+    configs = [benchmark_config("cdad", dad={"n_steps": 4, "meta_iterations": 2,
+                                             "inner_epochs": 1}),
+               benchmark_config("multi-cgan", cgan={"noise_dim": 2, "epochs": 2,
+                                                    "hidden_layers": 2})]
+    got = synth.run_seeds(configs, (0, 1), n_points=140)
+    for i, seed in enumerate((0, 1)):
+        values = synth.make_synthetic_series(140, seed=1000 + seed).values
+        norm = fit_normalizer(values[:60])
+        train, val, test = np.split(norm.apply(values), [60, 100])
+        for cfg in configs:
+            tag = cfg["model"]["strategy"]
+            spec = replace(SPEC, train=TrainConfig(epochs=2, batch_size=16, seed=seed),
+                           hidden_units=4, dropout=0.1, dad=cfg.get("dad"),
+                           noise=None, cgan=cfg.get("cgan"))
             model, _ = pipeline.train(tag, train, val, spec)
-            ref = evaluation.evaluate(strategies.batch_predictor(model, spec.q),
-                                      make_windows(test, spec.p, spec.q), model_tag=tag)
+            ref = evaluation.evaluate(strategies.batch_predictor(model, 4),
+                                      make_windows(test, 4, 4), model_tag=tag)
             assert got[tag][i] == ref
+
+
+def test_the_cli_on_the_test_segment_gives_the_reports_of_run_seeds(tmp_path):
+    # one seed of every strategy: synth-data, train at --seed 0, then evaluate
+    # on a CSV of the rows after val_end
+    sections = {"dad": {"n_steps": 4, "meta_iterations": 2, "inner_epochs": 1},
+                "noise": {"sigma": 0.05}, "cgan": {"noise_dim": 2, "epochs": 2, "hidden_layers": 2}}
+    configs = [benchmark_config(tag, **({row.section: sections[row.section]} if row.section
+                                        else {})) for tag, row in pipeline.STRATEGIES.items()]
+    expected = synth.run_seeds(configs, [0], n_points=140)
+    series, test = tmp_path / "series.csv", tmp_path / "test.csv"
+    assert cli.main(["synth-data", "--points", "140", "--seed", "1000", "--output",
+                     str(series)]) == 0
+    header, *rows = series.read_text().splitlines(keepends=True)
+    test.write_text(header + "".join(rows[100:]))
+    for cfg in configs:
+        tag = cfg["model"]["strategy"]
+        paths = {name: str(tmp_path / f"{tag}.{name}") for name in ("cfg", "model", "report")}
+        with open(paths["cfg"], "w") as f:
+            json.dump(cfg, f)
+        assert cli.main(["train", "--config", paths["cfg"], "--data", str(series), "--seed", "0",
+                         "--out", paths["model"]]) == 0
+        assert cli.main(["evaluate", "--model", paths["model"], "--data", str(test),
+                         "--report", paths["report"]]) == 0
+        assert evaluation.load_report(paths["report"]) == expected[tag][0]
 
 
 TRAINERS = {
@@ -167,8 +213,7 @@ def test_each_strategy_calls_its_trainers_once_through_the_module(monkeypatch, t
 
 
 def test_one_list_of_tags():
-    assert tuple(pipeline.STRATEGIES) == cli.STRATEGIES
-    assert tuple(serialize.MODEL_KINDS) == cli.STRATEGIES
+    assert tuple(serialize.MODEL_KINDS) == tuple(pipeline.STRATEGIES)
 
 
 def test_unknown_strategy_rejected():
