@@ -95,6 +95,8 @@ def augmented_set(series, p: int, n_steps: int, conditional: bool,
     values = np.asarray(series, dtype=float)
     SECTION["n_steps"].check(n_steps, "n_steps")
     schema.Int(0).check(blocks, "blocks")
+    if len(values) - n_steps < 1:  # no p fits
+        raise ConfigError(f"n_steps must be < the series length {len(values)}, got {n_steps}")
     if not schema.is_int(p) or not 1 <= p <= len(values) - n_steps:
         raise ConfigError(f"p must be an integer in [1, {len(values) - n_steps}], got {p!r}")
     m0 = len(values) - p
@@ -162,6 +164,9 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     m0 = allocated.layout[0]
     one_step = WindowedDataset(allocated.histories[:m0, :p], allocated.futures[:m0], p, 1)
     start_windows = one_step.histories[: m0 - n_steps + 1]
+    if len(val_values) < p + n_steps:  # refused before any fit
+        raise ConfigError(f"validation series length {len(val_values)} "
+                          f"< p + n_steps = {p + n_steps}")
     val_windows = make_windows(val_values, p, n_steps)
 
     def fitted(net: Mlp, data, train: TrainConfig, k: int) -> Mlp:

@@ -133,32 +133,35 @@ def ingest_csv(
     if not path.exists():
         raise IngestError(f"no such file: {path}")
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "timestamp":
-                continue  # header
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise IngestError(f"row {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise IngestError(f"row {lineno}: bad timestamp {row[0]!r}") from exc
-            if rows and (ts.tzinfo is None) != (rows[0][0].tzinfo is None):  # they do not compare
-                has = "lacks" if ts.tzinfo is None else "has"
-                raise IngestError(f"row {lineno}: timestamp {has} a UTC offset, "
-                                  f"unlike row {rows[0][2]}")
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise IngestError(f"row {lineno}: bad value {row[1]!r}") from exc
-            if not math.isfinite(value):
-                raise IngestError(f"row {lineno}: non-finite value")
-            if value < 0:
-                raise IngestError(f"row {lineno}: negative value {value}")
-            rows.append((ts, value, lineno))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            for lineno, row in enumerate(reader, start=1):
+                if lineno == 1 and row and row[0].strip().lower() == "timestamp":
+                    continue  # header
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise IngestError(f"row {lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    ts = datetime.fromisoformat(row[0].strip())
+                except ValueError as exc:
+                    raise IngestError(f"row {lineno}: bad timestamp {row[0]!r}") from exc
+                if rows and (ts.tzinfo is None) != (rows[0][0].tzinfo is None):
+                    has = "lacks" if ts.tzinfo is None else "has"  # the two do not compare
+                    raise IngestError(f"row {lineno}: timestamp {has} a UTC offset, "
+                                      f"unlike row {rows[0][2]}")
+                try:
+                    value = float(row[1])
+                except ValueError as exc:
+                    raise IngestError(f"row {lineno}: bad value {row[1]!r}") from exc
+                if not math.isfinite(value):
+                    raise IngestError(f"row {lineno}: non-finite value")
+                if value < 0:
+                    raise IngestError(f"row {lineno}: negative value {value}")
+                rows.append((ts, value, lineno))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise IngestError("no data rows")
     rows.sort(key=operator.itemgetter(0))  # one pass when already in order

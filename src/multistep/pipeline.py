@@ -1,11 +1,11 @@
 """One table from strategy tag to training recipe, and the run config it reads.
 
-`run(cfg, series)` trains a resolved `multistep train` config on a
-series; it is how the CLI, the experiment script and the acceptance
-suite train every strategy. Recipes look trainers up on their modules at
-call time and never store them, so a profiler that rebinds
-`strategies.train_*`, `dad.train_*`, `cgan.*` or `split_by_date` sees
-every call.
+`train(cfg, train_values, val_values)` trains a run config on a split
+series and `run(cfg, series)` splits one for it; the CLI, the experiment
+script and the acceptance suite train every strategy through `run`.
+Recipes look trainers up on their modules at call time and never store
+them, so a profiler that rebinds `strategies.train_*`, `dad.train_*`,
+`cgan.*` or `split_by_date` sees every call.
 """
 
 from __future__ import annotations
@@ -19,71 +19,65 @@ import numpy as np
 from . import cgan, dad, schema, strategies
 from .data import RECIPE, SplitSpec, WindowedDataset, fit_normalizer, make_windows, split_by_date
 from .errors import ConfigError
-from .nn import ARCH, BUDGET, TRAIN, TrainConfig
+from .nn import ARCH, TRAIN, TrainConfig
 
 
-# what a strategy trains with besides its data; the seed of `train` also seeds the noise and
-# C-GAN sampling, and only the strategies whose row names `dad`, `noise` or `cgan` read it.
-# Each section holds its config section as its table fills it, or null.
-TrainSpec = schema.record(
-    "TrainSpec", ARCH, p=schema.Int(1), q=schema.Int(1), train=BUDGET,
-    dad=schema.Table(dad.SECTION, null=True), noise=schema.Table(cgan.NOISE, null=True),
-    cgan=schema.Table(cgan.SECTION, null=True),
-)
+def _arch(cfg: dict) -> dict:
+    return {k: cfg["model"][k] for k in ARCH}
 
 
-def _arch(spec: TrainSpec) -> dict:
-    return {k: getattr(spec, k) for k in ARCH}
+def _budget(cfg: dict) -> TrainConfig:
+    return TrainConfig(seed=cfg["seed"], **cfg["model"]["train"])
 
 
-def _recursive(train_values, val_values, spec):
-    windows = make_windows(train_values, spec.p, 1)
-    return strategies.train_recursive(windows, spec.train, **_arch(spec)), {}
+def _recursive(train_values, val_values, cfg):
+    windows = make_windows(train_values, cfg["data"]["p"], 1)
+    return strategies.train_recursive(windows, _budget(cfg), **_arch(cfg)), {}
 
 
-def _corrective(train_values, val_values, spec, conditional):
-    section = dict(spec.dad)
-    cfg = dad.DadConfig(
-        p=spec.p,
-        inner_train=replace(spec.train, epochs=section.pop("inner_epochs")),
+def _corrective(train_values, val_values, cfg, conditional):
+    section, budget = dict(cfg["dad"]), _budget(cfg)
+    dad_cfg = dad.DadConfig(
+        p=cfg["data"]["p"],
+        inner_train=replace(budget, epochs=section.pop("inner_epochs")),
         conditional=conditional,
-        base_train=spec.train,
-        **_arch(spec),
+        base_train=budget,
+        **_arch(cfg),
         **section,
     )
     trainer = dad.train_cdad if conditional else dad.train_dad
-    result = trainer(train_values, val_values, cfg)
+    result = trainer(train_values, val_values, dad_cfg)
     return result.best_model, result.to_log_dict()
 
 
-def _direct(train_values, val_values, spec, hybrid):
-    windows = make_windows(train_values, spec.p, spec.q)
-    return strategies.train_direct(windows, spec.train, hybrid=hybrid, **_arch(spec)), {}
+def _direct(train_values, val_values, cfg, hybrid):
+    windows = make_windows(train_values, cfg["data"]["p"], cfg["data"]["q"])
+    return strategies.train_direct(windows, _budget(cfg), hybrid=hybrid, **_arch(cfg)), {}
 
 
-def _multi(train_values, val_values, spec, augment):
-    windows = make_windows(train_values, spec.p, spec.q)
+def _multi(train_values, val_values, cfg, augment):
+    windows = make_windows(train_values, cfg["data"]["p"], cfg["data"]["q"])
     log: dict = {}
     if augment is not None:
-        windows = augment(windows, spec, log)
-    return strategies.train_multi_output(windows, spec.train, **_arch(spec)), log
+        windows = augment(windows, cfg, log)
+    return strategies.train_multi_output(windows, _budget(cfg), **_arch(cfg)), log
 
 
-def _noise(windows, spec, log):
-    rng = np.random.default_rng((spec.train.seed, 1))
-    windows = cgan.noise_augment(windows, rng=rng, **spec.noise)
+def _noise(windows, cfg, log):
+    rng = np.random.default_rng((cfg["seed"], 1))
+    windows = cgan.noise_augment(windows, rng=rng, **cfg["noise"])
     log["augmented_rows"] = len(windows)
     return windows
 
 
-def _gan(windows, spec, log):
+def _gan(windows, cfg, log):
     # a null width is the predictor's; the nets train without dropout, seeded by the run
-    widths = {k: getattr(spec, k) if spec.cgan[k] is None else spec.cgan[k]
+    widths = {k: cfg["model"][k] if cfg["cgan"][k] is None else cfg["cgan"][k]
               for k in ("hidden_layers", "hidden_units")}
-    cfg = cgan.CganConfig(**{**spec.cgan, **widths}, seed=spec.train.seed)
-    pair = cgan.train_cgan(windows, cfg)
-    count = len(windows) if cfg.synthetic_count is None else cfg.synthetic_count
-    rng = np.random.default_rng((spec.train.seed, 2))
+    gan_cfg = cgan.CganConfig(**{**cfg["cgan"], **widths}, seed=cfg["seed"])
+    pair = cgan.train_cgan(windows, gan_cfg)
+    count = len(windows) if gan_cfg.synthetic_count is None else gan_cfg.synthetic_count
+    rng = np.random.default_rng((cfg["seed"], 2))
     synthetic = cgan.generate_pairs(pair, cgan.resample_futures(windows, count, rng), rng)
     log.update(cgan_log=pair.training_log, synthetic_rows=len(synthetic))
     log["combined_rows"] = len(windows) + len(synthetic)
@@ -97,8 +91,8 @@ def _gan(windows, spec, log):
 
 class Strategy(NamedTuple):
     kind: type  # the model class it trains
-    section: str | None  # the TrainSpec field, and config section, it reads
-    recipe: Callable  # called as recipe(train_values, val_values, spec, **options)
+    section: str | None  # the config section it reads besides `data`, `model` and `seed`
+    recipe: Callable  # called as recipe(train_values, val_values, cfg, **options)
     options: dict
 
 
@@ -115,16 +109,14 @@ STRATEGIES = {
 }
 
 
-def train(strategy: str, train_values, val_values, spec: TrainSpec):
-    """Train `strategy` on normalised series values; returns (model, log),
-    the log being what `multistep train` writes to `<out>.log.json`. Only
-    the corrective strategies read `val_values`, to pick their iterate."""
-    row = STRATEGIES.get(strategy)
-    if row is None:
-        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
-    if row.section is not None and getattr(spec, row.section) is None:
-        raise ConfigError(f"strategy {strategy!r} needs spec.{row.section}")
-    return row.recipe(train_values, val_values, spec, **row.options)
+def train(cfg: dict, train_values, val_values):
+    """Train the strategy of the run config `cfg`, resolved first, on
+    normalised series values; returns (model, log), the log being what
+    `multistep train` writes to `<out>.log.json`. Only the corrective
+    strategies read `val_values`, to pick their iterate."""
+    cfg = resolve_config(cfg)
+    row = STRATEGIES[cfg["model"]["strategy"]]
+    return row.recipe(train_values, val_values, cfg, **row.options)
 
 
 # a run config; a strategy keeps the one of dad, cgan and noise its row names
@@ -168,17 +160,13 @@ def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
 
 
 def run(cfg: dict, series):
-    """Train the resolved config `cfg` on `series`: split at data.split,
-    min-max normalise on the train segment, train its strategy. Returns
-    (model, log, normalizer, normalised test values)."""
-    data, model = cfg["data"], cfg["model"]
-    split = SplitSpec(**{k: datetime.fromisoformat(v) for k, v in data["split"].items()})
+    """Train the config `cfg`, resolved first, on `series`: split at
+    data.split, min-max normalise on the train segment, train its
+    strategy. Returns (model, log, normalizer, normalised test values)."""
+    cfg = resolve_config(cfg)
+    split = SplitSpec(**{k: datetime.fromisoformat(v) for k, v in cfg["data"]["split"].items()})
     train_series, val_series, test_series = split_by_date(series, split)
     normalizer = fit_normalizer(train_series)
-    spec = TrainSpec(p=data["p"], q=data["q"],
-                     train=TrainConfig(seed=cfg["seed"], **model["train"]),
-                     **{k: model[k] for k in ARCH},
-                     **{k: cfg.get(k) for k in ("dad", "noise", "cgan")})
-    trained, log = train(model["strategy"], normalizer.apply(train_series.values),
-                         normalizer.apply(val_series.values), spec)
+    trained, log = train(cfg, normalizer.apply(train_series.values),
+                         normalizer.apply(val_series.values))
     return trained, log, normalizer, normalizer.apply(test_series.values)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import evaluation, pipeline, schema, strategies
 from .data import TimeSeries, make_windows
+from .errors import ConfigError
 
 POINTS_PER_DAY = 96  # 15-minute intervals
 START, RESOLUTION = datetime(2011, 1, 1), timedelta(minutes=15)
@@ -55,8 +56,11 @@ CGAN = {"hidden_layers": 2, "hidden_units": 64, "noise_dim": 8, "batch_size": 64
 def run_seeds(configs, seeds, n_points: int) -> dict[str, list[evaluation.MetricsReport]]:
     """{strategy: [test-segment report per seed]} of each `multistep train`
     config, trained at each seed (the config's own is overridden) on the
-    `n_points` benchmark series seeded 1000 above it."""
-    out = {cfg["model"]["strategy"]: [] for cfg in configs}
+    `n_points` benchmark series seeded 1000 above it; one config per strategy."""
+    tags = [pipeline.resolve_config(cfg)["model"]["strategy"] for cfg in configs]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"two configs of strategy {max(tags, key=tags.count)!r}")
+    out = {tag: [] for tag in tags}
     for seed in seeds:
         series = make_synthetic_series(n_points, seed=1000 + seed)
         for cfg in configs:

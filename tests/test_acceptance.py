@@ -321,21 +321,16 @@ def test_criterion_11_serialization_round_trip(announce, tmp_path):
     rng = np.random.default_rng(0)
     p = q = 4
     train, val = rng.uniform(0, 1, 60), rng.uniform(0, 1, 40)
-    spec = pipeline.TrainSpec(
-        p=p,
-        q=q,
-        train=nn.TrainConfig(epochs=2, batch_size=16, seed=0),
-        hidden_layers=1,
-        hidden_units=5,
-        dropout=0.0,
-        dad=dict(n_steps=q, meta_iterations=1, inner_epochs=1),
-        noise=dict(sigma=0.05),
-        cgan=dict(noise_dim=3, epochs=1, batch_size=16),
-    )
+    sections = {"dad": dict(n_steps=q, meta_iterations=1, inner_epochs=1),
+                "noise": dict(sigma=0.05), "cgan": dict(noise_dim=3, epochs=1, batch_size=16)}
     histories = make_windows(train, p, q).histories[:6]
     ok = True
-    for tag in pipeline.STRATEGIES:
-        model, _ = pipeline.train(tag, train, val, spec)
+    for tag, row in pipeline.STRATEGIES.items():
+        cfg = {"seed": 0, "data": {"p": p, "q": q, "split": synth.split(60, n_val=40)},
+               "model": {"strategy": tag, "hidden_layers": 1, "hidden_units": 5, "dropout": 0.0,
+                         "train": {"epochs": 2, "batch_size": 16}},
+               **({row.section: sections[row.section]} if row.section else {})}
+        model, _ = pipeline.train(cfg, train, val)
         path = tmp_path / f"{tag}.json"
         serialize.dump_json(serialize.model_to_doc(model, {"strategy_tag": tag}), path)
         loaded = serialize.model_from_doc(serialize.load_json(path))

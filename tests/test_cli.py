@@ -105,6 +105,18 @@ class TestIngest:
         assert [p.name for p in tmp_path.iterdir()] == ["raw.csv"]
         assert "row 3: timestamp has a UTC offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path, capsys, command):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"\xff\xfe" + "timestamp,flow\n".encode("utf-16-le"))  # a UTF-16 file
+        if command == "ingest":
+            code = cli.main(["ingest", "--input", str(raw), "--output", str(tmp_path / "o.csv")])
+        else:
+            code = run_train(tmp_path, raw, base_config())[0]
+        assert code == 1
+        assert not {"o.csv", "model.json"} & {p.name for p in tmp_path.iterdir()}
+        assert capsys.readouterr().err == f"error: {raw}: not UTF-8 text (invalid start byte)\n"
+
     def test_missing_input_exits_one(self, tmp_path):
         code = cli.main(
             ["ingest", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "o.csv")]

@@ -198,6 +198,12 @@ class TestAugmentedDataset:
         with pytest.raises(ConfigError, match=r"^p must be an integer in \[1, 1\], got 2"):
             dad.augmented_set(np.array([1.0, 2.0, 3.0]), 2, 2, False)
 
+    @pytest.mark.parametrize("n, n_steps", [(60, 70), (3, 3)], ids=["past-end", "series-length"])
+    def test_a_depth_that_leaves_no_window_names_n_steps(self, n, n_steps):
+        with pytest.raises(ConfigError,
+                           match=rf"^n_steps must be < the series length {n}, got {n_steps}$"):
+            dad.augmented_set(wave(n), 4, n_steps, False)
+
     @pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_steps", 2.5), ("n_steps", True),
                                               ("blocks", -1), ("blocks", 2.5)])
     def test_depth_and_block_count_are_integers(self, field, value):
@@ -246,6 +252,12 @@ class TestMetaTrain:
             res = fn(train, val, small_cfg(conditional=conditional))
             assert len(res.per_iteration_val_errors) == 3  # K=2 plus the start
             assert 0 <= res.best_iteration < 3
+
+    def test_a_short_validation_series_names_n_steps_before_any_fit(self, monkeypatch):
+        monkeypatch.setattr(dad, "fit", None)
+        with pytest.raises(ConfigError,
+                           match=r"^validation series length 6 < p \+ n_steps = 8$"):
+            dad.train_dad(wave(50), wave(6), small_cfg(p=4, n_steps=4))
 
     def test_best_iteration_is_validation_argmin(self):
         res = dad.train_dad(wave(50), wave(30, seed=1), small_cfg())

@@ -1,13 +1,13 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistep import cgan, dad, nn, pipeline
-from multistep.data import RECIPE
+from multistep import cgan, dad, nn, pipeline, synth
 from multistep.errors import ConfigError, NumericError, ShapeError
 
 
@@ -635,9 +635,16 @@ def dad_config(**fields):
                          base_train=nn.TrainConfig(), **fields)
 
 
-def train_spec(**fields):
-    return pipeline.TrainSpec(**{"p": 2, "q": 2, "train": nn.TrainConfig(), "hidden_layers": 1,
-                                 "hidden_units": 4, **fields})
+def run_config(strategy, dotted: dict):
+    """A minimal run config of `strategy` with each dotted key of `dotted` set."""
+    cfg = {"data": {"split": synth.split(20, n_val=10)}, "model": {"strategy": strategy}}
+    for key, value in dotted.items():
+        *path, leaf = key.split(".")
+        node = cfg
+        for name in path:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    return cfg
 
 
 class TestConfigFields:
@@ -650,8 +657,6 @@ class TestConfigFields:
         (cgan.CganConfig, "hidden_layers", 1.0),
         (dad_config, "hidden_units", 0), (dad_config, "hidden_units", True),
         (dad_config, "hidden_layers", 2.0),
-        (train_spec, "hidden_units", 0), (train_spec, "q", 0), (train_spec, "train", {}),
-        (train_spec, "dad", [8]), (train_spec, "cgan", [8]),
     ])
     def test_bad_field_is_named(self, build, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
@@ -662,7 +667,16 @@ class TestConfigFields:
         nn.TrainConfig(seed=np.uint32(2**32 - 1))
         cgan.CganConfig(seed=3, dropout=0.5, hidden_layers=0, hidden_units=1)
         dad_config(hidden_layers=0, hidden_units=np.int64(3))
-        train_spec(dad={"n_steps": 2}, noise=None, cgan={})
+        pipeline.resolve_config(run_config("dad", {"dad": {"n_steps": 2}}))
+        pipeline.resolve_config(run_config("multi-cgan", {"cgan": {}}))
+
+    @pytest.mark.parametrize("strategy, key, value", [
+        ("dad", "model.hidden_units", 0), ("multi", "data.q", 0), ("dad", "model.train", []),
+        ("dad", "dad", [8]), ("multi-cgan", "cgan", [8]),
+    ])
+    def test_bad_run_key_is_named_by_train(self, strategy, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+            pipeline.train(run_config(strategy, {key: value}), np.zeros(20), np.zeros(10))
 
 
 class TestOneArchitecture:
@@ -677,7 +691,7 @@ class TestOneArchitecture:
 
     @pytest.mark.parametrize("key", nn.ARCH)
     def test_every_arch_key_is_configured_and_built(self, key):
-        for holder in (dad.DadConfig, cgan.CganConfig, pipeline.TrainSpec):
+        for holder in (dad.DadConfig, cgan.CganConfig):
             assert key in {f.name for f in dataclasses.fields(holder)}
         assert key in pipeline.CONFIG["model"].rows
         assert key in inspect.signature(nn.init_net).parameters
@@ -687,40 +701,12 @@ class TestOneArchitecture:
         assert fields == (set(dad.SECTION) - {"inner_epochs"} | set(nn.ARCH)
                           | {"p", "conditional", "inner_train", "base_train"})
 
-    def test_train_spec_is_the_predictor_and_each_section(self):
-        fields = {f.name for f in dataclasses.fields(pipeline.TrainSpec)}
-        assert fields == set(nn.ARCH) | {"p", "q", "train", "dad", "noise", "cgan"}
-
-    def test_train_spec_values_are_the_run_keys_of_the_config(self):
-        # a config key is a TrainSpec value unless `pipeline.run` reads it itself
-        def leaves(table, prefix=""):
-            for key, kind in table.items():
-                if kind.rows is None:
-                    yield prefix + key
-                else:
-                    yield from leaves(kind.rows, f"{prefix}{key}.")
-
-        def spec_name(key):  # where a run key lands in a TrainSpec
-            return "train.seed" if key == "seed" else (
-                key.removeprefix("model.").removeprefix("data."))
-
-        spec = pipeline.TrainSpec(p=2, q=2, train=nn.TrainConfig(), dad={}, noise={}, cgan={})
-        fields = {**vars(spec), "train": vars(spec.train)}
-        values = {f"{name}.{key}" for name, v in fields.items() if isinstance(v, dict) for key in v}
-        values |= {name for name, v in fields.items() if not isinstance(v, dict)}
-        read_by_run = {"data.split.train_end", "data.split.val_end", "model.strategy",
-                       *(f"data.{k}" for k in RECIPE)}
-        assert len(values) == 24
-        assert {spec_name(key) for key in set(leaves(pipeline.CONFIG)) - read_by_run} == values
-
     def test_defaults_that_differ_from_the_tables(self):
-        defaults = {(r.__name__, f.name): f.default for r in (cgan.CganConfig, dad.DadConfig,
-                                                              pipeline.TrainSpec)
+        defaults = {(r.__name__, f.name): f.default for r in (cgan.CganConfig, dad.DadConfig)
                     for f in dataclasses.fields(r)}
         assert nn.ARCH["dropout"].default == 0.1
         assert defaults["CganConfig", "dropout"] == defaults["DadConfig", "dropout"] == 0.0
-        for required in [("DadConfig", "n_steps"), ("DadConfig", "meta_iterations"),
-                         ("TrainSpec", "p"), ("TrainSpec", "train")]:
+        for required in [("DadConfig", "n_steps"), ("DadConfig", "meta_iterations")]:
             assert defaults[required] is dataclasses.MISSING
 
 

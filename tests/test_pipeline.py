@@ -3,6 +3,7 @@ each strategy reaching exactly its trainers, and one list of tags; the
 seeded benchmark loop: same bits as the loop written out by hand, and as
 `multistep train` and `evaluate` on the test segment."""
 
+import copy
 import json
 from collections import Counter
 from dataclasses import replace
@@ -17,32 +18,38 @@ from multistep.nn import TrainConfig
 
 RNG = np.random.default_rng(5)
 TRAIN, VAL = RNG.uniform(0, 1, 80), RNG.uniform(0, 1, 40)
-SPEC = pipeline.TrainSpec(
-    p=4,
-    q=4,
-    train=TrainConfig(epochs=2, batch_size=16, seed=3),
-    hidden_layers=1,
-    hidden_units=4,
-    dropout=0.1,
-    dad={"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
-         "selection_metric": "mae", "accumulate": True},
-    noise={"sigma": 0.01, "interpret_as_stddev": False},
-    cgan={"noise_dim": 2, "epochs": 2, "batch_size": 16, "synthetic_count": 30,
-          "hidden_units": 6},
-)
+SECTIONS = {
+    "dad": {"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
+            "selection_metric": "mae", "accumulate": True},
+    "noise": {"sigma": 0.01, "interpret_as_stddev": False},
+    "cgan": {"noise_dim": 2, "epochs": 2, "batch_size": 16, "synthetic_count": 30,
+             "hidden_units": 6},
+}
 
 
-def hand_dispatch(strategy, train_values, val_values, spec):
+def config(tag, **sections):
+    """A run config of `tag` with a copy of the section its row names, SECTIONS' unless given."""
+    section = pipeline.STRATEGIES[tag].section
+    return {"seed": 3, "data": {"p": 4, "q": 4, "split": synth.split(80, n_val=40)},
+            "model": {"strategy": tag, "hidden_layers": 1, "hidden_units": 4, "dropout": 0.1,
+                      "train": {"epochs": 2, "batch_size": 16}},
+            **({section: dict(sections.get(section, SECTIONS[section]))} if section else {})}
+
+
+def hand_dispatch(cfg, train_values, val_values):
     """The per-strategy sequence `multistep train` ran before the table,
-    kept as the reference."""
-    p, q, tc, seed = spec.p, spec.q, spec.train, spec.train.seed
-    arch = {"hidden_layers": spec.hidden_layers, "hidden_units": spec.hidden_units,
-            "dropout": spec.dropout}
+    kept as the reference; `cfg` is read once resolved."""
+    cfg = pipeline.resolve_config(cfg)
+    strategy, model_cfg = cfg["model"]["strategy"], cfg["model"]
+    p, q, seed = cfg["data"]["p"], cfg["data"]["q"], cfg["seed"]
+    tc = TrainConfig(seed=seed, **model_cfg["train"])
+    arch = {"hidden_layers": model_cfg["hidden_layers"],
+            "hidden_units": model_cfg["hidden_units"], "dropout": model_cfg["dropout"]}
     log = {}
     if strategy == "recursive":
         model = strategies.train_recursive(make_windows(train_values, p, 1), tc, **arch)
     elif strategy in ("dad", "cdad"):
-        d = spec.dad
+        d = cfg["dad"]
         dcfg = dad.DadConfig(
             p=p,
             n_steps=d["n_steps"],
@@ -66,16 +73,16 @@ def hand_dispatch(strategy, train_values, val_values, spec):
         if strategy == "multi-noise":
             windows = cgan.noise_augment(
                 windows,
-                spec.noise["sigma"],
+                cfg["noise"]["sigma"],
                 np.random.default_rng((seed, 1)),
-                interpret_as_stddev=spec.noise["interpret_as_stddev"],
+                interpret_as_stddev=cfg["noise"]["interpret_as_stddev"],
             )
             log["augmented_rows"] = len(windows)
         elif strategy == "multi-cgan":
-            section = dict(spec.cgan)
+            section = dict(cfg["cgan"])
             for key in ("hidden_layers", "hidden_units"):  # null: the predictor's
                 if section[key] is None:
-                    section[key] = getattr(spec, key)
+                    section[key] = model_cfg[key]
             gan = cgan.CganConfig(**section, seed=seed)  # no dropout
             pair = cgan.train_cgan(windows, gan)
             count = len(windows) if gan.synthetic_count is None else gan.synthetic_count
@@ -102,8 +109,8 @@ def nets(model):
 
 @pytest.mark.parametrize("tag", pipeline.STRATEGIES)
 def test_table_equals_hand_dispatch_bitwise(tag):
-    model, log = pipeline.train(tag, TRAIN, VAL, SPEC)
-    ref_model, ref_log = hand_dispatch(tag, TRAIN, VAL, SPEC)
+    model, log = pipeline.train(config(tag), TRAIN, VAL)
+    ref_model, ref_log = hand_dispatch(config(tag), TRAIN, VAL)
     assert type(model) is type(ref_model)
     assert len(nets(model)) == len(nets(ref_model))
     for net, ref in zip(nets(model), nets(ref_model)):
@@ -115,8 +122,8 @@ def test_table_equals_hand_dispatch_bitwise(tag):
 
 @pytest.mark.parametrize("tag", pipeline.STRATEGIES)
 def test_dropout_reaches_every_predictor_net(tag):
-    model, _ = pipeline.train(tag, TRAIN, VAL, SPEC)
-    assert [net.dropout_rate for net in nets(model)] == [SPEC.dropout] * len(nets(model))
+    model, _ = pipeline.train(config(tag), TRAIN, VAL)
+    assert [net.dropout_rate for net in nets(model)] == [0.1] * len(nets(model))
 
 
 def benchmark_config(strategy, **sections):
@@ -137,10 +144,7 @@ def test_run_seeds_equals_the_hand_loop_bitwise():
         train, val, test = np.split(norm.apply(values), [60, 100])
         for cfg in configs:
             tag = cfg["model"]["strategy"]
-            spec = replace(SPEC, train=TrainConfig(epochs=2, batch_size=16, seed=seed),
-                           hidden_units=4, dropout=0.1, dad=cfg.get("dad"),
-                           noise=None, cgan=cfg.get("cgan"))
-            model, _ = pipeline.train(tag, train, val, spec)
+            model, _ = pipeline.train(dict(cfg, seed=seed), train, val)
             ref = evaluation.evaluate(strategies.batch_predictor(model, 4),
                                       make_windows(test, 4, 4), model_tag=tag)
             assert got[tag][i] == ref
@@ -208,7 +212,7 @@ def test_each_strategy_calls_its_trainers_once_through_the_module(monkeypatch, t
 
     for name, (module, attr) in TRAINERS.items():
         monkeypatch.setattr(module, attr, counting(getattr(module, attr), name))
-    pipeline.train(tag, TRAIN, VAL, SPEC)
+    pipeline.train(config(tag), TRAIN, VAL)
     assert counts == Counter(REACHES[tag])
 
 
@@ -217,40 +221,53 @@ def test_one_list_of_tags():
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ConfigError, match="unknown strategy"):
-        pipeline.train("lstm", TRAIN, VAL, SPEC)
+    with pytest.raises(ConfigError, match=r"^model\.strategy must be one of"):
+        pipeline.train(config("recursive") | {"model": {"strategy": "lstm"}}, TRAIN, VAL)
 
 
-@pytest.mark.parametrize("tag, field", [("cdad", "dad"), ("multi-noise", "noise"),
-                                        ("multi-cgan", "cgan")])
-def test_missing_section_rejected(tag, field):
-    with pytest.raises(ConfigError, match=f"spec.{field}"):
-        pipeline.train(tag, TRAIN, VAL, replace(SPEC, **{field: None}))
+def test_run_resolves_the_config_before_it_splits_the_series():
+    with pytest.raises(ConfigError, match=r"^data\.split keys missing \['train_end', 'val_end'\]"):
+        pipeline.run({"data": {}, "model": {"strategy": "recursive"}},
+                     synth.make_synthetic_series(140))
+
+
+def test_run_seeds_refuses_two_configs_of_one_strategy(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a config trained")
+
+    monkeypatch.setattr(pipeline, "run", no_run)
+    configs = [benchmark_config("recursive"), benchmark_config("direct"),
+               dict(benchmark_config("recursive"), seed=4)]
+    with pytest.raises(ConfigError, match=r"^two configs of strategy 'recursive'"):
+        synth.run_seeds(configs, (0, 1), n_points=140)
 
 
 def test_a_dad_section_without_inner_epochs_trains_with_the_tables_default():
     section = {"n_steps": 2, "meta_iterations": 1}
-    spec = replace(SPEC, dad=section)
-    assert spec.dad == {**section, "inner_epochs": 50, "selection_metric": "mse",
-                        "accumulate": False}
-    model, log = pipeline.train("dad", TRAIN, VAL, spec)
-    ref_model, ref_log = pipeline.train("dad", TRAIN, VAL,
-                                        replace(SPEC, dad={**section, "inner_epochs": 50}))
+    assert pipeline.resolve_config(config("dad", dad=section))["dad"] == {
+        **section, "inner_epochs": 50, "selection_metric": "mse", "accumulate": False}
+    model, log = pipeline.train(config("dad", dad=section), TRAIN, VAL)
+    ref_model, ref_log = pipeline.train(config("dad", dad={**section, "inner_epochs": 50}),
+                                        TRAIN, VAL)
     assert np.array_equal(model.net.params, ref_model.net.params)
     assert log == ref_log
 
 
-@pytest.mark.parametrize("field, section, message", [
-    ("noise", {"sigma": 0.1, "bogus": 1}, r"^noise keys missing \[\], unknown \['bogus'\]"),
+@pytest.mark.parametrize("tag, section, message", [
+    ("multi-noise", {"sigma": 0.1, "bogus": 1}, r"^noise keys missing \[\], unknown \['bogus'\]"),
     ("dad", {"selection_metric": "rmse"}, r"^dad\.selection_metric must be one of"),
 ], ids=["noise", "dad"])
-def test_a_bad_section_is_refused_when_the_spec_is_built(field, section, message):
+def test_a_bad_section_is_refused_when_the_spec_is_built(tag, section, message):
+    # the run config is the spec: `train` resolves it before any recipe runs
     with pytest.raises(ConfigError, match=message):
-        replace(SPEC, **{field: section})
+        pipeline.train(config(tag, **{pipeline.STRATEGIES[tag].section: section}), TRAIN, VAL)
 
 
 def test_a_section_is_a_filled_copy_of_the_callers_dict():
-    section = {"n_steps": 3}
-    spec = replace(SPEC, dad=section)
-    section["n_steps"] = 7
-    assert spec.dad["n_steps"] == 3 and spec.dad is not section
+    cfg = config("cdad")
+    resolved = pipeline.resolve_config(cfg)
+    cfg["dad"]["n_steps"] = 7
+    assert resolved["dad"]["n_steps"] == 5 and resolved["dad"] is not cfg["dad"]
+    before = copy.deepcopy(resolved)
+    pipeline.train(resolved, TRAIN, VAL)
+    assert resolved == before
