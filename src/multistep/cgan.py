@@ -30,8 +30,8 @@ SECTION = {
     "batch_size": schema.Int(1, default=64),
     "synthetic_count": schema.Int(0, default=None),  # C-GAN rows to add; null: one per window
 }
-# the `noise` config section: `noise_augment`'s options
-NOISE = {"sigma": schema.Real(ge=0, default=0.1), "interpret_as_stddev": schema.Bool(default=True)}
+# the `noise` config section: `noise_augment`'s one parameter, a standard deviation
+NOISE = {"sigma": schema.Real(ge=0, default=0.1)}
 
 
 # the `cgan` section with both nets' whole architecture (by default without dropout), and a seed
@@ -212,19 +212,11 @@ def resample_futures(
 
 
 def noise_augment(
-    data: WindowedDataset,
-    sigma: float,
-    rng: np.random.Generator,
-    interpret_as_stddev: bool = True,
+    data: WindowedDataset, sigma: float, rng: np.random.Generator
 ) -> WindowedDataset:
-    """Original rows plus copies whose histories carry N(0, sigma^2) noise.
-
-    Futures stay exact. With interpret_as_stddev=False, sigma is taken as
-    a variance and the standard deviation used is sqrt(sigma).
-    """
-    schema.check({"sigma": sigma, "interpret_as_stddev": interpret_as_stddev}, NOISE)
-    std = sigma if interpret_as_stddev else float(np.sqrt(sigma))
-    noisy = data.histories + rng.normal(0.0, std, size=data.histories.shape)
+    """Original rows plus copies whose histories carry N(0, sigma^2) noise; futures stay exact."""
+    NOISE["sigma"].check(sigma, "sigma")
+    noisy = data.histories + rng.normal(0.0, sigma, size=data.histories.shape)
     histories = np.concatenate([data.histories, noisy])
     futures = np.concatenate([data.futures, data.futures])
     return WindowedDataset(histories, futures, data.p, data.q)

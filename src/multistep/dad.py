@@ -17,7 +17,7 @@ import numpy as np
 
 from . import schema
 from .data import WindowedDataset, make_windows
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, NumericError
 from .nn import ARCH, BUDGET, DROPOUT, TRAIN, Mlp, TrainConfig, fit, init_net
 from .strategies import RecursiveModel, rollout
 
@@ -139,11 +139,15 @@ def _score(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 def select_best(
     results: Sequence[tuple[object, float, float]], metric: str = "mse"
 ) -> tuple[object, int]:
-    """Argmin by validation metric; ties break toward the earliest index."""
+    """Argmin by validation metric; ties break toward the earliest index,
+    and a non-finite score raises NumericError."""
     if not results:
         raise ConfigError("no candidates to select from")
     SECTION["selection_metric"].check(metric, "selection_metric")
     col = 1 if metric == "mse" else 2
+    for i, result in enumerate(results):
+        if not np.isfinite(result[col]):
+            raise NumericError(f"candidate {i} has a non-finite validation {metric} {result[col]}")
     best = min(range(len(results)), key=lambda i: results[i][col])
     return results[best][0], best
 

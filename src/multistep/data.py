@@ -134,7 +134,7 @@ def ingest_csv(
         raise IngestError(f"no such file: {path}")
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             for lineno, row in enumerate(reader, start=1):
                 if lineno == 1 and row and row[0].strip().lower() == "timestamp":

@@ -4,10 +4,10 @@ Each strategy is trained through `cli.main` at one tiny fixed config on a
 `synth-data` series, and the sha256 of its `model.json`, `.config.json`
 and `.log.json` is compared with the digest recorded here. Each trained
 model is then evaluated on the same series, and the sha256 of its report
-and `--curves` CSV is pinned, as are the `.json` and `.txt` of one
-`compare` over all eight reports. A refactor must leave every digest
-unchanged. The nets are small enough that their rollouts stay serial and
-the digests do not depend on the BLAS thread count.
+and `--curves` CSV is pinned, as are the `.json`, `.txt` and `--curves`
+CSV of one `compare` over all eight reports. A refactor must leave every
+digest unchanged. The nets are small enough that their rollouts stay
+serial and the digests do not depend on the BLAS thread count.
 
 A change that legitimately alters these bytes (a new document key, a new
 RNG order) updates the digests below and lists the old and new values
@@ -61,7 +61,7 @@ DIGESTS = {
     ],
     "multi-noise": [
         "a3f9e38345be8b5cb701673f8fd697b65544b8ff82680afbf9aedccb3675953d",
-        "d3813b96917ae18f26fad2950c69de622183121d7f58a2f8b3e9258080e387a4",
+        "9776c826eb1e7a316c87046ebb6d6a0d7102287e9ff2f6aa3dcd2d9d28ea97fe",
         "8fb65fbf24b7a9fffac7a393dda13a1b190f7643e9754a609234c7d282709fa8",
     ],
     "multi-cgan": [
@@ -152,6 +152,7 @@ COMPARE_DIGESTS = [  # .json, .txt
     "1d5e3bee19f72ef6c43ba2ccf12e255d03e79d72ae45c665b593b39c0208b5f1",
     "a543987b47c9d3a9bbbe0b97924404cea1c3f3582e054126ce6f399cac23eb5a",
 ]
+COMPARE_CURVES_DIGEST = "78580bd199b4de7e73a8816385558b9ee5b719bf92df829d747c10b6ff962f0d"
 
 
 def sha256(path) -> str:
@@ -184,3 +185,11 @@ def test_compare_artefacts_are_pinned(tmp_path, reports):
             "--baseline", "recursive", "--out", str(out)]
     assert cli.main(argv) == 0
     assert [sha256(tmp_path / f"cmp{suffix}") for suffix in (".json", ".txt")] == COMPARE_DIGESTS
+
+
+def test_compare_curves_are_pinned(tmp_path, reports):
+    curves = tmp_path / "curves.csv"
+    argv = ["compare", "--reports", *(str(reports[s][0]) for s in pipeline.STRATEGIES),
+            "--baseline", "recursive", "--out", str(tmp_path / "cmp"), "--curves", str(curves)]
+    assert cli.main(argv) == 0
+    assert sha256(curves) == COMPARE_CURVES_DIGEST

@@ -221,20 +221,6 @@ class TestNoiseAugment:
         assert abs(deltas.std() - sigma) < 0.02 * sigma
         assert abs(deltas.mean()) < 0.01
 
-    def test_variance_interpretation(self):
-        data = tiny_data(n=2000, p=50, q=1)
-        out = cgan.noise_augment(
-            data, 0.04, np.random.default_rng(42), interpret_as_stddev=False
-        )
-        deltas = out.histories[len(data):] - data.histories
-        assert abs(deltas.std() - 0.2) < 0.02 * 0.2
-
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             cgan.noise_augment(tiny_data(), -0.1, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("flag", ["no", 0, None, 2])
-    def test_interpret_as_stddev_must_be_a_bool(self, flag):
-        with pytest.raises(ConfigError, match="^interpret_as_stddev must be true or false"):
-            cgan.noise_augment(tiny_data(), 0.1, np.random.default_rng(0),
-                               interpret_as_stddev=flag)

@@ -117,6 +117,19 @@ class TestIngest:
         assert not {"o.csv", "model.json"} & {p.name for p in tmp_path.iterdir()}
         assert capsys.readouterr().err == f"error: {raw}: not UTF-8 text (invalid start byte)\n"
 
+    def test_a_byte_order_mark_ingests_to_the_same_bytes(self, tmp_path):
+        # spreadsheet tools start a UTF-8 CSV with the mark ef bb bf
+        start = datetime(2011, 1, 1)
+        text = "timestamp,flow\n" + "".join(
+            f"{(start + i * timedelta(minutes=5)).isoformat()},{i}\n" for i in range(6))
+        written = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            raw, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+            raw.write_bytes(mark + text.encode())
+            assert cli.main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
+            written.append([out.read_bytes(), Path(f"{out}.json").read_bytes()])
+        assert written[0] == written[1]
+
     def test_missing_input_exits_one(self, tmp_path):
         code = cli.main(
             ["ingest", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "o.csv")]
@@ -559,7 +572,7 @@ class TestProbesExitTwo:
         ("train", _keep, ["--seed", "-1"], "seed must be an integer >= 0"),
         ("train", _set(["model"], "train", []), [], "model.train"),
         ("train", _strategy("multi-noise", "noise", interpret_as_stddev="no"), [],
-         "noise.interpret_as_stddev"),
+         "unknown ['interpret_as_stddev']"),
         ("train", _set(["model", "train"], "learning_rate", "0.001"), [],
          "model.train.learning_rate"),
         ("train", _set(["model", "train"], "learning_rate", float("nan")), [],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from multistep import dad, nn
 from multistep import strategies as stg
 from multistep.data import make_windows
-from multistep.errors import AlignmentError, ConfigError
+from multistep.errors import AlignmentError, ConfigError, NumericError
 
 
 def small_cfg(**overrides):
@@ -243,6 +243,14 @@ class TestSelectBest:
     def test_unknown_metric_rejected(self, metric):
         with pytest.raises(ConfigError, match="^selection_metric must be one of"):
             dad.select_best([("a", 1.0, 2.0), ("b", 2.0, 1.0)], metric)
+
+    @pytest.mark.parametrize("metric, index", [("mse", 0), ("mae", 2)])
+    def test_a_non_finite_score_is_refused(self, metric, index):
+        nan, inf = float("nan"), float("inf")
+        results = [("a", nan, 0.3), ("b", 0.1, 0.1), ("c", 0.05, inf)]
+        with pytest.raises(NumericError, match=f"^candidate {index} has a non-finite "
+                                               f"validation {metric} (nan|inf)$"):
+            dad.select_best(results, metric)
 
 
 class TestMetaTrain:

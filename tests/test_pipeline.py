@@ -21,7 +21,7 @@ TRAIN, VAL = RNG.uniform(0, 1, 80), RNG.uniform(0, 1, 40)
 SECTIONS = {
     "dad": {"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
             "selection_metric": "mae", "accumulate": True},
-    "noise": {"sigma": 0.01, "interpret_as_stddev": False},
+    "noise": {"sigma": 0.1},
     "cgan": {"noise_dim": 2, "epochs": 2, "batch_size": 16, "synthetic_count": 30,
              "hidden_units": 6},
 }
@@ -72,10 +72,7 @@ def hand_dispatch(cfg, train_values, val_values):
         windows = make_windows(train_values, p, q)
         if strategy == "multi-noise":
             windows = cgan.noise_augment(
-                windows,
-                cfg["noise"]["sigma"],
-                np.random.default_rng((seed, 1)),
-                interpret_as_stddev=cfg["noise"]["interpret_as_stddev"],
+                windows, cfg["noise"]["sigma"], np.random.default_rng((seed, 1))
             )
             log["augmented_rows"] = len(windows)
         elif strategy == "multi-cgan":
