@@ -177,8 +177,7 @@ def discriminator_accuracy(
     """Share of right real/fake calls (real iff D > 0.5) on `data` and one fake per row."""
     real_in = np.concatenate([data.histories, data.futures], axis=1)
     d_real, _ = forward(pair.discriminator, real_in, mode="eval")
-    futures = data.futures[rng.integers(0, len(data), size=len(data))]
-    fakes = generate_pairs(pair, futures, rng)
+    fakes = generate_pairs(pair, resample_futures(data, len(data), rng), rng)
     fake_in = np.concatenate([fakes.histories, fakes.futures], axis=1)
     d_fake, _ = forward(pair.discriminator, fake_in, mode="eval")
     hits = int(np.sum(d_real[:, 0] > 0.5)) + int(np.sum(d_fake[:, 0] <= 0.5))

@@ -18,24 +18,41 @@ from . import evaluation, pipeline, schema, serialize, strategies, synth
 from .data import RECIPE, Normalizer, aggregate, ingest_csv, make_windows, write_series_csv
 from .errors import ConfigError, MultistepError
 
-# the metadata rows that `train` writes and `evaluate` requires, beside the model's own
-METADATA = {
-    "q": schema.Int(1),
-    "normalization": schema.Table({"min": schema.Real(), "max": schema.Real()}),
-    "data": schema.Table({k: replace(kind, default=...) for k, kind in RECIPE.items()}),
-}
+# the metadata rows that `train` writes and `evaluate` requires, beside the model's own:
+# serialize's, made required
+METADATA = {"q": schema.Int(1), **{k: replace(serialize.METADATA[k], default={})
+                                   for k in ("normalization", "data")}}
 
 
 # the suffixes a command adds to an output flag's path for the files it writes,
 # where that is not the path alone: compare's --out is a prefix
 WRITES = {("ingest", "output"): ("", ".json"), ("train", "out"): ("", ".config.json", ".log.json"),
           ("compare", "out"): (".json", ".txt")}
+# the flags naming the files a command reads
+READS = {"ingest": ("input",), "train": ("config", "data"), "evaluate": ("model", "data"),
+         "compare": ("reports",)}
+
+
+def _identity(path) -> object:
+    """The file at `path`: its device and inode if it exists, so that a hard
+    link is the file it links to, else its real path."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
 
 
 def _check_outputs(args) -> None:
     """Refuse, before any work, an output flag whose directory does not exist,
-    or one of whose files is an existing directory; the files written beside
-    an output share its directory."""
+    one of whose files is an existing directory, or one of whose files is a
+    file the command reads or another file it writes (a symlink or hard link
+    to it included); the files written beside an output share its directory."""
+    owners = {}  # the identity of each file read or written so far -> its flag
+    for flag in READS.get(args.command, ()):
+        paths = getattr(args, flag)
+        for path in paths if isinstance(paths, list) else [paths]:
+            owners[_identity(path)] = f"--{flag} {path}"
     for flag in ("output", "out", "report", "curves"):
         path = getattr(args, flag, None)
         if path is None:
@@ -45,6 +62,10 @@ def _check_outputs(args) -> None:
         for file in (path + suffix for suffix in WRITES.get((args.command, flag), ("",))):
             if os.path.isdir(file):
                 raise ConfigError(f"--{flag} {path}: {file} is an existing directory")
+            identity = _identity(file)
+            if identity in owners:
+                raise ConfigError(f"--{flag} {path}: {file} would overwrite {owners[identity]}")
+            owners[identity] = f"--{flag} {path}"
 
 
 def _load_series(path, recipe: dict):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import schema
 from .data import WindowedDataset, make_windows
-from .errors import AlignmentError, ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .nn import ARCH, BUDGET, DROPOUT, TRAIN, Mlp, TrainConfig, fit, init_net
 from .strategies import RecursiveModel, rollout
 
@@ -32,7 +32,8 @@ SECTION = {
 
 
 # one DaD or CDaD run; `dropout` is the base net's and CDaD's M_0's, which later iterates
-# keep, `inner_train` the K inner fits' budget and `base_train` the base net's and M_0's
+# keep, `inner_train` the K inner fits' budget and `base_train` the base net's and M_0's;
+# each fit, and each of the two inits, is seeded from its own budget's seed
 DadConfig = schema.record(
     "DadConfig", {k: kind for k, kind in SECTION.items() if k != "inner_epochs"}, ARCH,
     n_steps=replace(SECTION["n_steps"], default=...),
@@ -120,11 +121,11 @@ def build_augmented_dataset(aug: AugmentedDataset, preds, block: int = 0) -> Aug
     s = m0 - n_steps + 1
     preds = np.asarray(preds, dtype=float)
     if preds.shape != (s, n_steps):
-        raise AlignmentError(f"preds {preds.shape} are not {s} rollouts of {n_steps} steps")
+        raise ShapeError(f"preds {preds.shape} are not {s} rollouts of {n_steps} steps")
     first = m0 + block * (n_steps - 1) * s
     end = first + (n_steps - 1) * s
     if not schema.is_int(block) or block < 0 or end > len(aug):
-        raise AlignmentError(f"block {block!r} is outside the {len(aug)} rows of the set")
+        raise ShapeError(f"block {block!r} is outside the {len(aug)} rows of the set")
     for n in range(1, n_steps):
         rows = aug.histories[first + (n - 1) * s : first + n * s]
         rows[:, max(0, p - n) : p] = preds[:, max(0, n - p) : n]
@@ -156,7 +157,7 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     train_values = np.asarray(train_series, dtype=float)
     val_values = np.asarray(val_series, dtype=float)
     p, n_steps, big_k = cfg.p, cfg.n_steps, cfg.meta_iterations
-    seed = cfg.inner_train.seed
+    base_seed = cfg.base_train.seed
     arch = {k: getattr(cfg, k) for k in ARCH}
     step_scale = n_steps if cfg.conditional else None
 
@@ -174,18 +175,18 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     val_windows = make_windows(val_values, p, n_steps)
 
     def fitted(net: Mlp, data, train: TrainConfig, k: int) -> Mlp:
-        return fit(net, data, replace(train, seed=_sub_seed(seed, k)))[0]
+        return fit(net, data, replace(train, seed=_sub_seed(train.seed, k)))[0]
 
     def candidate(net: Mlp) -> tuple[Mlp, float, float]:
         preds = rollout(net, val_windows.histories, n_steps, step_scale)
         return (net, *_score(preds, val_windows.futures))
 
-    base_net = init_net(p, 1, _sub_seed(seed, 0), **arch)
+    base_net = init_net(p, 1, _sub_seed(base_seed, 0), **arch)
     current = fitted(base_net, one_step, cfg.base_train, 1)
     if cfg.conditional:
         # CDaD's M_0 is trained from scratch (its input width differs) on the
         # base model's rollout, at base_train's budget.
-        m0_net = init_net(p + 1, 1, _sub_seed(seed, 2), **arch)
+        m0_net = init_net(p + 1, 1, _sub_seed(base_seed, 2), **arch)
         preds = rollout(current, start_windows, n_steps)
         current = fitted(m0_net, build_augmented_dataset(allocated, preds), cfg.base_train, 10)
 

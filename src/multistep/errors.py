@@ -19,7 +19,3 @@ class IngestError(MultistepError, ValueError):
 
 class ConfigError(MultistepError, ValueError):
     """Invalid configuration or precondition violation."""
-
-
-class AlignmentError(MultistepError, ValueError):
-    """Prediction trajectories do not line up with their source windows."""

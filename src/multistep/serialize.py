@@ -15,10 +15,12 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from . import schema
+from .data import RECIPE
 from .errors import ConfigError, NumericError, ShapeError
 from .nn import ACTIVATION, DROPOUT, Layer, Mlp, layer_slices
 from .pipeline import STRATEGIES
@@ -49,9 +51,10 @@ METADATA = {
     "p": schema.Int(1),
     "q": schema.Int(1, default=None),  # a recursive document may record its served horizon
     "time_step_augmented": schema.Bool(default=False),  # written as max_step is not null
-    # the data recipe and normalizer `multistep train` records, which `evaluate` requires
-    "normalization": schema.Table(None, null=True),
-    "data": schema.Table(None, null=True),
+    # the normalizer and data recipe `multistep train` records and `evaluate` requires;
+    # a library document may leave them null
+    "normalization": schema.Table({"min": schema.Real(), "max": schema.Real()}, null=True),
+    "data": schema.Table({k: replace(kind, default=...) for k, kind in RECIPE.items()}, null=True),
 }
 
 

@@ -118,7 +118,9 @@ class MultiOutputModel(_kind("MultiOutputModel", "net", {"q": schema.Int(1)})):
 def _check_horizon(n_steps, q: int) -> None:
     """ConfigError unless a model of horizon q can serve n_steps."""
     if n_steps != q:
-        raise ConfigError(f"a model of horizon q={q} cannot be served n_steps={n_steps}")
+        shown = n_steps if schema.is_int(n_steps) else repr(n_steps)  # '2' is not 2
+        raise ConfigError(f"a model of horizon q={q} cannot be served n_steps={shown}")
+    schema.Int(1).check(n_steps, "n_steps")  # equal to q, but perhaps a float such as 3.0
 
 
 # A rollout's rows go in blocks of ROLLOUT_BLOCK from row 0, a remainder
@@ -219,17 +221,16 @@ def train_direct(
     """
     DirectModelSet.METADATA["hybrid"].check(hybrid, "hybrid")
     models: list[Mlp] = []
-    extra = np.empty((len(data), 0))
+    inputs = data.histories
     for h in range(1, data.q + 1):
-        inputs = np.concatenate([data.histories, extra], axis=1) if hybrid else data.histories
         targets = data.futures[:, h - 1 : h]
         step_data = WindowedDataset(inputs, targets, inputs.shape[1], 1)
         net = init_net(inputs.shape[1], 1, (cfg.seed, h), **arch)
         trained, _ = fit(net, step_data, replace(cfg, seed=cfg.seed + h))
         models.append(trained)
-        if hybrid:
-            preds, _ = forward(trained, inputs, mode="eval")
-            extra = np.concatenate([extra, preds], axis=1)
+        if hybrid:  # the next step's inputs, as DirectModelSet.predictor grows them
+            out, _ = forward(trained, inputs, mode="eval")
+            inputs = np.concatenate([inputs, out], axis=1)
     return DirectModelSet(models, q=data.q, p=data.p, hybrid=hybrid)
 
 

@@ -783,6 +783,61 @@ class TestDirectoryAsOutputExitsTwo:
         assert (tmp_path / "cmp.json").is_file() and (tmp_path / "cmp.txt").is_file()
 
 
+class TestOutputOverAFileOfTheCommandExitsTwo:
+    """An output file that is one of the command's inputs, or another of its
+    outputs, by any path, symlink or hard link, is refused before any work:
+    the input keeps its bytes and nothing is written."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["ingest", "--input", "raw.csv", "--output", "raw.csv"], "--output"),
+        (["ingest", "--input", "raw.csv", "--output", "./sub/../raw.csv"], "--output"),
+        (["ingest", "--input", "raw.csv", "--output", "link.csv"], "--output"),
+        (["ingest", "--input", "raw.csv", "--output", "hard.csv"], "--output"),
+        (["ingest", "--input", "agg.json", "--output", "agg"], "--output"),
+        (["train", "--config", "cfg.json", "--data", "raw.csv", "--out", "cfg.json"], "--out"),
+        (["train", "--config", "cfg.json", "--data", "raw.csv", "--out", "raw.csv"], "--out"),
+        (["train", "--config", "m.json.config.json", "--data", "raw.csv", "--out", "m.json"],
+         "--out"),
+        (["train", "--config", "cfg.json", "--data", "m.json.log.json", "--out", "m.json"],
+         "--out"),
+        (["evaluate", "--model", "model.json", "--data", "raw.csv", "--report", "model.json"],
+         "--report"),
+        (["evaluate", "--model", "model.json", "--data", "raw.csv", "--report", "r.json",
+          "--curves", "raw.csv"], "--curves"),
+        (["evaluate", "--model", "model.json", "--data", "raw.csv", "--report", "r.json",
+          "--curves", "r.json"], "--curves"),
+        (["compare", "--reports", "rep.json", "--baseline", "recursive", "--out", "rep"],
+         "--out"),
+        (["compare", "--reports", "rep.json", "rep.txt", "--baseline", "recursive", "--out",
+          "rep"], "--out"),
+        (["compare", "--reports", "rep.json", "--baseline", "recursive", "--out", "cmp",
+          "--curves", "rep.json"], "--curves"),
+        (["compare", "--reports", "rep.json", "--baseline", "recursive", "--out", "cmp",
+          "--curves", "cmp.txt"], "--curves"),
+    ], ids=["ingest-input", "ingest-input-dotted", "ingest-input-symlink",
+            "ingest-input-hard-link", "ingest-sidecar",
+            "train-config", "train-data", "train-config-echo", "train-log", "evaluate-model",
+            "evaluate-curves-data", "evaluate-curves-report", "compare-json", "compare-txt",
+            "compare-curves-report", "compare-curves-txt"])
+    def test_refused(self, tmp_path, series_csv, model_doc, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        raw = series_csv.read_bytes()
+        for name in ("raw.csv", "agg.json", "m.json.log.json"):
+            (tmp_path / name).write_bytes(raw)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "raw.csv")
+        (tmp_path / "hard.csv").hardlink_to(tmp_path / "raw.csv")
+        for name, doc in (("cfg.json", base_config()), ("m.json.config.json", base_config()),
+                          ("model.json", model_doc), ("rep.json", _report()),
+                          ("rep.txt", dict(_report(), model_tag="direct"))):  # a second tag
+            serialize.dump_json(doc, tmp_path / name)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert cli.main(argv) == 2
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and " would overwrite --" in err
+
+
 class TestMalformedJsonExitsTwo:
     """A JSON input that does not parse, or is not an object, is a ConfigError."""
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from multistep import dad, nn
 from multistep import strategies as stg
 from multistep.data import make_windows
-from multistep.errors import AlignmentError, ConfigError, NumericError
+from multistep.errors import ConfigError, NumericError, ShapeError
 
 
 def small_cfg(**overrides):
@@ -49,6 +49,18 @@ class TestConfig:
         # a truthy string once switched accumulate on
         with pytest.raises(ConfigError, match=field):
             small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("conditional", [False, True], ids=["dad", "cdad"])
+    def test_base_train_seed_seeds_the_base_model(self, conditional):
+        # the base model (CDaD's M_0 included) once drew every seed from
+        # inner_train.seed, so base seeds 0 and 123 gave the same run
+        series, val = wave(40), wave(30, seed=1)
+        train = dad.train_cdad if conditional else dad.train_dad
+        errors = [train(series, val, small_cfg(
+                      conditional=conditional,
+                      base_train=nn.TrainConfig(epochs=2, batch_size=16, seed=seed),
+                  )).per_iteration_val_errors[0] for seed in (0, 123)]
+        assert errors[0] != errors[1]
 
     def test_wrapper_mode_checks(self):
         series, val = wave(40), wave(30, seed=1)
@@ -179,13 +191,13 @@ class TestAugmentedDataset:
         values = np.array([1.0, 2.0, 3.0])
         aug = dad.augmented_set(values, 1, 2, False)
         for bad in ([[0.9]], [0.9, 0.7], [[0.9, 0.7, 0.5]]):  # short, 1-D, long
-            with pytest.raises(AlignmentError):
+            with pytest.raises(ShapeError):
                 dad.build_augmented_dataset(aug, np.array(bad))
 
     def test_starts_and_preds_must_pair_up(self):
         two_starts = dad.augmented_set(np.array([1.0, 2.0, 3.0, 4.0]), 1, 2, False)
         assert two_starts.layout == (3, 1, 2)  # 3 one-step rows, so 2 rollouts
-        with pytest.raises(AlignmentError):  # two starts, one rollout
+        with pytest.raises(ShapeError):  # two starts, one rollout
             dad.build_augmented_dataset(two_starts, np.array([[0.9, 0.7]]))
 
     @pytest.mark.parametrize("p", [0, 3, 4, 2.0], ids=["zero", "series-length", "past-end", "float"])
@@ -223,7 +235,7 @@ class TestReusedSet:
     def test_mismatch_raises_before_writing(self, block):
         out = built(self.values, self.p, self.preds, False, self.n_steps)
         before = [out.histories.copy(), out.futures.copy()]
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ShapeError):
             dad.build_augmented_dataset(out, self.preds * 2, block)
         for kept, now in zip(before, (out.histories, out.futures)):
             assert np.array_equal(kept, now)

@@ -310,6 +310,20 @@ class TestModelDocument:
         with pytest.raises(ConfigError, match=missing):
             serialize.model_from_doc(doc)
 
+    @pytest.mark.parametrize("key, value, refusal", [
+        ("normalization", {"mean": 1}, r"^metadata.normalization keys missing \['max', 'min'\], "
+                                       r"unknown \['mean'\]$"),
+        ("data", {"resolution_minutes": 15, "aggregate_factor": 1},
+         r"^metadata.data keys missing \['gap_policy'\], unknown \[\]$"),
+    ], ids=["normalization-mean", "data-without-gap-policy"])
+    def test_a_normalizer_or_recipe_of_another_shape_refused_on_load(self, trained, key, value,
+                                                                     refusal):
+        _, _, models = trained
+        doc = serialize.model_to_doc(models["multi"], {"strategy_tag": "multi"})
+        doc["metadata"][key] = value
+        with pytest.raises(ConfigError, match=refusal):
+            serialize.model_from_doc(doc)
+
     def test_step_input_flag_without_depth_refused_on_load(self, trained):
         _, _, models = trained
         doc = serialize.model_to_doc(models["multi"], {"strategy_tag": "multi"})

@@ -344,9 +344,14 @@ class TestShapeLaw:
     def test_a_q_step_model_serves_q_steps_alone(self, kind):
         model = SERVED[kind]()  # q = 2
         assert model.predictor(2)(np.ones((5, 3))).shape == (5, 2)
-        for n_steps in (None, 1, 3, 8):
+        for n_steps in (None, 1, 3, 8, np.int64(3)):  # a NumPy integer reads as an integer
             with pytest.raises(ConfigError, match=f"q=2 cannot be served n_steps={n_steps}$"):
                 model.predictor(n_steps)
+        for n_steps in (2.0, np.float64(2.0)):  # refused as a recursive model refuses them
+            with pytest.raises(ConfigError, match="^n_steps must be an integer >= 1"):
+                model.predictor(n_steps)
+        with pytest.raises(ConfigError, match="n_steps='2'$"):  # not n_steps=2
+            model.predictor("2")
 
     def test_every_strategy_emits_h_values(self):
         p = q = 4
