@@ -10,7 +10,7 @@ a count. A statement ran when a line it spans ran, leaving out the lines of
 the statements nested in it; the statements are those of the package's
 modules that compile to code. Tests run in a subprocess are not traced.
 
-Tracing makes the unit layer about twice as slow (56 s, against 27 s, on a
+Tracing makes the unit layer about twice as slow (46 s, against 21 s, on a
 2-core Xeon), so the suite runs this script on one small test file only.
 The exit code is pytest's.
 

@@ -8,14 +8,14 @@ the baseline it is compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import schema
 from .data import WindowedDataset
 from .errors import ConfigError, ShapeError
-from .nn import (ARCH, DROPOUT, AdamState, Mlp, Workspace, adam_step, backward, batches,
+from .nn import (ARCH, AdamState, Mlp, Workspace, adam_step, backward, batches,
                  forward, init_net, input_grad)
 
 PROB_EPS = 1e-7  # clamp for log arguments
@@ -28,14 +28,14 @@ SECTION = {
     "lr_generator": schema.Real(gt=0, default=1e-4),
     "epochs": schema.Int(1, default=200),
     "batch_size": schema.Int(1, default=64),
-    "synthetic_count": schema.Int(0, default=None),  # C-GAN rows to add; null: one per window
 }
 # the `noise` config section: `noise_augment`'s one parameter, a standard deviation
 NOISE = {"sigma": schema.Real(ge=0, default=0.1)}
 
 
-# the `cgan` section with both nets' whole architecture (by default without dropout), and a seed
-CganConfig = schema.record("CganConfig", SECTION, ARCH, dropout=replace(DROPOUT, default=0.0),
+# the `cgan` section with both nets' widths, and a seed; the nets never drop out
+CganConfig = schema.record("CganConfig", SECTION,
+                           {k: ARCH[k] for k in ("hidden_layers", "hidden_units")},
                            seed=schema.Int(0, default=0))
 
 
@@ -101,7 +101,7 @@ def train_cgan(
         raise ConfigError(f"holdout must hold windows of p={p}, q={q}, got {len(holdout)} "
                           f"of p={holdout.p}, q={holdout.q}")
     rng = np.random.default_rng(cfg.seed)
-    arch = {k: getattr(cfg, k) for k in ARCH}
+    arch = {"hidden_layers": cfg.hidden_layers, "hidden_units": cfg.hidden_units}
     gen = init_net(cfg.noise_dim + q, p, rng, **arch)
     disc = init_net(p + q, 1, rng, **arch, final_activation="sigmoid")
     g_state = AdamState(gen.params, cfg.lr_generator)
@@ -175,6 +175,8 @@ def discriminator_accuracy(
     pair: CganPair, data: WindowedDataset, rng: np.random.Generator
 ) -> float:
     """Share of right real/fake calls (real iff D > 0.5) on `data` and one fake per row."""
+    if len(data) == 0:
+        raise ConfigError("empty dataset")
     real_in = np.concatenate([data.histories, data.futures], axis=1)
     d_real, _ = forward(pair.discriminator, real_in, mode="eval")
     fakes = generate_pairs(pair, resample_futures(data, len(data), rng), rng)

@@ -79,7 +79,7 @@ def cmd_ingest(args) -> int:
     RECIPE["aggregate_factor"].check(args.factor, "--factor")
     series = ingest_csv(args.input, timedelta(minutes=minutes), gap_policy=args.gap_policy)
     raw_rows = len(series)
-    series = aggregate(series, args.factor, how=args.how)
+    series = aggregate(series, args.factor)
     write_series_csv(series, args.output)
     sidecar = {
         "rows": len(series),
@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--factor", type=int, default=3)
     p_ing.add_argument("--resolution-minutes", type=float, default=5.0)
     p_ing.add_argument("--gap-policy", choices=["reject", "linear"], default="reject")
-    p_ing.add_argument("--how", choices=["sum", "mean"], default="sum")
     p_ing.set_defaults(func=cmd_ingest)
 
     p_syn = sub.add_parser("synth-data", help="write the seeded synthetic benchmark series")

@@ -5,7 +5,7 @@ training series, pairs the drifted synthetic windows with the true next
 observations, and retrains on the rebuilt set. The conditioned variant
 additionally feeds the model a step-index input so a single network can
 learn a different correction per rollout depth. The best iterate is
-picked by validation rollout error.
+picked by validation rollout MSE.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ SECTION = {
     "n_steps": schema.Int(1, default=8),  # rollout depth N
     "meta_iterations": schema.Int(1, default=30),  # K
     "inner_epochs": replace(TRAIN["epochs"], default=50),
-    "selection_metric": schema.OneOf(("mse", "mae"), default="mse"),
-    "accumulate": schema.Bool(default=False),  # keep synthetic rows from earlier iterations
 }
 
 
@@ -78,16 +76,15 @@ def _sub_seed(seed: int, k: int) -> int:
 _rollout_aug = rollout
 
 
-def augmented_set(series, p: int, n_steps: int, conditional: bool,
-                  blocks: int = 1) -> AugmentedDataset:
-    """The one-step pairs of `series`, then `blocks` synthetic blocks with
-    every entry written but the rollout predictions, which
+def augmented_set(series, p: int, n_steps: int, conditional: bool) -> AugmentedDataset:
+    """The one-step pairs of `series`, then the synthetic rows with every
+    entry written but the rollout predictions, which
     `build_augmented_dataset` writes.
 
-    A block belongs to n_steps-long rollouts from every window that has
-    n_steps true successors in the series, in series order. It holds, by
-    depth n in 1..n_steps-1 and then by start, the window ending in the
-    n-th prediction paired with the true next value; the window's true
+    The synthetic rows belong to n_steps-long rollouts from every window
+    that has n_steps true successors in the series, in series order. They
+    hold, by depth n in 1..n_steps-1 and then by start, the window ending in
+    the n-th prediction paired with the true next value; the window's true
     history is its first p-n columns. The window ending in the final
     prediction has no ground-truth successor inside the rollout span. When
     `conditional`, each row gains the step feature n/n_steps (n = 0 on a
@@ -95,41 +92,35 @@ def augmented_set(series, p: int, n_steps: int, conditional: bool,
     """
     values = np.asarray(series, dtype=float)
     SECTION["n_steps"].check(n_steps, "n_steps")
-    schema.Int(0).check(blocks, "blocks")
     if len(values) - n_steps < 1:  # no p fits
         raise ConfigError(f"n_steps must be < the series length {len(values)}, got {n_steps}")
     if not schema.is_int(p) or not 1 <= p <= len(values) - n_steps:
         raise ConfigError(f"p must be an integer in [1, {len(values) - n_steps}], got {p!r}")
     m0 = len(values) - p
     at = (np.arange(1, n_steps)[:, None] + np.arange(m0 - n_steps + 1)).ravel()
-    index = np.concatenate([np.arange(m0), np.tile(at, blocks)])
+    index = np.concatenate([np.arange(m0), at])
     histories = np.empty((len(index), p + 1 if conditional else p))
     histories[:, :p] = np.lib.stride_tricks.sliding_window_view(values, p)[index]
     if conditional:
-        depth = np.tile(np.repeat(np.arange(1, n_steps), m0 - n_steps + 1), blocks)
+        depth = np.repeat(np.arange(1, n_steps), m0 - n_steps + 1)
         histories[:, p] = np.concatenate([np.zeros(m0, dtype=int), depth]) / n_steps
     futures = values[index + p][:, None]
     return AugmentedDataset(histories, futures, (m0, p, n_steps))
 
 
-def build_augmented_dataset(aug: AugmentedDataset, preds, block: int = 0) -> AugmentedDataset:
+def build_augmented_dataset(aug: AugmentedDataset, preds) -> AugmentedDataset:
     """Write one rollout's predictions, preds[i] the rollout from the i-th
-    window, into synthetic block `block` of `aug`, and return the rows of
-    `aug` up to the end of that block as views: the next write into `aug`
-    overwrites them."""
+    window, into the synthetic rows of `aug` and return `aug`: the next
+    write overwrites them."""
     m0, p, n_steps = aug.layout
     s = m0 - n_steps + 1
     preds = np.asarray(preds, dtype=float)
     if preds.shape != (s, n_steps):
         raise ShapeError(f"preds {preds.shape} are not {s} rollouts of {n_steps} steps")
-    first = m0 + block * (n_steps - 1) * s
-    end = first + (n_steps - 1) * s
-    if not schema.is_int(block) or block < 0 or end > len(aug):
-        raise ShapeError(f"block {block!r} is outside the {len(aug)} rows of the set")
     for n in range(1, n_steps):
-        rows = aug.histories[first + (n - 1) * s : first + n * s]
+        rows = aug.histories[m0 + (n - 1) * s : m0 + n * s]
         rows[:, max(0, p - n) : p] = preds[:, max(0, n - p) : n]
-    return AugmentedDataset(aug.histories[:end], aug.futures[:end], aug.layout)
+    return aug
 
 
 def _score(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
@@ -137,19 +128,15 @@ def _score(preds: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 
 
-def select_best(
-    results: Sequence[tuple[object, float, float]], metric: str = "mse"
-) -> tuple[object, int]:
-    """Argmin by validation metric; ties break toward the earliest index,
-    and a non-finite score raises NumericError."""
+def select_best(results: Sequence[tuple[object, float, float]]) -> tuple[object, int]:
+    """Argmin by validation MSE; ties break toward the earliest index, and
+    a non-finite MSE raises NumericError."""
     if not results:
         raise ConfigError("no candidates to select from")
-    SECTION["selection_metric"].check(metric, "selection_metric")
-    col = 1 if metric == "mse" else 2
-    for i, result in enumerate(results):
-        if not np.isfinite(result[col]):
-            raise NumericError(f"candidate {i} has a non-finite validation {metric} {result[col]}")
-    best = min(range(len(results)), key=lambda i: results[i][col])
+    for i, (_, mse, _) in enumerate(results):
+        if not np.isfinite(mse):
+            raise NumericError(f"candidate {i} has a non-finite validation mse {mse}")
+    best = min(range(len(results)), key=lambda i: results[i][1])
     return results[best][0], best
 
 
@@ -162,10 +149,9 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     step_scale = n_steps if cfg.conditional else None
 
     # Only the rollout predictions change between rebuilds, so the set is
-    # allocated once; under `accumulate` each rebuild fills the next block.
-    # Its first m0 rows are the one-step pairs, whose first windows start the rollouts.
-    blocks = big_k + int(cfg.conditional) if cfg.accumulate else 1
-    allocated = augmented_set(train_values, p, n_steps, cfg.conditional, blocks)
+    # allocated once. Its first m0 rows are the one-step pairs, whose first
+    # windows start the rollouts.
+    allocated = augmented_set(train_values, p, n_steps, cfg.conditional)
     m0 = allocated.layout[0]
     one_step = WindowedDataset(allocated.histories[:m0, :p], allocated.futures[:m0], p, 1)
     start_windows = one_step.histories[: m0 - n_steps + 1]
@@ -193,12 +179,11 @@ def _meta_train(train_series, val_series, cfg: DadConfig) -> MetaTrainResult:
     candidates = [candidate(current)]
     for k in range(1, big_k + 1):
         preds = rollout(current, start_windows, n_steps, step_scale)
-        block = k - 1 + int(cfg.conditional) if cfg.accumulate else 0
-        aug = build_augmented_dataset(allocated, preds, block)
+        aug = build_augmented_dataset(allocated, preds)
         current = fitted(current, aug, cfg.inner_train, 10 + k)
         candidates.append(candidate(current))
 
-    best_net, best_idx = select_best(candidates, cfg.selection_metric)
+    best_net, best_idx = select_best(candidates)
     return MetaTrainResult(
         best_model=RecursiveModel(best_net, p=p, max_step=step_scale),
         best_iteration=best_idx,

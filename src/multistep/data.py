@@ -199,19 +199,16 @@ def write_series_csv(series: TimeSeries, path) -> None:
         f.write("timestamp,flow\r\n" + "".join(lines))
 
 
-def aggregate(series: TimeSeries, factor: int, how: str = "sum") -> TimeSeries:
-    """Coarsen resolution by `factor` consecutive points (flow counts sum;
-    `how='mean'` for rate-like data). A trailing remainder shorter than
-    `factor` is dropped."""
+def aggregate(series: TimeSeries, factor: int) -> TimeSeries:
+    """Coarsen resolution by summing each `factor` consecutive flow counts.
+    A trailing remainder shorter than `factor` is dropped."""
     RECIPE["aggregate_factor"].check(factor, "factor")
-    schema.OneOf(("sum", "mean")).check(how, "how")
     if factor == 1:
         return series
     n = len(series) // factor
     if n == 0:
         raise ConfigError(f"series length {len(series)} < factor {factor}")
-    blocks = series.values[: n * factor].reshape(n, factor)
-    values = blocks.sum(axis=1) if how == "sum" else blocks.mean(axis=1)
+    values = series.values[: n * factor].reshape(n, factor).sum(axis=1)
     return TimeSeries(series.start, values, series.resolution * factor)
 
 

@@ -76,9 +76,8 @@ def _gan(windows, cfg, log):
               for k in ("hidden_layers", "hidden_units")}
     gan_cfg = cgan.CganConfig(**{**cfg["cgan"], **widths}, seed=cfg["seed"])
     pair = cgan.train_cgan(windows, gan_cfg)
-    count = len(windows) if gan_cfg.synthetic_count is None else gan_cfg.synthetic_count
-    rng = np.random.default_rng((cfg["seed"], 2))
-    synthetic = cgan.generate_pairs(pair, cgan.resample_futures(windows, count, rng), rng)
+    rng = np.random.default_rng((cfg["seed"], 2))  # one synthetic pair per real window
+    synthetic = cgan.generate_pairs(pair, cgan.resample_futures(windows, len(windows), rng), rng)
     log.update(cgan_log=pair.training_log, synthetic_rows=len(synthetic))
     log["combined_rows"] = len(windows) + len(synthetic)
     return WindowedDataset(
@@ -141,7 +140,9 @@ CONFIG = {
 
 def resolve_config(doc: dict, seed_override: int | None = None) -> dict:
     """`doc` checked against CONFIG, every default materialized."""
-    cfg = schema.check(doc if seed_override is None else dict(doc, seed=seed_override), CONFIG)
+    if seed_override is not None and isinstance(doc, dict):  # the check refuses a non-object
+        doc = dict(doc, seed=seed_override)
+    cfg = schema.check(doc, CONFIG)
     strategy, q = cfg["model"]["strategy"], cfg["data"]["q"]
     row = STRATEGIES[strategy]
     for name in ("dad", "cgan", "noise"):

@@ -150,9 +150,9 @@ def rollout(
     feature v = (already-recycled count)/step_scale, i.e. v=0 for the
     first prediction. The input window, the predictions and one workspace
     per block of rows are made before any block runs; `histories` is never
-    written. Blocks of a wide net run on a thread pool made for the call,
-    with one worker per block up to the core count (ROLLOUT_BLOCK), and the
-    call returns or raises only once every block has ended.
+    written. A wide net's blocks of ROLLOUT_BLOCK rows run on a thread pool
+    made for the call, one worker per block but no more than the cores, and
+    the call returns or raises only once every block has ended.
     """
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 2 or histories.shape[1] < 1:

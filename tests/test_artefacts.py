@@ -36,12 +36,12 @@ DIGESTS = {
     ],
     "dad": [
         "c942fe4c4c516c7a897c32d735812f5f35a204ad83e9c8f1baba89a33985da0f",
-        "f35c307028624ab6cf0092ca32ade14e18a4da4862bfc33ac5d90b3490204515",
+        "f105b7b0c3bbfa3ba1eab39cdd8d2b7f15a2b2a74652c0bf28c02ab7da5a254a",
         "0c177e2f4f8ce6c408d35e80635af1791ee21f1fd98ad03da2fb26a70053c635",
     ],
     "cdad": [
         "3b96037c51d106cf5ea853d2e47fd25608ea88142195bec14b8527938006d68a",
-        "a193a2dc6fba5ac29f070ab08adb51902cfec93eaf2c5492a79fb188cc92fc7b",
+        "a7bcaa1e3188a260308202032451e4394aa47db59d157fa991232233112611b3",
         "4c129543251566216a38abad1dadfd8b41532d0d7c375ccf2e8f0682fbf19d60",
     ],
     "direct": [
@@ -66,7 +66,7 @@ DIGESTS = {
     ],
     "multi-cgan": [
         "cf96d3766347166de5a4db922d0506ac2ccd41f1affab7e6a73915ceae75f475",
-        "3f5be4af16a45b499fbcc29769243c74b53bcc480e6ca6151aaea9f34c980972",
+        "e74e38970bab71ac92876a9754a0f273f94ddbe21dd5e0cae81e711b616cd265",
         "66559bdc0013ed08fbe04c5963c380d9912b61c54e38be6510b45787a934611e",
     ],
 }

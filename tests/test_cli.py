@@ -84,6 +84,16 @@ class TestIngest:
         assert sidecar["rows"] == 2
         assert sidecar["resolution_minutes"] == 15.0
 
+    def test_how_flag_is_gone(self, tmp_path):
+        # flow counts always sum; `--how mean` once averaged them
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,flow\n2011-01-01T00:00:00,1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ingest", "--input", str(raw), "--output", str(tmp_path / "agg.csv"),
+                      "--how", "mean"])
+        assert exc.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.csv"]
+
     def test_sidecar_bytes_match_plain_json_writer(self, tmp_path):
         raw = tmp_path / "raw.csv"
         start = datetime(2011, 1, 1)
@@ -275,15 +285,6 @@ class TestBadValuesExitTwo:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    def test_dad_accumulate_must_be_bool(self, tmp_path, series_csv, capsys):
-        # a truthy string once trained in accumulate mode and exited 0
-        doc = base_config()
-        _strategy("dad", "dad", meta_iterations=1, inner_epochs=1, accumulate="no")(doc)
-        code, out = run_train(tmp_path, series_csv, doc)
-        assert code == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-        assert "accumulate" in capsys.readouterr().err
-
     @pytest.mark.parametrize("value", [0, "15"], ids=["resolution-0", "resolution-str"])
     def test_evaluate(self, tmp_path, series_csv, capsys, value):
         _, model = run_train(tmp_path, series_csv, base_config())
@@ -345,22 +346,6 @@ class TestTrain:
         log = serialize.load_json(str(out) + ".log.json")
         assert log["combined_rows"] == 2 * log["synthetic_rows"]
         assert len(log["cgan_log"]) == 2
-
-    def test_multi_cgan_with_no_synthetic_rows_trains_on_the_real_windows(
-        self, tmp_path, series_csv
-    ):
-        doc = base_config(
-            strategy="multi-cgan",
-            cgan={"noise_dim": 3, "epochs": 2, "batch_size": 32, "synthetic_count": 0},
-        )
-        code, out = run_train(tmp_path, series_csv, doc)
-        assert code == 0
-        log = serialize.load_json(str(out) + ".log.json")
-        series = ingest_csv(series_csv, timedelta(minutes=15))
-        train_end = datetime.fromisoformat(doc["data"]["split"]["train_end"])
-        n_train = sum(t <= train_end for t in series.timestamps)
-        assert log["synthetic_rows"] == 0
-        assert log["combined_rows"] == n_train - 4 - 4 + 1  # p = q = 4
 
 
 class TestEvaluateAndCompare:
@@ -573,6 +558,11 @@ class TestProbesExitTwo:
         ("train", _set(["model"], "train", []), [], "model.train"),
         ("train", _strategy("multi-noise", "noise", interpret_as_stddev="no"), [],
          "unknown ['interpret_as_stddev']"),
+        ("train", _strategy("dad", "dad", selection_metric="mse"), [],
+         "unknown ['selection_metric']"),
+        ("train", _strategy("dad", "dad", accumulate=False), [], "unknown ['accumulate']"),
+        ("train", _strategy("multi-cgan", "cgan", synthetic_count=None), [],
+         "unknown ['synthetic_count']"),
         ("train", _set(["model", "train"], "learning_rate", "0.001"), [],
          "model.train.learning_rate"),
         ("train", _set(["model", "train"], "learning_rate", float("nan")), [],
@@ -610,9 +600,10 @@ class TestProbesExitTwo:
         ("compare", _set([], "model_tag", 3), [], "model_tag"),
         ("synth-data", _keep, ["--points", "10", "--seed", "-1"], "seed must be an integer >= 0"),
     ], ids=["seed-1.5", "seed-true", "seed-2.0", "seed-str", "seed-flag-neg", "train-list",
-            "stddev-str", "lr-str", "lr-nan", "dropout-str", "train-end-int",
-            "train-end-word", "sigma-str", "lr-generator-str", "split-offsets",
-            "no-dropout-rate", "no-input-dim", "no-output-dim", "no-metadata", "no-p", "no-q",
+            "stddev-str", "selection-metric", "accumulate", "synthetic-count", "lr-str",
+            "lr-nan", "dropout-str", "train-end-int", "train-end-word", "sigma-str",
+            "lr-generator-str", "split-offsets", "no-dropout-rate", "no-input-dim",
+            "no-output-dim", "no-metadata", "no-p", "no-q",
             "no-normalization", "metadata-list", "max-str", "dropout-rate-str", "p-2.5",
             "cdad-no-depth", "p-over-net", "multi-q-over-net", "hybrid-on-recursive", "mse-str",
             "mse-null", "tag-int", "synth-seed-neg"])

@@ -35,18 +35,15 @@ def wave(n, seed=0):
 class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
-        [("p", 0), ("n_steps", 0), ("meta_iterations", 0), ("selection_metric", "rmse"),
-         ("p", 2.5), ("n_steps", 2.5), ("meta_iterations", 1.5), ("n_steps", True),
-         ("base_train", None), ("inner_train", None)],
+        [("p", 0), ("n_steps", 0), ("meta_iterations", 0), ("p", 2.5), ("n_steps", 2.5),
+         ("meta_iterations", 1.5), ("n_steps", True), ("base_train", None), ("inner_train", None)],
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             small_cfg(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [("accumulate", "no"), ("accumulate", 1),
-                                             ("conditional", "yes"), ("conditional", None)])
+    @pytest.mark.parametrize("field,value", [("conditional", "yes"), ("conditional", None)])
     def test_flags_must_be_bool(self, field, value):
-        # a truthy string once switched accumulate on
         with pytest.raises(ConfigError, match=field):
             small_cfg(**{field: value})
 
@@ -216,53 +213,26 @@ class TestAugmentedDataset:
                            match=rf"^n_steps must be < the series length {n}, got {n_steps}$"):
             dad.augmented_set(wave(n), 4, n_steps, False)
 
-    @pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_steps", 2.5), ("n_steps", True),
-                                              ("blocks", -1), ("blocks", 2.5)])
-    def test_depth_and_block_count_are_integers(self, field, value):
-        sizes = {"n_steps": 2, "blocks": 1, field: value}
-        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= "):
-            dad.augmented_set(np.arange(6.0), 1, conditional=False, **sizes)
-
-
-class TestReusedSet:
-    """A rebuild writes only into a synthetic block the set was allocated with."""
-
-    values, p, n_steps = wave(20), 3, 3
-    preds = np.random.default_rng(0).uniform(0, 1, (15, 3))  # 20 - p - n_steps + 1 rollouts
-
-    @pytest.mark.parametrize("block", [1, -1, 0.0], ids=["block-past-end", "block-negative",
-                                                         "block-float"])
-    def test_mismatch_raises_before_writing(self, block):
-        out = built(self.values, self.p, self.preds, False, self.n_steps)
-        before = [out.histories.copy(), out.futures.copy()]
-        with pytest.raises(ShapeError):
-            dad.build_augmented_dataset(out, self.preds * 2, block)
-        for kept, now in zip(before, (out.histories, out.futures)):
-            assert np.array_equal(kept, now)
+    @pytest.mark.parametrize("n_steps", [0, 2.5, True])
+    def test_depth_is_an_integer(self, n_steps):
+        with pytest.raises(ConfigError, match="^n_steps must be an integer >= "):
+            dad.augmented_set(np.arange(6.0), 1, n_steps, conditional=False)
 
 
 class TestSelectBest:
     def test_argmin_and_tie_break(self):
+        # by MSE alone: "c" has the least MAE
         results = [("a", 1.0, 2.0), ("b", 0.5, 3.0), ("c", 0.5, 1.0)]
-        assert dad.select_best(results, "mse") == ("b", 1)  # tie -> earliest
-        assert dad.select_best(results, "mae") == ("c", 2)
+        assert dad.select_best(results) == ("b", 1)  # tie -> earliest
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             dad.select_best([])
 
-    @pytest.mark.parametrize("metric", ["rmse", "MSE", None])
-    def test_unknown_metric_rejected(self, metric):
-        with pytest.raises(ConfigError, match="^selection_metric must be one of"):
-            dad.select_best([("a", 1.0, 2.0), ("b", 2.0, 1.0)], metric)
-
-    @pytest.mark.parametrize("metric, index", [("mse", 0), ("mae", 2)])
-    def test_a_non_finite_score_is_refused(self, metric, index):
-        nan, inf = float("nan"), float("inf")
-        results = [("a", nan, 0.3), ("b", 0.1, 0.1), ("c", 0.05, inf)]
-        with pytest.raises(NumericError, match=f"^candidate {index} has a non-finite "
-                                               f"validation {metric} (nan|inf)$"):
-            dad.select_best(results, metric)
+    def test_a_non_finite_score_is_refused(self):
+        results = [("a", 0.2, 0.3), ("b", 0.1, 0.1), ("c", float("nan"), 0.05)]
+        with pytest.raises(NumericError, match="^candidate 2 has a non-finite validation mse nan$"):
+            dad.select_best(results)
 
 
 class TestMetaTrain:
@@ -324,55 +294,13 @@ class TestMetaTrain:
         assert [e["k"] for e in doc["iterations"]] == [0, 1, 2]
 
 
-class TestAccumulate:
-    @staticmethod
-    def rows_per_fit(monkeypatch, train, val, cfg):
-        """Run the meta-training loop, recording the row count of every fit."""
-        rows = []
-
-        def counting_fit(net, data, train_cfg):
-            rows.append(len(data.histories))
-            return nn.fit(net, data, train_cfg)
-
-        monkeypatch.setattr(dad, "fit", counting_fit)
-        fn = dad.train_cdad if cfg.conditional else dad.train_dad
-        return fn(train, val, cfg), rows
-
-    @pytest.mark.parametrize("conditional", [False, True])
-    def test_each_fit_sees_one_more_synthetic_block(self, monkeypatch, conditional):
-        train, val = wave(50), wave(30, seed=1)
-        p, n_steps, big_k = 3, 3, 3
-        cfg = small_cfg(conditional=conditional, meta_iterations=big_k)
-        plain, plain_rows = self.rows_per_fit(monkeypatch, train, val, cfg)
-        acc, acc_rows = self.rows_per_fit(
-            monkeypatch, train, val, small_cfg(
-                conditional=conditional, meta_iterations=big_k, accumulate=True
-            ),
-        )
-        ground_truth = len(train) - p
-        block = (n_steps - 1) * (len(train) - p - n_steps + 1)
-        # the base fit, CDaD's M_0 fit, then one fit per meta-iteration
-        rebuilds = big_k + int(conditional)
-        assert plain_rows == [ground_truth] + [ground_truth + block] * rebuilds
-        assert acc_rows == [ground_truth] + [
-            ground_truth + j * block for j in range(1, rebuilds + 1)
-        ]
-        # the first fit on a rebuilt set sees the same rows in the same order:
-        # DaD's iterate 1 (after the base model) and CDaD's M_0
-        same = 1 if conditional else 2
-        assert acc.per_iteration_val_errors[:same] == plain.per_iteration_val_errors[:same]
-        assert acc.per_iteration_val_errors[same:] != plain.per_iteration_val_errors[same:]
-
-
-def concatenating_builder(accumulate, values):
+def concatenating_builder(values):
     """The builder the in-place one replaced, as the bitwise oracle of the
     meta loop on `values`: every call builds the whole set afresh by
-    concatenation and, under `accumulate`, appends its synthetic rows to a
-    bank that the returned set carries in full. Of the set it is given it
-    reads only p, n_steps and the step flag; `block` is ignored."""
-    bank = []
+    concatenation. Of the set it is given it reads only p, n_steps and the
+    step flag."""
 
-    def build(allocated, preds, block=0):
+    def build(allocated, preds):
         _, p, n_steps = allocated.layout
         conditional = allocated.histories.shape[1] == p + 1
         starts = np.arange(len(values) - p - n_steps + 1)
@@ -390,11 +318,6 @@ def concatenating_builder(accumulate, values):
         inputs, targets, tags = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
         if conditional:
             inputs = np.concatenate([inputs, (tags / n_steps)[:, None]], axis=1)
-        if accumulate:
-            mask = tags > 0
-            bank.append((inputs[mask], targets[mask]))
-            inputs = np.concatenate([inputs[~mask]] + [b[0] for b in bank])
-            targets = np.concatenate([targets[~mask]] + [b[1] for b in bank])
         return dad.AugmentedDataset(inputs, targets[:, None], allocated.layout)
 
     return build
@@ -425,17 +348,11 @@ def same_bits(a, b):
 
 class TestInPlaceRebuild:
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 5], ids=["N=1", "N<p", "N=p", "N>p"])
-    @pytest.mark.parametrize("accumulate", [False, True], ids=["fresh", "accumulate"])
     @pytest.mark.parametrize("conditional", [False, True], ids=["dad", "cdad"])
-    def test_every_fit_equals_the_concatenating_oracle(
-        self, monkeypatch, conditional, accumulate, n_steps
-    ):
-        cfg = small_cfg(n_steps=n_steps, meta_iterations=3, conditional=conditional,
-                        accumulate=accumulate)
+    def test_every_fit_equals_the_concatenating_oracle(self, monkeypatch, conditional, n_steps):
+        cfg = small_cfg(n_steps=n_steps, meta_iterations=3, conditional=conditional)
         sets, result = fits_and_result(monkeypatch, cfg)
-        oracle_sets, oracle = fits_and_result(
-            monkeypatch, cfg, concatenating_builder(accumulate, TRAIN)
-        )
+        oracle_sets, oracle = fits_and_result(monkeypatch, cfg, concatenating_builder(TRAIN))
         assert len(sets) == len(oracle_sets) == 4 + int(conditional)
         for (x, y), (ox, oy) in zip(sets, oracle_sets):
             assert same_bits(x, ox) and same_bits(y, oy)
@@ -444,9 +361,8 @@ class TestInPlaceRebuild:
         for a, b in zip(result.best_model.net.params, oracle.best_model.net.params):
             assert same_bits(a, b)
 
-    @pytest.mark.parametrize("accumulate", [False, True], ids=["fresh", "accumulate"])
     @pytest.mark.parametrize("conditional", [False, True], ids=["dad", "cdad"])
-    def test_rebuilds_allocate_no_set_sized_array(self, monkeypatch, conditional, accumulate):
+    def test_rebuilds_allocate_no_set_sized_array(self, monkeypatch, conditional):
         """No rebuild of the meta loop's set allocates an array as large as
         the set's inputs. NumPy's iterator takes a scratch buffer of up to
         getbufsize() elements for a strided copy; it is cut to 16 elements
@@ -462,8 +378,7 @@ class TestInPlaceRebuild:
             return aug
 
         monkeypatch.setattr(dad, "build_augmented_dataset", measured)
-        cfg = small_cfg(n_steps=5, meta_iterations=3, conditional=conditional,
-                        accumulate=accumulate)
+        cfg = small_cfg(n_steps=5, meta_iterations=3, conditional=conditional)
         fn = dad.train_cdad if conditional else dad.train_dad
         bufsize = np.setbufsize(16)
         tracemalloc.start()

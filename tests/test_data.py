@@ -373,10 +373,6 @@ class TestAggregate:
         s = mk_series(list(range(7)))
         assert len(dt.aggregate(s, 3)) == 2
 
-    def test_mean_override(self):
-        s = mk_series([1, 2, 3, 4, 5, 6])
-        assert np.array_equal(dt.aggregate(s, 3, how="mean").values, [2, 5])
-
     def test_bad_factor(self):
         with pytest.raises(ConfigError):
             dt.aggregate(mk_series([1, 2]), 0)

@@ -19,11 +19,9 @@ from multistep.nn import TrainConfig
 RNG = np.random.default_rng(5)
 TRAIN, VAL = RNG.uniform(0, 1, 80), RNG.uniform(0, 1, 40)
 SECTIONS = {
-    "dad": {"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1,
-            "selection_metric": "mae", "accumulate": True},
+    "dad": {"n_steps": 5, "meta_iterations": 2, "inner_epochs": 1},
     "noise": {"sigma": 0.1},
-    "cgan": {"noise_dim": 2, "epochs": 2, "batch_size": 16, "synthetic_count": 30,
-             "hidden_units": 6},
+    "cgan": {"noise_dim": 2, "epochs": 2, "batch_size": 16, "hidden_units": 6},
 }
 
 
@@ -56,8 +54,6 @@ def hand_dispatch(cfg, train_values, val_values):
             meta_iterations=d["meta_iterations"],
             inner_train=replace(tc, epochs=d["inner_epochs"]),
             conditional=(strategy == "cdad"),
-            selection_metric=d["selection_metric"],
-            accumulate=d["accumulate"],
             base_train=tc,
             **arch,
         )
@@ -82,10 +78,9 @@ def hand_dispatch(cfg, train_values, val_values):
                     section[key] = model_cfg[key]
             gan = cgan.CganConfig(**section, seed=seed)  # no dropout
             pair = cgan.train_cgan(windows, gan)
-            count = len(windows) if gan.synthetic_count is None else gan.synthetic_count
             rng = np.random.default_rng((seed, 2))
             synthetic = cgan.generate_pairs(
-                pair, cgan.resample_futures(windows, count, rng), rng
+                pair, cgan.resample_futures(windows, len(windows), rng), rng
             )
             log["cgan_log"] = pair.training_log
             log["synthetic_rows"] = len(synthetic)
@@ -242,7 +237,7 @@ def test_run_seeds_refuses_two_configs_of_one_strategy(monkeypatch):
 def test_a_dad_section_without_inner_epochs_trains_with_the_tables_default():
     section = {"n_steps": 2, "meta_iterations": 1}
     assert pipeline.resolve_config(config("dad", dad=section))["dad"] == {
-        **section, "inner_epochs": 50, "selection_metric": "mse", "accumulate": False}
+        **section, "inner_epochs": 50}
     model, log = pipeline.train(config("dad", dad=section), TRAIN, VAL)
     ref_model, ref_log = pipeline.train(config("dad", dad={**section, "inner_epochs": 50}),
                                         TRAIN, VAL)
@@ -252,12 +247,22 @@ def test_a_dad_section_without_inner_epochs_trains_with_the_tables_default():
 
 @pytest.mark.parametrize("tag, section, message", [
     ("multi-noise", {"sigma": 0.1, "bogus": 1}, r"^noise keys missing \[\], unknown \['bogus'\]"),
-    ("dad", {"selection_metric": "rmse"}, r"^dad\.selection_metric must be one of"),
+    ("dad", {"n_steps": 0}, r"^dad\.n_steps must be an integer >= 1"),
 ], ids=["noise", "dad"])
 def test_a_bad_section_is_refused_when_the_spec_is_built(tag, section, message):
     # the run config is the spec: `train` resolves it before any recipe runs
     with pytest.raises(ConfigError, match=message):
         pipeline.train(config(tag, **{pipeline.STRATEGIES[tag].section: section}), TRAIN, VAL)
+
+
+@pytest.mark.parametrize("doc", [[1], "x", None], ids=["list", "str", "null"])
+def test_a_seed_override_refuses_a_config_that_is_not_an_object_as_the_schema_does(doc):
+    # the override once raised TypeError or ValueError from dict(doc, seed=...)
+    with pytest.raises(ConfigError, match="^document must be an object, got ") as plain:
+        pipeline.resolve_config(doc)
+    with pytest.raises(ConfigError) as overridden:
+        pipeline.resolve_config(doc, seed_override=3)
+    assert str(overridden.value) == str(plain.value)
 
 
 def test_a_section_is_a_filled_copy_of_the_callers_dict():

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from multistep import nn, strategies
+from multistep import cgan, nn, strategies
 from multistep.data import (Normalizer, TimeSeries, WindowedDataset, aggregate, fit_normalizer,
                             make_windows)
 from multistep.errors import ConfigError, IngestError, NumericError, ShapeError
@@ -67,12 +67,16 @@ class Pairs:
      r"model 2: output_dim must be 1"),
     (lambda: strategies.train_recursive(make_windows(np.arange(10.0), 3, 2), nn.TrainConfig()),
      ConfigError, r"recursive training needs q == 1 windows, got q=2"),
+    (lambda: cgan.discriminator_accuracy(cgan.CganPair(net(3, 3), net(5, 1)),
+                                         WindowedDataset(np.empty((0, 3)), np.empty((0, 2)), 3, 2),
+                                         np.random.default_rng(0)),
+     ConfigError, r"empty dataset"),
 ], ids=["mlp-no-layers", "mlp-bias-shape", "mlp-unchained", "mlp-non-finite",
         "init-mlp-one-dim", "forward-mode", "fit-1d", "fit-lengths", "fit-dims",
         "series-empty", "series-non-finite", "normalizer-equal", "normalizer-inverted",
         "windows-lengths", "windows-1d", "windows-widths", "aggregate-short",
         "normalizer-one-value", "recursive-two-outputs", "direct-input-dim",
-        "direct-output-dim", "train-recursive-q"])
+        "direct-output-dim", "train-recursive-q", "discriminator-accuracy-empty"])
 def test_refused(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         build()

@@ -74,7 +74,7 @@ def test_train_cgan_makes_a_fixed_set_of_calls_per_minibatch(monkeypatch):
     rng = np.random.default_rng(0)
     data = make_windows(rng.uniform(0, 1, 47), 4, 3)
     cfg = cgan.CganConfig(noise_dim=3, epochs=3, batch_size=16, seed=0, hidden_layers=1,
-                          hidden_units=5, dropout=0.2)
+                          hidden_units=5)
     cgan.train_cgan(data, cfg)
     m = cfg.epochs * math.ceil(len(data) / cfg.batch_size)  # 3 x 3, the last batch uneven
     assert counts == Counter(forward_eval=2 * m, forward_train=3 * m, backward=3 * m,
@@ -135,14 +135,14 @@ def test_tracer_counts_a_fit_and_a_rollout():
     assert tracer.counts["cgan.gan_steps"] == tracer.counts["nn.train_steps"] == 2 * batches
     assert tracer.counts["nn.flops"] > 0
 
-    # under `accumulate` each rebuild returns one more synthetic block
+    # each rebuild returns the one-step rows and one synthetic row per depth and start
     tracer = tracing.Tracer()
     series = np.random.default_rng(2).uniform(0, 1, 40)
     train = nn.TrainConfig(epochs=1, batch_size=16, seed=0)
-    cfg = dad.DadConfig(p=4, n_steps=3, meta_iterations=2, accumulate=True, inner_train=train,
+    cfg = dad.DadConfig(p=4, n_steps=3, meta_iterations=2, inner_train=train,
                         base_train=train, hidden_layers=1, hidden_units=4)
     with tracer.installed():
         dad.train_dad(series, series[:20], cfg)
-    one_step, block = len(series) - 4, (3 - 1) * (len(series) - 4 - 3 + 1)
+    one_step, synthetic = len(series) - 4, (3 - 1) * (len(series) - 4 - 3 + 1)
     assert tracer.calls["dad.build_augmented_dataset"] == cfg.meta_iterations
-    assert tracer.counts["dad.aug_rows"] == sum(one_step + j * block for j in (1, 2))
+    assert tracer.counts["dad.aug_rows"] == cfg.meta_iterations * (one_step + synthetic)

@@ -110,9 +110,8 @@ def oracle_train_cgan(data, cfg, holdout=None):
     p, q = data.p, data.q
     rng = np.random.default_rng(cfg.seed)
     hidden = [cfg.hidden_units] * cfg.hidden_layers
-    gen = nn.init_mlp([cfg.noise_dim + q, *hidden, p], dropout_rate=cfg.dropout, rng=rng)
-    disc = nn.init_mlp([p + q, *hidden, 1], dropout_rate=cfg.dropout, rng=rng,
-                       final_activation="sigmoid")
+    gen = nn.init_mlp([cfg.noise_dim + q, *hidden, p], rng=rng)
+    disc = nn.init_mlp([p + q, *hidden, 1], rng=rng, final_activation="sigmoid")
     g_state = nn.AdamState(gen.params, learning_rate=cfg.lr_generator)
     d_state = nn.AdamState(disc.params, learning_rate=cfg.lr_discriminator)
     lo, hi = cgan.PROB_EPS, 1 - cgan.PROB_EPS  # np.clip bounds of the probabilities
@@ -197,18 +196,17 @@ def test_fit_equals_fresh_array_loop_bitwise(dims, acts, dropout, n, batch, epoc
     hidden_units=st.integers(1, 6),
     batch=st.integers(1, 16),
     length=st.integers(8, 40),
-    dropout=st.sampled_from([0.0, 0.25]),
     with_holdout=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_train_cgan_equals_fresh_array_loop_bitwise(
-    p, q, noise_dim, hidden_layers, hidden_units, batch, length, dropout, with_holdout, seed,
+    p, q, noise_dim, hidden_layers, hidden_units, batch, length, with_holdout, seed,
 ):
     data = make_windows(np.random.default_rng(seed).uniform(0, 1, length + p + q), p, q)
     holdout = make_windows(np.linspace(0.1, 0.9, p + q + 3), p, q) if with_holdout else None
     cfg = cgan.CganConfig(noise_dim=noise_dim, lr_discriminator=2e-3, lr_generator=1e-3,
                           epochs=2, batch_size=batch, seed=seed, hidden_layers=hidden_layers,
-                          hidden_units=hidden_units, dropout=dropout)
+                          hidden_units=hidden_units)
     pair = cgan.train_cgan(data, cfg, holdout=holdout)
     gen, disc, log = oracle_train_cgan(data, cfg, holdout=holdout)
     assert np.array_equal(pair.generator.params, gen.params)
